@@ -94,8 +94,6 @@ def _cmd_rates(args) -> int:
     from .experiments import run_rate_experiment
 
     cfg = _scenario_config(args)
-    if args.allocator is not None and args.allocator not in ("uniform", "maxmin"):
-        raise ConfigError(f"unknown allocator {args.allocator!r}")
     result = run_rate_experiment(cfg, n_scenarios=args.scenarios)
     if args.allocator is not None:
         result.rows = [r for r in result.rows if r["allocator"] == args.allocator]
@@ -142,9 +140,12 @@ def _load_allocation_problem(path: Path):
             radar_gain=float(data["radar_gain"]),
             user_gains=np.asarray(data["user_gains"], dtype=float),
         )
+        budget, rho_star = float(data["budget"]), float(data["rho_star"])
+        if budget <= 0 or rho_star < 0:
+            raise ValueError(f"need budget > 0 and rho_star >= 0, got {budget} and {rho_star}")
     except ValueError as exc:
         raise ConfigError(f"invalid allocation problem: {exc}") from exc
-    return coeffs, sir, float(data["budget"]), float(data["rho_star"])
+    return coeffs, sir, budget, rho_star
 
 
 def _cmd_allocate(args) -> int:

@@ -1,16 +1,17 @@
 """Max-min fairness power allocation under a radar SIR constraint.
 
-At a fixed SINR target t every constraint is linear in the power vector,
-so the max-min problem is solved by bisecting on t and answering a linear
-feasibility question at each step.  The inner question goes to a linear
-programming solver (HiGHS via scipy); rows are nondimensionalized first so
-the solver tolerances are meaningful at physical power and noise scales.
+Maximizing the minimum user SINR under a total power budget and a radar
+SIR floor has an exact solution: with the SIR constraint tight, the
+balanced SINR is the reciprocal of the Perron root of a K x K positive
+coupling matrix, and the powers follow from its Perron vector (Schubert
+& Boche, "Solution of the multiuser downlink beamforming problem with
+individual SINR constraints", IEEE TVT 53(1), 2004).  One small
+eigenproblem replaces any iterative search.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .array import ArrayGeometry, Direction, steering_vector
 from .beamform import BeamformerSet
@@ -21,14 +22,11 @@ __all__ = [
     "RadarSirCoefficients",
     "AllocationInfeasibleError",
     "SolverError",
-    "feasibility",
     "max_min_allocate",
     "uniform_allocate",
 ]
 
 BUDGET_SLACK = 1e-9
-VERIFY_TOL = 1e-7
-DEFAULT_REL_TOL = 1e-6
 
 
 class AllocationInfeasibleError(RuntimeError):
@@ -36,7 +34,7 @@ class AllocationInfeasibleError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The LP solver failed for a reason other than proven infeasibility."""
+    """The eigensolver returned no strictly positive power vector."""
 
 
 @dataclass(frozen=True)
@@ -89,171 +87,57 @@ class RadarSirCoefficients:
         return cls(radar_gain=float(radar_gain), user_gains=user_gains)
 
 
-def _lp_rows(coeffs, sir_coeffs, budget, rho_star, t):
-    """Nondimensionalized constraint rows in x = eta / budget.
-
-    Variable order is [x_R, x_1, ..., x_K].  Returns inequality rows
-    (A_ub x <= b_ub: per-user SINR >= t and the radar SIR) plus the budget
-    as an equality (sum x = 1).  Saturating the budget is without loss of
-    generality -- every SINR grows under uniform upscaling -- and pinning
-    the solution away from the origin keeps the LP well-scaled when the
-    noise term is negligible against interference, where x = 0 would
-    otherwise sit within solver tolerance of feasibility.
-    """
-    k = coeffs.n_users
-    rows, rhs = [], []
-    for i in range(k):
-        row = np.zeros(k + 1)
-        row[0] = t * coeffs.radar_leakage[i]
-        row[1:] = t * coeffs.interference[i]
-        row[1 + i] -= coeffs.signal_gain[i]
-        rows.append(row)
-        rhs.append(-t * coeffs.noise_var / budget)
-    sir_row = np.zeros(k + 1)
-    sir_row[0] = -sir_coeffs.radar_gain
-    sir_row[1:] = rho_star * sir_coeffs.user_gains
-    rows.append(sir_row)
-    rhs.append(0.0)
-
-    a_ub = np.array(rows)
-    b_ub = np.array(rhs)
-    norms = np.maximum(np.abs(a_ub).max(axis=1), np.abs(b_ub))
-    norms[norms == 0] = 1.0
-    a_eq = np.ones((1, k + 1))
-    b_eq = np.ones(1)
-    return a_ub / norms[:, None], b_ub / norms, a_eq, b_eq
-
-
-def feasibility(
-    coeffs: RateCoefficients,
-    sir_coeffs: RadarSirCoefficients,
-    budget: float,
-    rho_star: float,
-    t: float,
-) -> np.ndarray | None:
-    """Find powers meeting SINR target t, the budget, and the radar SIR.
-
-    Returns the power vector [eta_R, eta_1, ..., eta_K], or None when the
-    solver proves infeasibility.  Solver failures raise SolverError.
-    """
-    if t < 0 or rho_star < 0:
-        raise ValueError("t and rho_star must be nonnegative")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    if t == 0:
-        return np.zeros(coeffs.n_users + 1)
-
-    a_ub, b_ub, a_eq, b_eq = _lp_rows(coeffs, sir_coeffs, budget, rho_star, t)
-    # Minimizing the radar power (rather than a zero objective) keeps the
-    # LP well-posed for the solver; any feasible point serves the
-    # bisection.  Near the feasibility boundary the dual simplex can leave
-    # the status undecided; disabling presolve or switching to the
-    # interior-point method reaches a definitive verdict.
-    cost = np.zeros(coeffs.n_users + 1)
-    cost[0] = 1.0
-    attempts = (
-        {"method": "highs"},
-        {"method": "highs", "options": {"presolve": False}},
-        {"method": "highs-ipm"},
-    )
-    for attempt in attempts:
-        res = linprog(
-            c=cost,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=(0, None),
-            **attempt,
-        )
-        if res.status != 4:
-            break
-    if res.status == 2:
-        return None
-    if res.status != 0:
-        raise SolverError(f"linprog status {res.status}: {res.message}")
-    x = np.clip(res.x, 0.0, None)
-    violation = max(
-        (a_ub @ x - b_ub).max(), np.abs(a_eq @ x - b_eq).max()
-    )
-    if violation > VERIFY_TOL:
-        raise SolverError(f"feasible point violates constraints by {violation:.3e}")
-    return x * budget
-
-
 def max_min_allocate(
     coeffs: RateCoefficients,
     sir_coeffs: RadarSirCoefficients,
     budget: float,
     rho_star: float = 0.0,
-    t_min: float = 0.0,
-    t_max: float | None = None,
-    tol_eps: float | None = None,
 ) -> PowerAllocation:
-    """Bisection on the common SINR target over linear feasibility checks.
+    """Max-min SINR powers in closed form, from one Perron eigenvector.
 
-    ``t_max`` defaults to max_k g_k * budget / sigma_z^2, an upper bound on
-    any single-user SINR (the true optimum can be orders of magnitude below
-    it when interference dominates noise, so convergence is judged relative
-    to the certified feasible target, not the initial bracket).  The last
-    feasible point is rescaled to saturate the budget (scaling every power
-    up keeps the SIR ratio and only raises SINRs) and returned with the
-    certified minimum SINR.  ``tol_eps``, if given, is an absolute gap at
-    which bisection stops instead.
+    The radar SIR constraint is tight at the optimum (radar power only adds
+    interference), so eta_R = ratio^T eta with ratio = rho_star * u / r.
+    Substituting it leaves the coupling B = xi + zeta ratio^T and the single
+    weighted budget c^T eta = P with c = 1 + ratio, which the optimum
+    saturates.  Writing the noise as sigma^2 c^T eta / P, the balanced SINR
+    t and the received useful powers q = g * eta solve
+
+        q / t = (B + sigma^2 / P * 1 c^T) diag(1 / g) q,
+
+    so t = 1 / lambda_max and q is the Perron vector (Schubert & Boche,
+    IEEE TVT 53(1), 2004).  This K x K matrix has the nonzero spectrum of
+    the (K+1) x (K+1) extended coupling matrix of that paper; its noise
+    term makes it strictly positive, so the Perron root is simple and q is
+    strictly positive even when B is reducible.  Solving for q rather than
+    eta keeps the entries of the eigenvector on one scale when the user
+    gains spread over decades.
     """
-    if t_max is None:
-        t_max = float(np.max(coeffs.signal_gain) * budget / coeffs.noise_var)
-    if tol_eps is not None and tol_eps <= 0:
-        raise ValueError("tol_eps must be positive")
-    # Absolute floor so a truly infeasible problem still terminates.
-    t_floor = 1e-12 * t_max
-
-    # Guarantee the bracket: t_max must be infeasible.
-    for _ in range(8):
-        if feasibility(coeffs, sir_coeffs, budget, rho_star, t_max) is None:
-            break
-        t_max *= 2.0
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    if rho_star < 0:
+        raise ValueError("rho_star must be nonnegative")
+    g = np.asarray(coeffs.signal_gain, dtype=float)
+    weighted_leakage = rho_star * sir_coeffs.user_gains
+    if not np.any(weighted_leakage):
+        ratio = np.zeros_like(g)
+    elif sir_coeffs.radar_gain == 0:
+        raise AllocationInfeasibleError(
+            "no strictly positive SINR target is feasible (radar SIR constraint "
+            "incompatible with the budget)"
+        )
     else:
-        raise SolverError("could not bracket the max-min SINR from above")
-
-    best = feasibility(coeffs, sir_coeffs, budget, rho_star, t_min)
-    if best is None:
-        raise AllocationInfeasibleError(f"infeasible already at t = {t_min}")
-
-    def converged(lo, hi):
-        if tol_eps is not None:
-            return hi - lo <= tol_eps
-        return hi - lo <= DEFAULT_REL_TOL * max(lo, t_floor)
-
-    while not converged(t_min, t_max):
-        t = 0.5 * (t_max + t_min)
-        point = feasibility(coeffs, sir_coeffs, budget, rho_star, t)
-        if point is not None:
-            t_min, best = t, point
-        else:
-            t_max = t
-
-    if t_min == 0.0 and best.max() == 0.0:
-        raise AllocationInfeasibleError(
-            "no strictly positive SINR target is feasible (radar SIR constraint "
-            "incompatible with the budget)"
-        )
-
-    eta_radar, eta_users = float(best[0]), best[1:]
-    total = eta_users.sum() + eta_radar
-    if total > 0:
-        scale = budget / total
-        eta_users = eta_users * scale
-        eta_radar = eta_radar * scale
+        ratio = weighted_leakage / sir_coeffs.radar_gain
+    c = 1.0 + ratio
+    # Every row of 1 c^T is c^T, so the noise term broadcasts over rows.
+    noise = coeffs.noise_var / budget * c
+    coupling = coeffs.interference + np.outer(coeffs.radar_leakage, ratio) + noise
+    eigvals, eigvecs = np.linalg.eig(coupling / g)
+    eta_users = eigvecs[:, np.argmax(eigvals.real)].real / g
+    eta_users *= budget / (c @ eta_users)
+    if not (np.all(np.isfinite(eta_users)) and np.all(eta_users > 0)):
+        raise SolverError(f"Perron vector is not strictly positive: {eta_users}")
+    eta_radar = float(ratio @ eta_users)
     achieved = float(np.min(sinr(coeffs, (eta_users, eta_radar))))
-    # A certified target far above the point's true min-SINR means the LP
-    # accepted a spurious near-origin point whose violation (proportional
-    # to t) fell below the solver tolerance; the problem is infeasible.
-    if achieved < 0.5 * t_min:
-        raise AllocationInfeasibleError(
-            "no strictly positive SINR target is feasible (radar SIR constraint "
-            "incompatible with the budget)"
-        )
     return PowerAllocation(
         eta_users=eta_users, eta_radar=eta_radar, budget=budget, achieved_t=achieved
     )

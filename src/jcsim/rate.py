@@ -75,7 +75,7 @@ class RateCoefficients:
             raise ValueError("radar leakage must be nonnegative")
         if not 0 < self.tau_p <= self.tau_c:
             raise ValueError("need 0 < tau_p <= tau_c")
-        if self.noise_var < 0 or self.bandwidth <= 0:
+        if self.noise_var <= 0 or self.bandwidth <= 0:
             raise ValueError("noise variance and bandwidth must be positive")
 
     @property

@@ -151,6 +151,17 @@ class TestRateExperiment:
         uniform_rows = [r for r in result.rows if r["allocator"] == "uniform"]
         assert len(uniform_rows) == cfg.n_users * 3
 
+    def test_los_lmmse_zfr_scenario_allocates(self):
+        # The LP bisection raised SolverError on this scenario.
+        cfg = desk_preset().replace(
+            seed=4193937569, n_scenarios=1, channel_model="los", estimator="lmmse", radar_beam="zfr"
+        )
+        result = run_rate_experiment(cfg)
+        assert result.failures == []
+        maxmin = [r for r in result.rows if r["allocator"] == "maxmin"]
+        assert len(maxmin) == cfg.n_users
+        assert all(r["rate_bps"] > 0 for r in maxmin)
+
     def test_csv_and_manifest_round_trip(self, tmp_path):
         result = run_rate_experiment(small_rate_cfg())
         csv_path = tmp_path / "rates.csv"
@@ -261,6 +272,28 @@ class TestCli:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
         assert cli_main(["allocate", "--config", str(path)]) == 3
+
+    @pytest.mark.parametrize(
+        "key, value", [("noise_var", 0.0), ("rho_star", -0.5), ("budget", 0.0)]
+    )
+    def test_allocate_bad_input_is_config_error(self, tmp_path, key, value):
+        problem = {
+            "signal_gain": [4.0],
+            "interference": [[0.5]],
+            "radar_leakage": [0.1],
+            "noise_var": 1.0,
+            "bandwidth": 1e6,
+            "tau_c": 200,
+            "tau_p": 1,
+            "budget": 1.0,
+            "rho_star": 0.5,
+            "radar_gain": 4.0,
+            "user_gains": [0.5],
+            key: value,
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert cli_main(["allocate", "--config", str(path)]) == 2
 
     def test_allocate_requires_config(self):
         assert cli_main(["allocate"]) == 2

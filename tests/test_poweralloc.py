@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jcsim.poweralloc import (
     AllocationInfeasibleError,
     PowerAllocation,
     RadarSirCoefficients,
-    feasibility,
     max_min_allocate,
     uniform_allocate,
 )
@@ -38,6 +40,24 @@ def random_instance(rng, k=3):
     return coeffs, sir, rho_star
 
 
+@st.composite
+def allocation_problems(draw):
+    """K = 1..4 instances, with and without an SIR floor and beam leakage."""
+    k = draw(st.integers(1, 4))
+    unit = st.floats(0.0, 1.0, allow_subnormal=False)
+    coeffs = make_coeffs(
+        10.0 ** draw(arrays(float, k, elements=st.floats(0.0, 2.0))),
+        draw(arrays(float, (k, k), elements=unit)),
+        draw(arrays(float, k, elements=unit)),
+        noise_var=draw(st.floats(0.01, 2.0)),
+    )
+    user_gains = draw(st.one_of(st.just(np.zeros(k)), arrays(float, k, elements=unit)))
+    sir = RadarSirCoefficients(radar_gain=draw(st.floats(0.1, 10.0)), user_gains=user_gains)
+    rho_star = draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
+    budget = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return coeffs, sir, budget, rho_star
+
+
 class TestUniformAllocate:
     def test_table_scale_example(self):
         alloc = uniform_allocate(2.0, 1.0, n_users=10, n_subcarriers=512, n_symbols=14)
@@ -58,47 +78,6 @@ class TestUniformAllocate:
             uniform_allocate(0.0, 1.0, 4, 64, 14)
         with pytest.raises(ValueError):
             uniform_allocate(2.0, -1.0, 4, 64, 14)
-
-
-class TestFeasibility:
-    def test_zero_target_zero_ratio(self):
-        coeffs = make_coeffs([1.0], [[0.1]], [0.2])
-        sir = RadarSirCoefficients(radar_gain=1.0, user_gains=np.array([0.5]))
-        point = feasibility(coeffs, sir, budget=1.0, rho_star=0.0, t=0.0)
-        np.testing.assert_allclose(point, 0.0)
-
-    def test_single_user_upper_bound_infeasible(self):
-        coeffs = make_coeffs([4.0], [[0.5]], [0.0], noise_var=1.0)
-        sir = RadarSirCoefficients(radar_gain=1.0, user_gains=np.array([0.0]))
-        budget = 2.0
-        t_star = 4.0 * budget / (0.5 * budget + 1.0)
-        assert feasibility(coeffs, sir, budget, 0.0, 1.01 * t_star) is None
-        point = feasibility(coeffs, sir, budget, 0.0, 0.99 * t_star)
-        assert point is not None
-
-    def test_monotone_in_target(self):
-        rng = np.random.default_rng(21)
-        for _ in range(5):
-            coeffs, sir, rho = random_instance(rng)
-            budget = 1.0
-            alloc = max_min_allocate(coeffs, sir, budget, rho)
-            t_star = alloc.achieved_t
-            for frac in (0.1, 0.5, 0.9):
-                assert feasibility(coeffs, sir, budget, rho, frac * t_star) is not None
-            assert feasibility(coeffs, sir, budget, rho, 1.5 * t_star) is None
-
-    def test_returned_point_satisfies_constraints(self):
-        rng = np.random.default_rng(22)
-        coeffs, sir, rho = random_instance(rng)
-        alloc = max_min_allocate(coeffs, sir, 1.0, rho)
-        point = feasibility(coeffs, sir, 1.0, rho, 0.9 * alloc.achieved_t)
-        eta_radar, eta_users = point[0], point[1:]
-        s = sinr(coeffs, (eta_users, eta_radar))
-        assert np.all(s >= 0.9 * alloc.achieved_t * (1.0 - 1e-6))
-        assert eta_users.sum() + eta_radar <= 1.0 + 1e-9
-        lhs = eta_radar * sir.radar_gain
-        rhs = rho * (sir.user_gains @ eta_users)
-        assert lhs >= rhs * (1.0 - 1e-6)
 
 
 class TestMaxMinAllocate:
@@ -162,12 +141,20 @@ class TestMaxMinAllocate:
         with pytest.raises(AllocationInfeasibleError):
             max_min_allocate(coeffs, sir, budget=1.0, rho_star=1.0)
 
-    def test_explicit_tolerance_respected(self):
-        rng = np.random.default_rng(27)
-        coeffs, sir, rho = random_instance(rng)
-        loose = max_min_allocate(coeffs, sir, 1.0, rho, tol_eps=0.5)
-        tight = max_min_allocate(coeffs, sir, 1.0, rho)
-        assert tight.achieved_t >= loose.achieved_t - 0.5
+    @settings(max_examples=100, deadline=None)
+    @given(allocation_problems())
+    def test_balanced_optimum_property(self, problem):
+        coeffs, sir, budget, rho = problem
+        alloc = max_min_allocate(coeffs, sir, budget, rho)
+        # Every grid point is a feasible allocation, so the oracle is a lower bound.
+        t_grid, _, _ = grid_search_max_min(coeffs, sir, budget, rho, step=0.02)
+        assert alloc.achieved_t >= t_grid * (1.0 - 1e-9)
+        s = sinr(coeffs, alloc)
+        np.testing.assert_allclose(s, s.min(), rtol=1e-9)
+        np.testing.assert_allclose(
+            alloc.eta_radar * sir.radar_gain, rho * (sir.user_gains @ alloc.eta_users), rtol=1e-9
+        )
+        assert np.isclose(alloc.total, budget, rtol=1e-9, atol=0.0)
 
 
 class TestPowerAllocation:

@@ -26,7 +26,6 @@ from .estimation import (
     Estimator,
     PilotBook,
     estimate_all,
-    lmmse_estimate,
     pm_estimate,
     training_observation,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "Estimator",
     "PilotBook",
     "estimate_all",
-    "lmmse_estimate",
     "pm_estimate",
     "training_observation",
     "AllocationInfeasibleError",

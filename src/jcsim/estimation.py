@@ -1,9 +1,12 @@
 """Uplink training and channel estimation.
 
-The base station observes a pilot matrix, correlates it against each
-user's pilot sequence and forms either a pilot-matched (PM) or an LMMSE
-estimate of the channel vector.  LMMSE needs the per-user correlation
-matrices of the channel model; PM needs only the pilot power.
+The base station observes a pilot matrix and correlates it against each
+user's pilot sequence.  Both estimators are linear in that statistic,
+h_hat_k = A_k^H y_{p,k}: pilot-matched (PM) estimation is A_k = I / sqrt(p_k)
+and LMMSE is A_k = sqrt(p_k) R_{y,k}^{-1} Hbar_k.  This module is the one
+place that builds the correlation matrices Hbar_k and R_{y,k} and the
+filters A_k; the rate bounds and the Monte-Carlo check apply the same
+filters.
 """
 
 import enum
@@ -22,8 +25,9 @@ __all__ = [
     "training_observation",
     "correlate",
     "pm_estimate",
+    "correlation_matrices",
+    "linear_filters",
     "lmmse_matrices",
-    "lmmse_estimate",
     "estimate_all",
 ]
 
@@ -89,12 +93,11 @@ class PilotBook:
 
 @dataclass(frozen=True)
 class EstimationOutput:
-    """Per-user channel estimates plus the LMMSE matrices that made them."""
+    """Per-user channel estimates plus the linear filters that made them."""
 
     estimates: np.ndarray  # (K, N_A)
     estimator: Estimator
-    e_matrices: tuple | None = None  # per-user E_k, LMMSE only
-    ry_matrices: tuple | None = None  # per-user R_{y,k}
+    e_matrices: np.ndarray  # (K, N_A, N_A), filter A_k with h_hat_k = A_k^H y_{p,k}
 
 
 def training_observation(
@@ -133,54 +136,65 @@ def pm_estimate(y_pk: np.ndarray, pilot_power: float) -> np.ndarray:
     return y_pk / np.sqrt(pilot_power)
 
 
+def correlation_matrices(
+    book: PilotBook,
+    all_stats: list[ChannelStats],
+    geom: ArrayGeometry,
+    noise_var: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Channel correlations Hbar_k and pilot-statistic correlations R_{y,k}.
+
+    Both are stacks of shape (K, N_A, N_A).  R_{y,k} collects every user's
+    Hbar_i weighted by its pilot power and its squared pilot
+    cross-correlation with user k, plus the noise floor.
+    """
+    if noise_var <= 0:
+        raise ValueError("noise variance must be positive")
+    hbars = np.stack([hbar_matrix(s, geom) for s in all_stats])
+    weights = (book.powers[:, None] * np.abs(book.gram()) ** 2).T  # (k, i)
+    ry = np.tensordot(weights, hbars, axes=1)
+    ry += noise_var * np.eye(geom.n_elements)
+    return hbars, ry
+
+
+def linear_filters(
+    book: PilotBook,
+    all_stats: list[ChannelStats],
+    geom: ArrayGeometry,
+    noise_var: float,
+    estimator: Estimator,
+) -> np.ndarray:
+    """Per-user filters A_k, shape (K, N_A, N_A), with h_hat_k = A_k^H y_{p,k}.
+
+    PM is I / sqrt(p_k); LMMSE is sqrt(p_k) R_{y,k}^{-1} Hbar_k.
+    """
+    amplitude = np.sqrt(book.powers)
+    if estimator is Estimator.PM:
+        return np.eye(geom.n_elements, dtype=complex) / amplitude[:, None, None]
+    return _lmmse_filters(*correlation_matrices(book, all_stats, geom, noise_var), amplitude)
+
+
+def _lmmse_filters(hbars: np.ndarray, ry: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
+    """Hermitian solves, never an explicit inverse; residuals checked to 1e-9."""
+    filters = np.empty_like(hbars)
+    for k in range(len(hbars)):
+        filters[k] = amplitude[k] * scipy.linalg.solve(ry[k], hbars[k], assume_a="pos")
+        residual = np.linalg.norm(ry[k] @ filters[k] - amplitude[k] * hbars[k])
+        scale = np.linalg.norm(hbars[k]) * amplitude[k]
+        if scale > 0 and residual > SOLVE_RESIDUAL_TOL * max(scale, 1.0):
+            raise EstimationError(f"LMMSE solve residual {residual:.3e} for user {k}")
+    return filters
+
+
 def lmmse_matrices(
     book: PilotBook,
     all_stats: list[ChannelStats],
     geom: ArrayGeometry,
     noise_var: float,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-user LMMSE filter E_k and correlation R_{y,k} of y_{p,k}.
-
-    R_{y,k} collects every user's correlation matrix weighted by its pilot
-    cross-correlation with user k, plus the noise floor; E_k is the
-    Hermitian solve R_{y,k}^{-1} Hbar_k scaled by the pilot amplitude.
-    Solved, never inverted explicitly; the residual is checked to 1e-9.
-    """
-    if noise_var <= 0:
-        raise ValueError("noise variance must be positive for LMMSE")
-    n = geom.n_elements
-    hbars = [hbar_matrix(s, geom) for s in all_stats]
-    cross = np.abs(book.gram()) ** 2  # |phi_i^H phi_k|^2
-    e_list, ry_list = [], []
-    for k in range(book.n_users):
-        ry = noise_var * np.eye(n, dtype=complex)
-        for i in range(book.n_users):
-            ry = ry + book.powers[i] * cross[i, k] * hbars[i]
-        e_k = np.sqrt(book.powers[k]) * scipy.linalg.solve(ry, hbars[k], assume_a="pos")
-        residual = np.linalg.norm(ry @ e_k - np.sqrt(book.powers[k]) * hbars[k])
-        scale = np.linalg.norm(hbars[k]) * np.sqrt(book.powers[k])
-        if scale > 0 and residual > SOLVE_RESIDUAL_TOL * max(scale, 1.0):
-            raise EstimationError(f"LMMSE solve residual {residual:.3e} for user {k}")
-        e_list.append(e_k)
-        ry_list.append(ry)
-    return e_list, ry_list
-
-
-def lmmse_estimate(
-    y_pk: np.ndarray,
-    k: int,
-    book: PilotBook,
-    all_stats: list[ChannelStats],
-    geom: ArrayGeometry,
-    noise_var: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LMMSE estimate of user k's channel: h_hat = E_k^H y_{p,k}.
-
-    Returns (h_hat, E_k, R_{y,k}).  Convenience wrapper that rebuilds the
-    matrices; batch code should use :func:`lmmse_matrices` once.
-    """
-    e_list, ry_list = lmmse_matrices(book, all_stats, geom, noise_var)
-    return e_list[k].conj().T @ y_pk, e_list[k], ry_list[k]
+    """Per-user LMMSE filter E_k and correlation R_{y,k} of y_{p,k}, as lists."""
+    hbars, ry = correlation_matrices(book, all_stats, geom, noise_var)
+    return list(_lmmse_filters(hbars, ry, np.sqrt(book.powers))), list(ry)
 
 
 def estimate_all(
@@ -192,18 +206,7 @@ def estimate_all(
     estimator: Estimator,
 ) -> EstimationOutput:
     """Estimate every user's channel from one training observation."""
-    if estimator is Estimator.PM:
-        estimates = np.stack(
-            [pm_estimate(correlate(y_pilot, book, k), book.powers[k]) for k in range(book.n_users)]
-        )
-        return EstimationOutput(estimates=estimates, estimator=estimator)
-    e_list, ry_list = lmmse_matrices(book, all_stats, geom, noise_var)
-    estimates = np.stack(
-        [e_list[k].conj().T @ correlate(y_pilot, book, k) for k in range(book.n_users)]
-    )
-    return EstimationOutput(
-        estimates=estimates,
-        estimator=estimator,
-        e_matrices=tuple(e_list),
-        ry_matrices=tuple(ry_list),
-    )
+    filters = linear_filters(book, all_stats, geom, noise_var, estimator)
+    y = (y_pilot @ book.pilots).T  # row k is y_{p,k}
+    estimates = (y[:, None, :] @ filters.conj())[:, 0, :]
+    return EstimationOutput(estimates=estimates, estimator=estimator, e_matrices=filters)

@@ -23,6 +23,7 @@ from ..poweralloc import (
     PowerAllocation,
     RadarSirCoefficients,
     SolverError,
+    check_problem,
     max_min_allocate,
 )
 from ..rate import NumericalConsistencyError, RateCoefficients, rate, sinr
@@ -141,8 +142,7 @@ def _load_allocation_problem(path: Path):
             user_gains=np.asarray(data["user_gains"], dtype=float),
         )
         budget, rho_star = float(data["budget"]), float(data["rho_star"])
-        if budget <= 0 or rho_star < 0:
-            raise ValueError(f"need budget > 0 and rho_star >= 0, got {budget} and {rho_star}")
+        check_problem(coeffs, sir, budget, rho_star)
     except ValueError as exc:
         raise ConfigError(f"invalid allocation problem: {exc}") from exc
     return coeffs, sir, budget, rho_star

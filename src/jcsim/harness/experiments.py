@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from ..array import steering_vector
 from ..beamform import BeamformerSet, RadarBeamKind, matched_beam, pbr_beam, zfr_beam
 from ..channel import SPEED_OF_LIGHT, draw_user_channel, target_alpha
-from ..estimation import Estimator, estimate_all, lmmse_matrices
+from ..estimation import estimate_all, linear_filters, training_observation
 from ..poweralloc import (
     AllocationInfeasibleError,
     PowerAllocation,
@@ -79,8 +81,6 @@ class ExperimentResult:
             writer.writerows(self.rows)
 
     def write_manifest(self, path) -> None:
-        import scipy
-
         manifest = {
             "kind": self.kind,
             "seed": self.seed,
@@ -119,8 +119,6 @@ def run_rate_experiment(
         rng = np.random.default_rng([cfg.seed, trial])
         real = realize_scenario(cfg, rng)
         channels = [draw_user_channel(s, real.geom, rng) for s in real.stats]
-        from ..estimation import training_observation
-
         y_pilot = training_observation(channels, real.book, real.noise_var_ul, rng)
         est = estimate_all(
             y_pilot, real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
@@ -198,25 +196,26 @@ def simulate_peak_statistics(
     n_trials: int,
     stream_key: int,
     batch: int = 256,
+    filters: np.ndarray | None = None,
 ) -> np.ndarray:
     """Peak GLRT statistics, shape (len(targets), n_trials).
 
-    Entries of ``targets`` are _TargetParams or None (H0).  Works on the
+    Entries of ``targets`` are _TargetParams or None (H0).  ``filters`` are
+    the per-user estimation filters A_k, built from the scenario statistics
+    when omitted; pass an estimate's ``e_matrices`` to reuse them.  Works on the
     scalar correlation u^H y: the echo contributes alpha |a^H u|^2 times
     the delay/Doppler ramp and the noise contributes a complex Gaussian of
     variance sigma^2 ||u||^2 per resource element, which together are
     distributed exactly as in the antenna-domain model.  All randomness is
     drawn before the per-target loop so streams pair across cells.
     """
-    from ..array import steering_vector
-
     geom, frame, book = real.geom, real.frame, real.book
     n_users = book.n_users
     a = steering_vector(geom, target_direction)
-    e_matrices = None
-    if real.estimator is Estimator.LMMSE:
-        e_list, _ = lmmse_matrices(book, list(real.stats), geom, real.noise_var_ul)
-        e_matrices = tuple(e_list)
+    if filters is None:
+        filters = linear_filters(
+            book, list(real.stats), geom, real.noise_var_ul, real.estimator
+        )
     eta_all = np.concatenate([powers.eta_users, [powers.eta_radar]])
     ramps = []
     for t in targets:
@@ -239,7 +238,7 @@ def simulate_peak_statistics(
         nb = min(batch, n_trials - done)
         rng = np.random.default_rng([cfg.seed, stream_key, batch_idx])
         h = draw_channel_batch(list(real.stats), geom, nb, rng)
-        h_hat = estimate_batch(h, book, real.noise_var_ul, real.estimator, rng, e_matrices)
+        h_hat = estimate_batch(h, book, real.noise_var_ul, filters, rng)
         user_beams = h_hat / np.linalg.norm(h_hat, axis=-1, keepdims=True)  # (K, nb, N_A)
         if beam_kind is RadarBeamKind.PBR:
             radar = np.broadcast_to(
@@ -324,8 +323,6 @@ def run_detection_experiment(
 
     # Reference realization for the per-cell power allocation.
     channels = [draw_user_channel(s, real.geom, rng0) for s in real.stats]
-    from ..estimation import training_observation
-
     y_pilot = training_observation(channels, real.book, real.noise_var_ul, rng0)
     est = estimate_all(
         y_pilot, real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
@@ -368,7 +365,7 @@ def run_detection_experiment(
                 threshold = calibrate_threshold(
                     lambda n, _rng: simulate_peak_statistics(
                         real, cfg, grid, target_dir, beam_kind, powers,
-                        [None], n, stream_key=0xCA1,
+                        [None], n, stream_key=0xCA1, filters=est.e_matrices,
                     )[0],
                     cfg.pfa_target,
                     n_calibration,
@@ -376,7 +373,7 @@ def run_detection_experiment(
                 )
                 peaks = simulate_peak_statistics(
                     real, cfg, grid, target_dir, beam_kind, powers,
-                    targets, n_trials, stream_key=0x9D,
+                    targets, n_trials, stream_key=0x9D, filters=est.e_matrices,
                 )
                 for r, peak_row in zip(ranges_m, peaks):
                     pd = float(np.mean(peak_row > threshold))

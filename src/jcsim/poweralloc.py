@@ -22,6 +22,7 @@ __all__ = [
     "RadarSirCoefficients",
     "AllocationInfeasibleError",
     "SolverError",
+    "check_problem",
     "max_min_allocate",
     "uniform_allocate",
 ]
@@ -87,6 +88,24 @@ class RadarSirCoefficients:
         return cls(radar_gain=float(radar_gain), user_gains=user_gains)
 
 
+def check_problem(
+    coeffs: RateCoefficients,
+    sir_coeffs: RadarSirCoefficients,
+    budget: float,
+    rho_star: float,
+) -> None:
+    """Raise ValueError unless the inputs form a well-posed allocation problem."""
+    if budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget}")
+    if rho_star < 0:
+        raise ValueError(f"rho_star must be nonnegative, got {rho_star}")
+    if sir_coeffs.user_gains.shape != (coeffs.n_users,):
+        raise ValueError(
+            f"need one SIR user gain per user ({coeffs.n_users}), "
+            f"got shape {sir_coeffs.user_gains.shape}"
+        )
+
+
 def max_min_allocate(
     coeffs: RateCoefficients,
     sir_coeffs: RadarSirCoefficients,
@@ -112,10 +131,7 @@ def max_min_allocate(
     eta keeps the entries of the eigenvector on one scale when the user
     gains spread over decades.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    if rho_star < 0:
-        raise ValueError("rho_star must be nonnegative")
+    check_problem(coeffs, sir_coeffs, budget, rho_star)
     g = np.asarray(coeffs.signal_gain, dtype=float)
     weighted_leakage = rho_star * sir_coeffs.user_gains
     if not np.any(weighted_leakage):

@@ -7,35 +7,38 @@ linear functions of the transmit powers:
     SINR_k = eta_k * g_k / (sum_j eta_j * xi_kj + eta_R * zeta_k + sigma_z^2)
 
 with g_k the mean-gain coefficient, xi the K x K interference matrix and
-zeta_k the radar-beam leakage.  All coefficients are assembled here from
-the channel correlation matrices and the estimator matrices; they are
-validated elsewhere against a brute-force Monte-Carlo estimate of the same
-variance decomposition (see :mod:`jcsim.validation`).
+zeta_k the radar-beam leakage.
 
-The Rice fourth-moment coefficients come in two variants.  The default
-(MOMENT_MATCHED) carries the exact squared-trace algebra of the quadratic
-form's second moment and is the one the Monte-Carlo check confirms.  The
-alternative (LINEAR_TRACE) keeps only the first power of the trace, a
-reading the Monte-Carlo check rejects; it is retained behind this switch
-for comparison only.
+Every coefficient comes from one formula in the estimator's linear filter.
+Both estimators give h_hat_j = A_j^H y_{p,j} (see :mod:`jcsim.estimation`),
+and C_j = A_j^H R_{y,j} A_j is the covariance of that estimate.  With p_j
+the pilot power:
+
+    mean gain   m_j   = sqrt(p_j) Re tr(A_j^H Hbar_j)
+    energy      e_j   = tr C_j
+    signal      g_j   = m_j^2 / e_j
+    interference xi_kj = (tr(C_j Hbar_k) + p_k |phi_k^H phi_j|^2 X_kj) / e_j,
+                 less g_k on the diagonal
+
+where X_kj is the fourth-moment excess of user k's channel seen through
+A_j.  The coefficients are validated elsewhere against a brute-force
+Monte-Carlo estimate of the same variance decomposition (see
+:mod:`jcsim.validation`).
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .array import ArrayGeometry, steering_vector
-from .channel import ChannelModelKind, ChannelStats, hbar_matrix
-from .estimation import Estimator, PilotBook
+from .channel import ChannelModelKind, ChannelStats
+from .estimation import Estimator, PilotBook, correlation_matrices, linear_filters
 
 __all__ = [
-    "CoefficientVariant",
     "RateCoefficients",
     "NumericalConsistencyError",
     "fourth_moment_excess",
     "mean_gain_and_energy",
-    "signal_gains",
     "interference_matrix",
     "radar_leakage",
     "build_rate_coefficients",
@@ -45,11 +48,6 @@ __all__ = [
 
 REAL_TOL = 1e-9
 DIAG_CLAMP_TOL = 1e-9
-
-
-class CoefficientVariant(enum.Enum):
-    MOMENT_MATCHED = "moment_matched"
-    LINEAR_TRACE = "linear_trace"
 
 
 class NumericalConsistencyError(ArithmeticError):
@@ -69,6 +67,17 @@ class RateCoefficients:
     tau_p: int
 
     def __post_init__(self):
+        if np.ndim(self.signal_gain) != 1:
+            raise ValueError("signal gains must be a vector")
+        n_users = len(self.signal_gain)
+        if np.shape(self.interference) != (n_users, n_users):
+            raise ValueError(
+                f"interference must be {n_users} x {n_users}, got {np.shape(self.interference)}"
+            )
+        if np.shape(self.radar_leakage) != (n_users,):
+            raise ValueError(
+                f"radar leakage must have shape ({n_users},), got {np.shape(self.radar_leakage)}"
+            )
         if np.any(np.asarray(self.signal_gain) <= 0):
             raise ValueError("signal gains must be positive")
         if np.any(np.asarray(self.radar_leakage) < 0):
@@ -87,62 +96,45 @@ class RateCoefficients:
         return len(self.signal_gain)
 
 
-def _real_checked(value: complex, what: str, scale: float | None = None) -> float:
-    scale = max(abs(value) if scale is None else scale, 1e-300)
-    if abs(value.imag) > REAL_TOL * scale:
-        raise NumericalConsistencyError(
-            f"{what} has relative imaginary residue {abs(value.imag) / scale:.3e}"
-        )
-    return float(value.real)
+def _real_checked(value, what: str, scale=None) -> np.ndarray:
+    """Real part of ``value``; raises if any imaginary residue exceeds REAL_TOL.
+
+    Residues are relative to ``scale`` (elementwise), or to |value| itself.
+    """
+    value = np.asarray(value)
+    scale = np.maximum(np.abs(value) if scale is None else scale, 1e-300)
+    residue = np.max(np.abs(value.imag) / scale)
+    if residue > REAL_TOL:
+        raise NumericalConsistencyError(f"{what} has relative imaginary residue {residue:.3e}")
+    return value.real
 
 
 def fourth_moment_excess(
-    stats: ChannelStats,
-    geom: ArrayGeometry,
-    filter_matrix: np.ndarray | None = None,
-    variant: CoefficientVariant = CoefficientVariant.MOMENT_MATCHED,
-) -> float:
-    """Excess of E|h^H A^H h|^2 over tr(A^H Hbar A Hbar).
+    stats: ChannelStats, geom: ArrayGeometry, filters: np.ndarray
+) -> np.ndarray:
+    """Excess of E|h^H A^H h|^2 over tr(A^H Hbar A Hbar), per filter A.
 
-    ``A`` is the LMMSE filter of the interfering user, or the identity for
-    pilot-matched estimation (``filter_matrix=None``).  This is the pilot
-    contamination term of the interference coefficients.  Zero for pure
-    LoS channels; for Rayleigh and Rice it reduces to squared-trace
-    expressions of the filter.
+    ``filters`` is one N x N filter or a stack of them; the result has the
+    stack's shape.  This is the pilot contamination term of the
+    interference coefficients.  Zero for pure LoS channels; for Rayleigh
+    and Rice it reduces to squared-trace expressions of the filter.
     """
+    filters = np.asarray(filters)
     if stats.kind is ChannelModelKind.LOS:
-        return 0.0
+        return np.zeros(filters.shape[:-2])
     k = stats.k_factor if stats.kind is ChannelModelKind.RICE else 0.0
     c = stats.beta / (k + 1.0)
-    n = geom.n_elements
-    if filter_matrix is None:
-        trace = complex(n)
-        quad = complex(n)
-    else:
-        trace = complex(np.trace(filter_matrix))
-        if k > 0:
-            a = steering_vector(geom, stats.angles)
-            quad = complex(a.conj() @ filter_matrix @ a)
-        else:
-            quad = 0.0 + 0.0j
-
-    if variant is CoefficientVariant.MOMENT_MATCHED:
-        value = abs(trace) ** 2 + 2.0 * k * (quad * np.conj(trace)).real
-    else:
-        if filter_matrix is None:
-            value = n * (n + 2.0 * k)
-        else:
-            value = _real_checked(trace, "filter trace") + 2.0 * k * (quad * np.conj(trace)).real
-    return float(c**2 * value)
+    trace = np.trace(filters, axis1=-2, axis2=-1)
+    value = np.abs(trace) ** 2
+    if k > 0:
+        a = steering_vector(geom, stats.angles)
+        quad = (filters @ a) @ a.conj()
+        value = value + 2.0 * k * (quad * np.conj(trace)).real
+    return c**2 * value
 
 
 def mean_gain_and_energy(
-    all_stats: list[ChannelStats],
-    geom: ArrayGeometry,
-    book: PilotBook,
-    estimator: Estimator,
-    noise_var_ul: float,
-    e_matrices: tuple | None = None,
+    hbars: np.ndarray, filters: np.ndarray, covs: np.ndarray, powers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-user mean gain E[h^H h_hat] and mean energy E||h_hat||^2.
 
@@ -152,65 +144,19 @@ def mean_gain_and_energy(
     for PM the estimate carries extra contamination-plus-noise energy, so
     energy > gain.
     """
-    hbars = [hbar_matrix(s, geom) for s in all_stats]
-    if estimator is Estimator.PM:
-        gains = np.array([_real_checked(complex(np.trace(h)), "tr(Hbar)") for h in hbars])
-        ry = _assemble_ry(hbars, book, noise_var_ul)
-        energy = np.array(
-            [
-                _real_checked(complex(np.trace(ry[k])), "tr(R_y)") / book.powers[k]
-                for k in range(len(all_stats))
-            ]
-        )
-        return gains, energy
-    if e_matrices is None:
-        raise ValueError("LMMSE gains need the estimation filters")
-    gains = np.array(
-        [
-            np.sqrt(book.powers[k])
-            * _real_checked(complex(np.trace(hbars[k] @ e_matrices[k])), "tr(Hbar E)")
-            for k in range(len(all_stats))
-        ]
-    )
-    return gains, gains.copy()
-
-
-def signal_gains(
-    all_stats: list[ChannelStats],
-    geom: ArrayGeometry,
-    book: PilotBook,
-    estimator: Estimator,
-    noise_var_ul: float,
-    e_matrices: tuple | None = None,
-) -> np.ndarray:
-    """Useful-signal coefficient per user: (mean gain)^2 / mean energy."""
-    gains, energy = mean_gain_and_energy(
-        all_stats, geom, book, estimator, noise_var_ul, e_matrices
-    )
-    return gains**2 / energy
-
-
-def _assemble_ry(hbars, book: PilotBook, noise_var: float) -> list[np.ndarray]:
-    n = hbars[0].shape[0]
-    cross = np.abs(book.gram()) ** 2
-    out = []
-    for k in range(book.n_users):
-        ry = noise_var * np.eye(n, dtype=complex)
-        for i in range(book.n_users):
-            ry = ry + book.powers[i] * cross[i, k] * hbars[i]
-        out.append(ry)
-    return out
+    trace_ah = np.sum(filters.conj() * hbars, axis=(-2, -1))  # tr(A^H Hbar)
+    gains = np.sqrt(powers) * _real_checked(trace_ah, "tr(A^H Hbar)")
+    energy = _real_checked(np.trace(covs, axis1=-2, axis2=-1), "tr(C)")
+    return gains, energy
 
 
 def interference_matrix(
     all_stats: list[ChannelStats],
     geom: ArrayGeometry,
     book: PilotBook,
-    estimator: Estimator,
-    noise_var_ul: float,
-    e_matrices: tuple | None = None,
-    ry_matrices: tuple | None = None,
-    variant: CoefficientVariant = CoefficientVariant.MOMENT_MATCHED,
+    hbars: np.ndarray,
+    filters: np.ndarray,
+    covs: np.ndarray,
 ) -> np.ndarray:
     """K x K interference coefficients xi_kj.
 
@@ -219,44 +165,15 @@ def interference_matrix(
     mean gain, leaving only the gain fluctuation.  Tiny negative values
     from that cancellation are clamped at zero; larger ones raise.
     """
-    n_users = len(all_stats)
-    hbars = [hbar_matrix(s, geom) for s in all_stats]
-    gains, energy = mean_gain_and_energy(
-        all_stats, geom, book, estimator, noise_var_ul, e_matrices
-    )
+    gains, energy = mean_gain_and_energy(hbars, filters, covs, book.powers)
     useful = gains**2 / energy
     cross = np.abs(book.gram()) ** 2
-
-    if estimator is Estimator.PM and ry_matrices is None:
-        ry_matrices = _assemble_ry(hbars, book, noise_var_ul)
-    if estimator is Estimator.LMMSE and e_matrices is None:
-        raise ValueError("LMMSE interference needs the estimation filters")
-
-    xi = np.empty((n_users, n_users))
-    for k in range(n_users):
-        for j in range(n_users):
-            if estimator is Estimator.PM:
-                base = _real_checked(
-                    complex(np.trace(ry_matrices[j] @ hbars[k])), "tr(R_y Hbar)"
-                ) / (book.powers[j] * energy[j])
-                excess = fourth_moment_excess(all_stats[k], geom, None, variant)
-                value = base + book.powers[k] * excess * cross[k, j] / (
-                    book.powers[j] * energy[j]
-                )
-            else:
-                base = (
-                    np.sqrt(book.powers[j])
-                    * _real_checked(
-                        complex(np.trace(hbars[j] @ e_matrices[j] @ hbars[k])),
-                        "tr(Hbar E Hbar)",
-                    )
-                    / energy[j]
-                )
-                excess = fourth_moment_excess(all_stats[k], geom, e_matrices[j], variant)
-                value = base + book.powers[k] * excess * cross[k, j] / energy[j]
-            if j == k:
-                value -= useful[k]
-            xi[k, j] = value
+    base = _real_checked(
+        np.einsum("jab,kba->kj", covs, hbars, optimize=True), "tr(C Hbar)"
+    )
+    excess = np.stack([fourth_moment_excess(s, geom, filters) for s in all_stats])
+    xi = (base + book.powers[:, None] * cross * excess) / energy[None, :]
+    xi[np.diag_indices_from(xi)] -= useful
 
     scale = np.abs(useful)[:, None]
     bad = xi < -DIAG_CLAMP_TOL * scale
@@ -267,22 +184,20 @@ def interference_matrix(
     return np.clip(xi, 0.0, None)
 
 
-def radar_leakage(
-    stats: ChannelStats, geom: ArrayGeometry, radar_beam: np.ndarray
-) -> float:
-    """Quadratic form w_R^H Hbar_k w_R: radar power leaking onto user k."""
+def radar_leakage(hbars: np.ndarray, radar_beam: np.ndarray) -> np.ndarray:
+    """Quadratic forms w_R^H Hbar_k w_R: radar power leaking onto each user.
+
+    ``hbars`` is one correlation matrix or a stack of them.
+    """
     if not np.isclose(np.linalg.norm(radar_beam), 1.0, atol=1e-6):
         raise ValueError("radar beam must be unit norm")
-    hbar = hbar_matrix(stats, geom)
     # The quadratic form can be arbitrarily close to zero (nulled beam), so
     # residues are judged against the matrix scale, not the value itself.
-    scale = float(np.trace(hbar).real)
-    value = _real_checked(
-        complex(radar_beam.conj() @ hbar @ radar_beam), "radar leakage", scale
-    )
-    if value < -REAL_TOL * scale:
-        raise NumericalConsistencyError(f"radar leakage negative: {value:.3e}")
-    return max(value, 0.0)
+    scale = np.trace(hbars, axis1=-2, axis2=-1).real
+    value = _real_checked((hbars @ radar_beam) @ radar_beam.conj(), "radar leakage", scale)
+    if np.any(value < -REAL_TOL * scale):
+        raise NumericalConsistencyError(f"radar leakage negative: {np.min(value):.3e}")
+    return np.maximum(value, 0.0)
 
 
 def build_rate_coefficients(
@@ -295,21 +210,25 @@ def build_rate_coefficients(
     noise_var_dl: float,
     bandwidth: float,
     tau_c: int,
-    e_matrices: tuple | None = None,
-    variant: CoefficientVariant = CoefficientVariant.MOMENT_MATCHED,
+    e_matrices: np.ndarray | tuple | None = None,
 ) -> RateCoefficients:
-    """Assemble every coefficient of the rate bound for one scenario."""
-    if estimator is Estimator.LMMSE and e_matrices is None:
-        from .estimation import lmmse_matrices
+    """Assemble every coefficient of the rate bound for one scenario.
 
-        e_list, _ = lmmse_matrices(book, all_stats, geom, noise_var_ul)
-        e_matrices = tuple(e_list)
+    ``e_matrices`` are the per-user filters A_k of the estimate, as in
+    ``EstimationOutput.e_matrices``; when omitted they are built for
+    ``estimator`` from the statistics.
+    """
+    if e_matrices is None:
+        filters = linear_filters(book, all_stats, geom, noise_var_ul, estimator)
+    else:
+        filters = np.asarray(e_matrices)
+    hbars, ry = correlation_matrices(book, all_stats, geom, noise_var_ul)
+    covs = np.conj(np.swapaxes(filters, -1, -2)) @ ry @ filters  # C_j = E[h_hat_j h_hat_j^H]
+    gains, energy = mean_gain_and_energy(hbars, filters, covs, book.powers)
     return RateCoefficients(
-        signal_gain=signal_gains(all_stats, geom, book, estimator, noise_var_ul, e_matrices),
-        interference=interference_matrix(
-            all_stats, geom, book, estimator, noise_var_ul, e_matrices, variant=variant
-        ),
-        radar_leakage=np.array([radar_leakage(s, geom, radar_beam) for s in all_stats]),
+        signal_gain=gains**2 / energy,
+        interference=interference_matrix(all_stats, geom, book, hbars, filters, covs),
+        radar_leakage=radar_leakage(hbars, radar_beam),
         noise_var=noise_var_dl,
         bandwidth=bandwidth,
         tau_c=tau_c,

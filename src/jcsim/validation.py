@@ -20,7 +20,7 @@ import numpy as np
 
 from .array import ArrayGeometry, steering_vector
 from .channel import ChannelModelKind, ChannelStats
-from .estimation import Estimator, PilotBook, lmmse_matrices
+from .estimation import Estimator, PilotBook, linear_filters
 from .rate import RateCoefficients
 
 __all__ = ["MonteCarloRateTerms", "monte_carlo_rate_terms", "compare_terms"]
@@ -66,12 +66,15 @@ def estimate_batch(
     channels: np.ndarray,
     book: PilotBook,
     noise_var_ul: float,
-    estimator: Estimator,
+    filters: np.ndarray,
     rng: np.random.Generator,
-    e_matrices: tuple | None = None,
 ) -> np.ndarray:
-    """Run the uplink training chain on a (K, n, N_A) channel batch."""
-    n_users, n, n_a = channels.shape
+    """Run the uplink training chain on a (K, n, N_A) channel batch.
+
+    ``filters`` are the per-user estimation filters A_k
+    (:func:`jcsim.estimation.linear_filters`); h_hat_k = A_k^H y_{p,k}.
+    """
+    _, n, n_a = channels.shape
     noise = np.sqrt(noise_var_ul / 2.0) * (
         rng.standard_normal((n, n_a, book.tau_p))
         + 1j * rng.standard_normal((n, n_a, book.tau_p))
@@ -80,11 +83,7 @@ def estimate_batch(
     coupling = np.sqrt(book.powers)[:, None] * book.gram()  # (i, k)
     y = np.einsum("ik,ina->kna", coupling, channels)
     y = y + np.einsum("nat,tk->kna", noise, book.pilots)
-    if estimator is Estimator.PM:
-        return y / np.sqrt(book.powers)[:, None, None]
-    if e_matrices is None:
-        raise ValueError("LMMSE batch estimation needs the filters")
-    return np.stack([y[k] @ np.conj(e_matrices[k]) for k in range(n_users)])
+    return y @ np.conj(filters)
 
 
 def monte_carlo_rate_terms(
@@ -110,10 +109,7 @@ def monte_carlo_rate_terms(
     * radar leakage       = E|h_k^H w_R|^2
     """
     n_users = len(all_stats)
-    e_matrices = None
-    if estimator is Estimator.LMMSE:
-        e_list, _ = lmmse_matrices(book, all_stats, geom, noise_var_ul)
-        e_matrices = tuple(e_list)
+    filters = linear_filters(book, all_stats, geom, noise_var_ul, estimator)
 
     sum_z = np.zeros((n_users, n_users), dtype=complex)
     sum_z2 = np.zeros((n_users, n_users))
@@ -123,7 +119,7 @@ def monte_carlo_rate_terms(
     while done < n_draws:
         n = min(batch, n_draws - done)
         h = draw_channel_batch(all_stats, geom, n, rng)
-        h_hat = estimate_batch(h, book, noise_var_ul, estimator, rng, e_matrices)
+        h_hat = estimate_batch(h, book, noise_var_ul, filters, rng)
         z = np.einsum("kna,jna->kjn", h.conj(), h_hat)
         sum_z += z.sum(axis=-1)
         sum_z2 += (np.abs(z) ** 2).sum(axis=-1)

@@ -7,6 +7,10 @@ cross-check and not a tautology.
 
 import numpy as np
 
+from jcsim.array import steering_vector
+from jcsim.channel import ChannelModelKind, hbar_matrix
+from jcsim.estimation import Estimator
+
 
 def steering_oracle(n_y, n_z, spacing_d, wavelength, azimuth, elevation):
     """Element-by-element evaluation of the planar-array response."""
@@ -106,3 +110,64 @@ def grid_search_max_min(coeffs, sir, budget, rho_star, step=1e-3):
     min_sinr = sinr_all.min(axis=1)
     best = int(np.argmax(min_sinr))
     return float(min_sinr[best]), eta_users[best], float(eta_radar[best])
+
+
+def fourth_moment_excess_oracle(stats, geom, filter_matrix=None):
+    """E|h^H A^H h|^2 - tr(A^H Hbar A Hbar) for one filter; None means A = I."""
+    if stats.kind is ChannelModelKind.LOS:
+        return 0.0
+    k = stats.k_factor if stats.kind is ChannelModelKind.RICE else 0.0
+    c = stats.beta / (k + 1.0)
+    n = geom.n_elements
+    if filter_matrix is None:
+        trace, quad = complex(n), complex(n)
+    else:
+        trace = complex(np.trace(filter_matrix))
+        a = steering_vector(geom, stats.angles)
+        quad = complex(a.conj() @ filter_matrix @ a)
+    return c**2 * (abs(trace) ** 2 + 2.0 * k * (quad * np.conj(trace)).real)
+
+
+def dense_rate_coefficients(all_stats, geom, book, estimator, noise_var_ul, radar_beam):
+    """Signal gains, interference and radar leakage, one dense pair at a time.
+
+    PM and LMMSE are written out separately, each in its own algebra:
+    PM from tr(R_y,j Hbar_k) / (p_j energy_j) with energy_j = tr(R_y,j) / p_j;
+    LMMSE from sqrt(p_j) tr(Hbar_j E_j Hbar_k) / energy_j with
+    E_j = sqrt(p_j) R_y,j^{-1} Hbar_j.  Each R_y is summed user by user.
+    """
+    n_users, n = len(all_stats), geom.n_elements
+    powers = book.powers
+    hbars = [hbar_matrix(s, geom) for s in all_stats]
+    cross = np.abs(book.pilots.conj().T @ book.pilots) ** 2
+    ry = []
+    for k in range(n_users):
+        acc = noise_var_ul * np.eye(n, dtype=complex)
+        for i in range(n_users):
+            acc = acc + powers[i] * cross[i, k] * hbars[i]
+        ry.append(acc)
+    pm = estimator is Estimator.PM
+    if pm:
+        gains = np.array([np.trace(h).real for h in hbars])
+        energy = np.array([np.trace(ry[k]).real / powers[k] for k in range(n_users)])
+    else:
+        e_mats = [np.sqrt(powers[k]) * np.linalg.solve(ry[k], hbars[k]) for k in range(n_users)]
+        gains = np.array(
+            [np.sqrt(powers[k]) * np.trace(hbars[k] @ e_mats[k]).real for k in range(n_users)]
+        )
+        energy = gains.copy()
+    useful = gains**2 / energy
+    xi = np.empty((n_users, n_users))
+    for k in range(n_users):
+        for j in range(n_users):
+            if pm:
+                base = np.trace(ry[j] @ hbars[k]).real / (powers[j] * energy[j])
+                excess = fourth_moment_excess_oracle(all_stats[k], geom) / powers[j]
+            else:
+                base = np.sqrt(powers[j]) * np.trace(hbars[j] @ e_mats[j] @ hbars[k]).real
+                base /= energy[j]
+                excess = fourth_moment_excess_oracle(all_stats[k], geom, e_mats[j])
+            xi[k, j] = base + powers[k] * excess * cross[k, j] / energy[j]
+        xi[k, k] -= useful[k]
+    leakage = np.array([(radar_beam.conj() @ h @ radar_beam).real for h in hbars])
+    return useful, np.clip(xi, 0.0, None), np.clip(leakage, 0.0, None)

@@ -8,7 +8,6 @@ from jcsim.estimation import (
     PilotBook,
     correlate,
     estimate_all,
-    lmmse_estimate,
     lmmse_matrices,
     pm_estimate,
     training_observation,
@@ -206,7 +205,7 @@ class TestLmmse:
         y = training_observation([h], book, 0.05, rng)
         y_pk = correlate(y, book, 0)
         norms = [
-            np.linalg.norm(lmmse_estimate(y_pk, 0, book, stats, GEOM, nv)[0])
+            np.linalg.norm(lmmse_matrices(book, stats, GEOM, nv)[0][0].conj().T @ y_pk)
             for nv in (0.1, 1.0, 10.0, 100.0, 1e4)
         ]
         assert all(a > b for a, b in zip(norms, norms[1:]))
@@ -265,7 +264,8 @@ class TestLmmse:
         y = training_observation([h], book, 0.1, rng)
         y0 = correlate(y, book, 0)
         h_pm = pm_estimate(y0, 0.3)
-        h_lm, _, _ = lmmse_estimate(y0, 0, book, stats, GEOM, 0.1)
+        e_list, _ = lmmse_matrices(book, stats, GEOM, 0.1)
+        h_lm = e_list[0].conj().T @ y0
         cos = abs(h_pm.conj() @ h_lm) / (np.linalg.norm(h_pm) * np.linalg.norm(h_lm))
         assert np.isclose(cos, 1.0, atol=1e-12)
 
@@ -279,7 +279,15 @@ class TestEstimateAll:
         y = training_observation(channels, book, 1e-3, rng)
         out_pm = estimate_all(y, book, stats, GEOM, 1e-3, Estimator.PM)
         assert out_pm.estimates.shape == (4, GEOM.n_elements)
-        assert out_pm.e_matrices is None
+        # PM is the linear filter I / sqrt(p) for every user.
+        np.testing.assert_allclose(
+            out_pm.e_matrices,
+            np.broadcast_to(np.eye(GEOM.n_elements) / np.sqrt(0.1), (4, 16, 16)),
+            atol=1e-15,
+        )
+        np.testing.assert_allclose(
+            out_pm.estimates[0], pm_estimate(correlate(y, book, 0), 0.1), rtol=1e-14
+        )
         out_lm = estimate_all(y, book, stats, GEOM, 1e-3, Estimator.LMMSE)
         assert out_lm.estimates.shape == (4, GEOM.n_elements)
         assert len(out_lm.e_matrices) == 4

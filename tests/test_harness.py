@@ -274,7 +274,15 @@ class TestCli:
         assert cli_main(["allocate", "--config", str(path)]) == 3
 
     @pytest.mark.parametrize(
-        "key, value", [("noise_var", 0.0), ("rho_star", -0.5), ("budget", 0.0)]
+        "key, value",
+        [
+            ("noise_var", 0.0),
+            ("rho_star", -0.5),
+            ("budget", 0.0),
+            ("user_gains", [0.5, 0.5, 0.5]),
+            ("interference", [[0.5, 0.2, 0.1]]),
+            ("radar_leakage", [0.1, 0.4]),
+        ],
     )
     def test_allocate_bad_input_is_config_error(self, tmp_path, key, value):
         problem = {

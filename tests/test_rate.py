@@ -1,47 +1,63 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from jcsim.array import ArrayGeometry, Direction, steering_vector
-from jcsim.beamform import pbr_beam
-from jcsim.channel import ChannelModelKind, ChannelStats, hbar_matrix
-from jcsim.estimation import Estimator, PilotBook, lmmse_matrices
+from jcsim.beamform import pbr_beam, zfr_beam
+from jcsim.channel import ChannelModelKind, ChannelStats, draw_user_channel, hbar_matrix
+from jcsim.estimation import (
+    Estimator,
+    PilotBook,
+    estimate_all,
+    lmmse_matrices,
+    training_observation,
+)
+from jcsim.harness.config import desk_preset, table1_preset
+from jcsim.harness.scenario import draw_scan_direction, realize_scenario
 from jcsim.rate import (
-    CoefficientVariant,
     RateCoefficients,
     build_rate_coefficients,
     fourth_moment_excess,
-    interference_matrix,
     radar_leakage,
     rate,
-    signal_gains,
     sinr,
 )
 from jcsim.validation import compare_terms, monte_carlo_rate_terms
+from oracles import dense_rate_coefficients
 
 GEOM = ArrayGeometry.half_wavelength(4, 4, 0.1)
 DIR = Direction(azimuth=0.3, elevation=1.2)
 DIR2 = Direction(azimuth=-0.9, elevation=1.4)
+EYE = np.eye(16, dtype=complex)
 
 
 def stats_of(kind, beta=1.0, k_factor=0.0, angles=DIR):
     return ChannelStats(beta=beta, kind=kind, angles=angles, k_factor=k_factor)
 
 
+def coefficients(stats, book, estimator, noise_var, e_matrices=None):
+    return build_rate_coefficients(
+        stats, GEOM, book, estimator, pbr_beam(GEOM, DIR2), noise_var, 0.1,
+        bandwidth=1e6, tau_c=200, e_matrices=e_matrices,
+    )
+
+
 class TestFourthMomentExcess:
     def test_los_is_zero(self):
         stats = stats_of(ChannelModelKind.LOS, beta=2.0)
-        assert fourth_moment_excess(stats, GEOM) == 0.0
-        assert fourth_moment_excess(stats, GEOM, np.eye(16, dtype=complex)) == 0.0
+        assert fourth_moment_excess(stats, GEOM, EYE) == 0.0
+        assert fourth_moment_excess(stats, GEOM, np.stack([EYE, 2.0 * EYE])).tolist() == [0, 0]
 
     def test_rayleigh_pilot_matched_value(self):
         stats = stats_of(ChannelModelKind.RAYLEIGH, beta=2.0)
-        assert np.isclose(fourth_moment_excess(stats, GEOM), 4.0 * 256.0, rtol=1e-12)
+        assert np.isclose(fourth_moment_excess(stats, GEOM, EYE), 4.0 * 256.0, rtol=1e-12)
 
     def test_rice_zero_factor_equals_rayleigh(self):
         rice = stats_of(ChannelModelKind.RICE, beta=1.3, k_factor=0.0)
         ray = stats_of(ChannelModelKind.RAYLEIGH, beta=1.3)
         assert np.isclose(
-            fourth_moment_excess(rice, GEOM), fourth_moment_excess(ray, GEOM), rtol=1e-12
+            fourth_moment_excess(rice, GEOM, EYE), fourth_moment_excess(ray, GEOM, EYE), rtol=1e-12
         )
 
 
@@ -52,7 +68,7 @@ class TestRadarLeakage:
         for _ in range(5):
             w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             w /= np.linalg.norm(w)
-            assert np.isclose(radar_leakage(stats, GEOM, w), 0.7, rtol=1e-12)
+            assert np.isclose(radar_leakage(hbar_matrix(stats, GEOM), w), 0.7, rtol=1e-12)
 
     def test_los_nulled_beam_leaks_nothing(self):
         stats = stats_of(ChannelModelKind.LOS, beta=1.0)
@@ -61,7 +77,7 @@ class TestRadarLeakage:
         w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         w = w - a * (a.conj() @ w) / (a.conj() @ a)
         w /= np.linalg.norm(w)
-        assert radar_leakage(stats, GEOM, w) <= 1e-12 * 16
+        assert radar_leakage(hbar_matrix(stats, GEOM), w) <= 1e-12 * 16
 
     def test_rice_matches_dense_quadratic_form(self):
         stats = stats_of(ChannelModelKind.RICE, beta=0.9, k_factor=2.5)
@@ -73,12 +89,12 @@ class TestRadarLeakage:
         for i in range(16):
             for j in range(16):
                 ref += (w[i].conjugate() * hbar[i, j] * w[j]).real
-        assert np.isclose(radar_leakage(stats, GEOM, w), ref, rtol=1e-10)
+        assert np.isclose(radar_leakage(hbar, w), ref, rtol=1e-10)
 
     def test_requires_unit_norm(self):
         stats = stats_of(ChannelModelKind.RAYLEIGH)
         with pytest.raises(ValueError):
-            radar_leakage(stats, GEOM, np.ones(16, dtype=complex))
+            radar_leakage(hbar_matrix(stats, GEOM), np.ones(16, dtype=complex))
 
 
 class TestScalarSpecializations:
@@ -96,14 +112,14 @@ class TestScalarSpecializations:
         return b**2 * GEOM.n_elements * p / (p * b + s)
 
     def test_pm_signal_gain(self):
-        got = signal_gains(self.stats, GEOM, self.book, Estimator.PM, self.NOISE)
+        got = coefficients(self.stats, self.book, Estimator.PM, self.NOISE).signal_gain
         assert np.isclose(got[0], self.scalar_signal_gain(), rtol=1e-12)
 
     def test_lmmse_signal_gain(self):
         e_list, _ = lmmse_matrices(self.book, self.stats, GEOM, self.NOISE)
-        got = signal_gains(
-            self.stats, GEOM, self.book, Estimator.LMMSE, self.NOISE, tuple(e_list)
-        )
+        got = coefficients(
+            self.stats, self.book, Estimator.LMMSE, self.NOISE, tuple(e_list)
+        ).signal_gain
         assert np.isclose(got[0], self.scalar_signal_gain(), rtol=1e-12)
 
     @pytest.mark.parametrize("estimator", [Estimator.PM, Estimator.LMMSE])
@@ -114,9 +130,7 @@ class TestScalarSpecializations:
         if estimator is Estimator.LMMSE:
             e_list, _ = lmmse_matrices(self.book, self.stats, GEOM, self.NOISE)
             e_matrices = tuple(e_list)
-        xi = interference_matrix(
-            self.stats, GEOM, self.book, estimator, self.NOISE, e_matrices
-        )
+        xi = coefficients(self.stats, self.book, estimator, self.NOISE, e_matrices).interference
         assert np.isclose(xi[0, 0], self.BETA, rtol=1e-10)
 
     def test_pm_equals_lmmse_for_rayleigh(self):
@@ -125,13 +139,10 @@ class TestScalarSpecializations:
         book = PilotBook.dft(3, 2, power=0.1)
         stats = [stats_of(ChannelModelKind.RAYLEIGH, beta=b) for b in (0.5, 1.0, 2.0)]
         e_list, _ = lmmse_matrices(book, stats, GEOM, 0.03)
-        for fn, args in (
-            (signal_gains, ()),
-            (interference_matrix, ()),
-        ):
-            pm = fn(stats, GEOM, book, Estimator.PM, 0.03, *args)
-            lm = fn(stats, GEOM, book, Estimator.LMMSE, 0.03, tuple(e_list))
-            np.testing.assert_allclose(pm, lm, rtol=1e-9)
+        pm = coefficients(stats, book, Estimator.PM, 0.03)
+        lm = coefficients(stats, book, Estimator.LMMSE, 0.03, tuple(e_list))
+        for field in ("signal_gain", "interference"):
+            np.testing.assert_allclose(getattr(pm, field), getattr(lm, field), rtol=1e-9)
 
 
 class TestInterferenceMatrix:
@@ -146,10 +157,7 @@ class TestInterferenceMatrix:
             stats_of(ChannelModelKind.RICE, beta=2.0, k_factor=0.5, angles=DIR2),
         ]
         e_list, _ = lmmse_matrices(book, stats, GEOM, 0.02)
-        xi = interference_matrix(
-            stats, GEOM, book, Estimator.LMMSE, 0.02, tuple(e_list),
-            variant=CoefficientVariant.MOMENT_MATCHED,
-        )
+        xi = coefficients(stats, book, Estimator.LMMSE, 0.02, tuple(e_list)).interference
         hbars = [hbar_matrix(s, GEOM) for s in stats]
         energy = [
             np.sqrt(0.1) * np.trace(hbars[j] @ e_list[j]).real for j in range(3)
@@ -169,7 +177,7 @@ class TestInterferenceMatrix:
             stats_of(ChannelModelKind.RICE, beta=10.0 ** -(k + 1), k_factor=k)
             for k in range(4)
         ]
-        xi = interference_matrix(stats, GEOM, book, Estimator.PM, 1e-4)
+        xi = coefficients(stats, book, Estimator.PM, 1e-4).interference
         assert np.all(xi >= 0.0)
 
     def test_monte_carlo_cross_check_small(self):
@@ -189,6 +197,54 @@ class TestInterferenceMatrix:
         )
         report = compare_terms(mc, coeffs, rtol=0.05)
         assert all(ok for _, _, ok in report), report
+
+
+ORACLE_CASES = [
+    ("desk", m, e, b)
+    for m, e, b in itertools.product(("rayleigh", "los", "rice"), ("pm", "lmmse"), ("pbr", "zfr"))
+] + [("table1", "rice", "lmmse", "zfr")]
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("preset, model, estimator, beam", ORACLE_CASES)
+    def test_matches_dense_per_pair_algebra(self, preset, model, estimator, beam):
+        """The filter formula against per-pair dense PM / LMMSE algebra.
+
+        Desk reuses pilots, so the contamination terms are live.
+        """
+        base = desk_preset() if preset == "desk" else table1_preset()
+        cfg = base.replace(channel_model=model, estimator=estimator, radar_beam=beam)
+        for seed in range(3 if preset == "desk" else 1):
+            rng = np.random.default_rng([cfg.seed, 0x0AC, seed])
+            real = realize_scenario(cfg, rng)
+            stats = list(real.stats)
+            channels = [draw_user_channel(s, real.geom, rng) for s in stats]
+            y = training_observation(channels, real.book, real.noise_var_ul, rng)
+            est = estimate_all(y, real.book, stats, real.geom, real.noise_var_ul, real.estimator)
+            direction = draw_scan_direction(cfg, rng)
+            if beam == "pbr":
+                radar_beam = pbr_beam(real.geom, direction)
+            else:
+                radar_beam = zfr_beam(real.geom, direction, est.estimates)
+            got = build_rate_coefficients(
+                stats, real.geom, real.book, real.estimator, radar_beam,
+                real.noise_var_ul, real.noise_var_dl, bandwidth=1e6, tau_c=cfg.tau_c,
+                e_matrices=est.e_matrices,
+            )
+            useful, xi, leakage = dense_rate_coefficients(
+                stats, real.geom, real.book, real.estimator, real.noise_var_ul, radar_beam
+            )
+            np.testing.assert_allclose(got.signal_gain, useful, rtol=1e-9)
+            # Entries that cancel to zero are judged on the scale of the
+            # useful signal, the scale the package clamps them on.
+            np.testing.assert_allclose(
+                got.interference, xi, rtol=1e-9, atol=1e-12 * useful.min()
+            )
+            # A nulled beam leaks nothing; judge it on the scale of tr(Hbar).
+            trace_scale = real.geom.n_elements * max(s.beta for s in stats)
+            np.testing.assert_allclose(
+                got.radar_leakage, leakage, rtol=1e-9, atol=1e-12 * trace_scale
+            )
 
 
 class TestRateFunction:

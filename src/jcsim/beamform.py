@@ -75,32 +75,41 @@ def zfr_beam(
 ) -> np.ndarray:
     """Radar beam forced orthogonal to the estimated user channels.
 
-    Builds an orthonormal basis of the estimate span (rank-revealing SVD,
+    Takes (K, N_A) estimates or a stack (..., K, N_A), one beam per instance.
+    Builds an orthonormal basis of each estimate span (rank-revealing SVD,
     singular values below RANK_TOL times the largest column norm dropped),
     projects the steering vector onto its orthogonal complement and
-    renormalizes.  Requires N_A > K; raises DegenerateDirectionError when
-    the projection is numerically zero.
+    renormalizes.  Requires N_A > K; raises DegenerateDirectionError when a
+    projection is numerically zero.
     """
     estimates = np.asarray(estimated_channels, dtype=complex)
-    if estimates.size == 0:
-        return pbr_beam(geom, direction)
-    if estimates.ndim != 2:
-        raise ValueError("estimated_channels must be (K, N_A)")
-    n_users, n_a = estimates.shape
+    if estimates.ndim < 2:
+        raise ValueError("estimated_channels must be (..., K, N_A)")
+    n_users, n_a = estimates.shape[-2:]
     if n_a != geom.n_elements:
         raise ValueError("estimate length does not match the array")
+    if n_users == 0:
+        return np.broadcast_to(pbr_beam(geom, direction), estimates.shape[:-2] + (n_a,)).copy()
     if n_a <= n_users:
         raise ValueError("zero-forcing needs more antennas than users")
 
     a = steering_vector(geom, direction)
-    col_norms = np.linalg.norm(estimates, axis=1)
-    if col_norms.max() == 0:
-        return a / np.linalg.norm(a)
-    u, s, _ = np.linalg.svd(estimates.T, full_matrices=False)
-    basis = u[:, s > RANK_TOL * col_norms.max()]
-    projected = a - basis @ (basis.conj().T @ a)
-    norm = np.linalg.norm(projected)
-    if norm < PROJECTION_TOL * np.sqrt(geom.n_elements):
+    col_norms = np.linalg.norm(estimates, axis=-1)
+    u, s, _ = np.linalg.svd(estimates.swapaxes(-1, -2), full_matrices=False)
+    ranks = np.sum(s > RANK_TOL * col_norms.max(axis=-1, keepdims=True), axis=-1)
+    projected = np.empty(estimates.shape[:-2] + (n_a,), dtype=complex)
+    for rank in np.unique(ranks):
+        # Singular values come sorted, so each kept basis is a leading block of
+        # u.  Copied column-major per instance, a stack rounds exactly as a loop
+        # of single calls.
+        sel = ranks == rank
+        basis = np.ascontiguousarray(u[sel][..., :rank].swapaxes(-1, -2)).swapaxes(-1, -2)
+        coords = basis.conj().swapaxes(-1, -2) @ a
+        projected[sel] = a - (basis @ coords[..., None])[..., 0]
+    # Summed as np.linalg.norm sums one vector, which it equals bit for bit.
+    re, im = projected.real[..., None, :], projected.imag[..., None, :]
+    norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    if np.any(norm < PROJECTION_TOL * np.sqrt(geom.n_elements)):
         raise DegenerateDirectionError(
             "surveillance direction lies in the span of the estimated channels"
         )

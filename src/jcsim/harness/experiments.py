@@ -33,6 +33,8 @@ from ..poweralloc import (
 from ..radar import (
     DelayDopplerGrid,
     calibrate_threshold,
+    delay_doppler_ramp,
+    qpsk_grid,
     statistic_map_from_correlation,
 )
 from ..rate import build_rate_coefficients, rate
@@ -206,30 +208,26 @@ def simulate_peak_statistics(
     scalar correlation u^H y: the echo contributes alpha |a^H u|^2 times
     the delay/Doppler ramp and the noise contributes a complex Gaussian of
     variance sigma^2 ||u||^2 per resource element, which together are
-    distributed exactly as in the antenna-domain model.  All randomness is
-    drawn before the per-target loop so streams pair across cells.
+    distributed exactly as in the antenna-domain model.  Each batch of
+    trials draws channels and estimates, builds the beams (the ZFR beam by
+    :func:`jcsim.beamform.zfr_beam` on the stack of estimates), draws QPSK
+    symbols, and gets a^H u and ||u||^2 from batched matmuls with the
+    (K+1) x (K+1) beam Gram matrix, never forming the N_A-antenna grid.
+    All randomness is drawn before the per-target loop so streams pair
+    across cells.
     """
     geom, frame, book = real.geom, real.frame, real.book
-    n_users = book.n_users
     a = steering_vector(geom, target_direction)
     if filters is None:
         filters = linear_filters(
             book, list(real.stats), geom, real.noise_var_ul, real.estimator
         )
     eta_all = np.concatenate([powers.eta_users, [powers.eta_radar]])
-    ramps = []
-    for t in targets:
-        if t is None:
-            ramps.append(None)
-        else:
-            n = np.arange(frame.n_symbols)
-            m = np.arange(frame.n_subcarriers)
-            ramps.append(
-                np.outer(
-                    np.exp(2j * np.pi * t.doppler * n * frame.symbol_duration),
-                    np.exp(-2j * np.pi * m * frame.subcarrier_spacing * t.delay),
-                )
-            )
+    ramps = [
+        None if t is None else t.alpha_mag * delay_doppler_ramp(frame, t.delay, t.doppler)
+        for t in targets
+    ]
+    grid_shape = (frame.n_symbols, frame.n_subcarriers)
 
     peaks = np.empty((len(targets), n_trials))
     done = 0
@@ -238,47 +236,36 @@ def simulate_peak_statistics(
         nb = min(batch, n_trials - done)
         rng = np.random.default_rng([cfg.seed, stream_key, batch_idx])
         h = draw_channel_batch(list(real.stats), geom, nb, rng)
-        h_hat = estimate_batch(h, book, real.noise_var_ul, filters, rng)
-        user_beams = h_hat / np.linalg.norm(h_hat, axis=-1, keepdims=True)  # (K, nb, N_A)
-        if beam_kind is RadarBeamKind.PBR:
-            radar = np.broadcast_to(
-                a / np.sqrt(geom.n_elements), (nb, geom.n_elements)
-            )
-        else:
-            basis, _ = np.linalg.qr(h_hat.transpose(1, 2, 0))  # (nb, N_A, K)
-            proj = a[None, :] - np.einsum(
-                "bak,bk->ba", basis, np.einsum("bak,a->bk", basis.conj(), a)
-            )
-            radar = proj / np.linalg.norm(proj, axis=-1, keepdims=True)
-        w_all = np.concatenate(
-            [user_beams.transpose(1, 2, 0), radar[:, :, None]], axis=2
-        )  # (nb, N_A, K+1)
-        beam_toward = np.einsum("a,bap->bp", a.conj(), w_all)  # a^H w_p
-        gram = np.einsum("bap,baq->bpq", w_all.conj(), w_all)
-        symbols = np.exp(
-            1j
-            * (np.pi / 4.0 + np.pi / 2.0 * rng.integers(0, 4, size=(nb, n_users + 1, frame.n_symbols, frame.n_subcarriers)))
+        h_hat = estimate_batch(h, book, real.noise_var_ul, filters, rng).swapaxes(0, 1)
+        radar = np.broadcast_to(
+            _radar_beam(beam_kind, geom, target_direction, h_hat), (nb, geom.n_elements)
         )
-        xs = np.sqrt(eta_all)[None, :, None, None] * symbols
-        v = np.einsum("bp,bpnm->bnm", beam_toward, xs)
-        energy = np.einsum("bpnm,bpq,bqnm->bnm", xs.conj(), gram, xs).real
-        unit_noise = (
-            rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
-        ) / np.sqrt(2.0)
-        noise = np.sqrt(real.noise_var_dl * np.clip(energy, 0.0, None)) * unit_noise
+        beams = np.concatenate(
+            [h_hat / np.linalg.norm(h_hat, axis=-1, keepdims=True), radar[:, None, :]], axis=1
+        )  # (nb, K+1, N_A): unit-norm w_p, the radar beam last
+        beam_toward = beams @ a.conj()  # a^H w_p
+        gram = beams.conj() @ beams.swapaxes(-1, -2)  # w_p^H w_q
+        # sqrt(eta_p) x_p over the flattened grid, scaled in place: one such array per batch.
+        xs = qpsk_grid((nb, book.n_users + 1, grid_shape[0] * grid_shape[1]), rng)
+        xs *= np.sqrt(eta_all)[:, None]
+        v = (beam_toward[:, None, :] @ xs).reshape(nb, *grid_shape)  # a^H u
+        # ||u||^2 = ||sum_p w_p x_p||^2 = Re sum_p conj(x_p) (gram x)_p
+        gx = gram @ xs
+        energy = np.einsum("bpl,bpl->bl", xs.real, gx.real) + np.einsum(
+            "bpl,bpl->bl", xs.imag, gx.imag
+        )
+        noise = np.empty(v.shape, dtype=complex)
+        noise.real = rng.standard_normal(v.shape)
+        noise.imag = rng.standard_normal(v.shape)
+        noise *= np.sqrt(real.noise_var_dl / 2.0 * np.clip(energy, 0.0, None)).reshape(v.shape)
         alpha_phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=nb))
-        signal_base = np.abs(v) ** 2
+        echo = alpha_phase[:, None, None] * np.abs(v) ** 2  # alpha / |alpha| times |a^H u|^2
         for ti, t in enumerate(targets):
             if t is None:
                 corr = noise
             else:
-                corr = (
-                    t.alpha_mag
-                    * alpha_phase[:, None, None]
-                    * ramps[ti][None, :, :]
-                    * signal_base
-                    + noise
-                )
+                corr = echo * ramps[ti]
+                corr += noise
             stat = statistic_map_from_correlation(corr, grid, frame)
             peaks[ti, done : done + nb] = stat.max(axis=(-2, -1))
         done += nb

@@ -76,7 +76,7 @@ class OfdmFrameConfig:
 
 @dataclass(frozen=True)
 class DelayDopplerGrid:
-    """Uniform search grid: delays in [0, T_CP], Dopplers inside one bin."""
+    """Uniform search grid: delays in [0, T_CP], Dopplers in [-1/(2 T0), 1/(2 T0))."""
 
     delays: np.ndarray
     dopplers: np.ndarray
@@ -96,15 +96,15 @@ class DelayDopplerGrid:
 
     @classmethod
     def natural(cls, config: OfdmFrameConfig) -> "DelayDopplerGrid":
-        """Resolution-cell spacing: 1/(M df) in delay, 1/(N T0) in Doppler."""
+        """Resolution-cell spacing: 1/(M df) in delay, 1/(N T0) in Doppler.
+
+        The N Doppler cells are the distinct bins of [-1/(2 T0), 1/(2 T0)).
+        """
         delay_step = 1.0 / (config.n_subcarriers * config.subcarrier_spacing)
         n_delays = int(np.floor(config.cp_duration / delay_step)) + 1
         delays = delay_step * np.arange(n_delays)
         doppler_step = 1.0 / (config.n_symbols * config.symbol_duration)
-        half = int(np.floor((config.subcarrier_spacing / 2.0) / doppler_step))
-        if half * doppler_step >= config.subcarrier_spacing / 2.0:
-            half -= 1
-        dopplers = doppler_step * np.arange(-half, half + 1)
+        dopplers = doppler_step * np.arange(-(config.n_symbols // 2), (config.n_symbols + 1) // 2)
         return cls(delays=delays, dopplers=dopplers)
 
 
@@ -125,8 +125,9 @@ class DetectionOutcome:
 
 
 def qpsk_grid(shape, rng: np.random.Generator) -> np.ndarray:
-    """Unit-modulus QPSK symbols."""
-    return np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * rng.integers(0, 4, size=shape)))
+    """Unit-modulus QPSK symbols: a uniform index into the four points."""
+    points = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * np.arange(4)))
+    return points[rng.integers(0, 4, size=shape)]
 
 
 def synthesize_tx_grid(
@@ -201,7 +202,9 @@ def statistic_map_from_correlation(
 ) -> np.ndarray:
     """GLRT energy map from the per-element correlation u^H y.
 
-    ``corr`` is (..., N, M); the result is (..., n_delays, n_dopplers).
+    ``corr`` is (..., N, M); the result is (..., n_delays, n_dopplers), the
+    periodogram |sum_nm exp(-j 2 pi nu n T0) corr[n, m] exp(j 2 pi m df tau)|^2
+    as two chained matmuls, which serve any grid.
     """
     n = np.arange(config.n_symbols)
     m = np.arange(config.n_subcarriers)
@@ -211,8 +214,8 @@ def statistic_map_from_correlation(
     delay_steer = np.exp(
         2j * np.pi * np.outer(m, grid.delays) * config.subcarrier_spacing
     )  # (M, n_delays)
-    amplitude = np.einsum("un,...nm,mt->...tu", doppler_steer, corr, delay_steer)
-    return np.abs(amplitude) ** 2
+    amplitude = doppler_steer @ (corr @ delay_steer)  # (..., n_dopplers, n_delays)
+    return (np.abs(amplitude) ** 2).swapaxes(-1, -2)
 
 
 def glrt_statistic(

@@ -8,8 +8,10 @@ cross-check and not a tautology.
 import numpy as np
 
 from jcsim.array import steering_vector
-from jcsim.channel import ChannelModelKind, hbar_matrix
-from jcsim.estimation import Estimator
+from jcsim.beamform import BeamformerSet, RadarBeamKind, matched_beam, pbr_beam, zfr_beam
+from jcsim.channel import ChannelModelKind, TargetChannel, draw_user_channel, hbar_matrix
+from jcsim.estimation import Estimator, estimate_all, training_observation
+from jcsim.radar import glrt_statistic, qpsk_grid, synthesize_tx_grid, target_echo
 
 
 def steering_oracle(n_y, n_z, spacing_d, wavelength, azimuth, elevation):
@@ -64,6 +66,59 @@ def glrt_map_oracle(u, y, delays, dopplers, symbol_duration, subcarrier_spacing)
                     acc += steer * (u[:, n, m].conj() @ y[:, n, m])
             out[ti, vi] = abs(acc) ** 2
     return out
+
+
+def statistic_map_oracle(corr, grid, config):
+    """GLRT energy map from u^H y as one three-operand einsum over the grid."""
+    n = np.arange(config.n_symbols)
+    m = np.arange(config.n_subcarriers)
+    doppler_steer = np.exp(
+        -2j * np.pi * np.outer(grid.dopplers, n) * config.symbol_duration
+    )  # (n_dopplers, N)
+    delay_steer = np.exp(
+        2j * np.pi * np.outer(m, grid.delays) * config.subcarrier_spacing
+    )  # (M, n_delays)
+    amplitude = np.einsum("un,...nm,mt->...tu", doppler_steer, corr, delay_steer)
+    return np.abs(amplitude) ** 2
+
+
+def antenna_domain_peaks(real, grid, direction, beam_kind, powers, target, n, rng):
+    """GLRT peaks of the antenna-domain chain, one trial at a time.
+
+    Each trial trains and estimates the user channels, builds the beams,
+    synthesizes the N_A-antenna transmit grid, passes it through the target
+    (``target=None``: noise only) and evaluates ``glrt_statistic``.
+    """
+    shape = (real.frame.n_symbols, real.frame.n_subcarriers)
+    peaks = np.empty(n)
+    for i in range(n):
+        channels = [draw_user_channel(s, real.geom, rng) for s in real.stats]
+        y_pilot = training_observation(channels, real.book, real.noise_var_ul, rng)
+        est = estimate_all(
+            y_pilot, real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
+        )
+        if beam_kind is RadarBeamKind.PBR:
+            radar = pbr_beam(real.geom, direction)
+        else:
+            radar = zfr_beam(real.geom, direction, est.estimates)
+        beams = BeamformerSet(
+            user_beams=np.stack([matched_beam(h) for h in est.estimates]),
+            radar_beam=radar,
+            radar_kind=beam_kind,
+            radar_direction=direction,
+        )
+        u = synthesize_tx_grid(
+            beams, powers, qpsk_grid((real.book.n_users,) + shape, rng), qpsk_grid(shape, rng)
+        )
+        echo = None
+        if target is not None:
+            alpha = target.alpha_mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            echo = TargetChannel.from_geometry(
+                real.geom, alpha, direction, target.delay, target.doppler
+            )
+        y = target_echo(u, echo, real.frame, real.noise_var_dl, rng)
+        peaks[i] = glrt_statistic(u, y, grid, real.frame).peak_value
+    return peaks
 
 
 def simplex_grid(n_users, step):

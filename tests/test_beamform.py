@@ -10,6 +10,10 @@ from jcsim.beamform import (
     pbr_beam,
     zfr_beam,
 )
+from jcsim.estimation import linear_filters
+from jcsim.harness.config import desk_preset
+from jcsim.harness.scenario import draw_scan_direction, realize_scenario
+from jcsim.validation import draw_channel_batch, estimate_batch
 from oracles import gram_schmidt_zfr
 
 GEOM = ArrayGeometry.half_wavelength(4, 4, 0.1)
@@ -66,6 +70,9 @@ class TestZfrBeam:
     def test_no_users_reduces_to_pbr(self):
         w = zfr_beam(GEOM, DIR, np.zeros((0, GEOM.n_elements), dtype=complex))
         np.testing.assert_allclose(w, pbr_beam(GEOM, DIR), atol=1e-14)
+        w = zfr_beam(GEOM, DIR, np.zeros((3, 0, GEOM.n_elements), dtype=complex))
+        assert w.shape == (3, GEOM.n_elements)
+        np.testing.assert_allclose(w, np.broadcast_to(pbr_beam(GEOM, DIR), w.shape), atol=1e-14)
 
     def test_nulls_every_estimate(self):
         rng = np.random.default_rng(2)
@@ -106,6 +113,30 @@ class TestZfrBeam:
         estimates = np.vstack([base, base[0] + base[1], 2.0 * base[0]])
         w = zfr_beam(GEOM, DIR, estimates)
         assert np.max(np.abs(estimates.conj() @ w)) <= 1e-9
+
+    @pytest.mark.parametrize("estimator", ["pm", "lmmse"])
+    def test_stack_matches_single_calls_under_pilot_reuse(self, estimator):
+        cfg = desk_preset().replace(estimator=estimator)
+        rng = np.random.default_rng([cfg.seed, 0x2F])
+        real = realize_scenario(cfg, rng)
+        direction = draw_scan_direction(cfg, rng)
+        filters = linear_filters(
+            real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
+        )
+        h = draw_channel_batch(list(real.stats), real.geom, 64, rng)
+        stack = estimate_batch(h, real.book, real.noise_var_ul, filters, rng).swapaxes(0, 1)
+        assert real.book.tau_p < real.book.n_users
+        sv = np.linalg.svd(stack, compute_uv=False)
+        ranks = np.sum(sv > 1e-10 * sv[:, :1], axis=-1)
+        if estimator == "pm":
+            assert np.all(ranks == real.book.tau_p)
+        w = zfr_beam(real.geom, direction, stack)
+        assert w.shape == (64, real.geom.n_elements)
+        for est, w_one in zip(stack, w):
+            np.testing.assert_allclose(w_one, zfr_beam(real.geom, direction, est), rtol=0, atol=1e-12)
+            leakage = np.abs(est.conj() @ w_one) / np.linalg.norm(est, axis=-1)
+            assert leakage.max() <= 1e-10
+        np.testing.assert_allclose(np.linalg.norm(w, axis=-1), 1.0, atol=1e-12)
 
     def test_needs_more_antennas_than_users(self):
         rng = np.random.default_rng(7)

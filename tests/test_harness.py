@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from jcsim.beamform import RadarBeamKind
+from jcsim.channel import SPEED_OF_LIGHT, target_alpha
 from jcsim.harness.cli import main as cli_main
 from jcsim.harness.config import (
     ConfigError,
@@ -12,9 +14,17 @@ from jcsim.harness.config import (
     load_config,
     table1_preset,
 )
-from jcsim.harness.experiments import run_detection_experiment, run_rate_experiment
+from jcsim.harness.experiments import (
+    _TargetParams,
+    run_detection_experiment,
+    run_rate_experiment,
+    simulate_peak_statistics,
+)
 from jcsim.harness.experiments_util import binomial_ci, empirical_cdf, noise_variance
 from jcsim.harness.scenario import draw_scan_direction, realize_scenario
+from jcsim.poweralloc import uniform_allocate
+from jcsim.radar import DelayDopplerGrid
+from oracles import antenna_domain_peaks
 
 
 def small_rate_cfg(**overrides):
@@ -200,6 +210,57 @@ class TestDetectionExperiment:
         cfg = small_detect_cfg(detection_ranges_m=(5000.0,))
         with pytest.raises(ConfigError):
             run_detection_experiment(cfg)
+
+
+class TestScalarSimulatorMatchesAntennaDomain:
+    """simulate_peak_statistics against synthesize_tx_grid -> target_echo -> glrt_statistic.
+
+    Desk deployment under pilot reuse (rank-deficient estimates), a target
+    weak enough that Pd sits mid-range.  The threshold is the scalar
+    simulator's H0 quantile at Pfa 0.1; both Pfa and Pd of the antenna-domain
+    chain must agree with the simulator within 3 binomial sigma.
+    """
+
+    N_SIM = 8000
+    N_ANTENNA = 1000
+
+    @pytest.mark.parametrize("beam_kind", [RadarBeamKind.PBR, RadarBeamKind.ZFR])
+    def test_pfa_and_pd_agree(self, beam_kind):
+        cfg = desk_preset()
+        rng = np.random.default_rng([cfg.seed, 0xE9])
+        real = realize_scenario(cfg, rng)
+        grid = DelayDopplerGrid.natural(real.frame)
+        direction = draw_scan_direction(cfg, rng)
+        powers = uniform_allocate(
+            cfg.p_dl_w, cfg.rcr_linear, cfg.n_users, cfg.n_subcarriers, cfg.n_symbols
+        )
+        alpha, delay = target_alpha(345.0, real.geom, 2.5e-4, cfg.carrier_hz)
+        doppler = 2.0 * cfg.target_speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
+        target = _TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler)
+
+        sim_h0, sim_h1 = simulate_peak_statistics(
+            real, cfg, grid, direction, beam_kind, powers, [None, target], self.N_SIM,
+            stream_key=0xE9,
+        )
+        pfa = 0.1
+        threshold = np.quantile(sim_h0, 1.0 - pfa, method="higher")
+        ant_h0 = antenna_domain_peaks(
+            real, grid, direction, beam_kind, powers, None, self.N_ANTENNA, rng
+        )
+        ant_h1 = antenna_domain_peaks(
+            real, grid, direction, beam_kind, powers, target, self.N_ANTENNA, rng
+        )
+
+        def var(p, n):
+            return p * (1.0 - p) / n
+
+        pfa_ant = np.mean(ant_h0 > threshold)
+        sigma = np.sqrt(var(pfa, self.N_ANTENNA) + var(pfa, self.N_SIM))
+        assert abs(pfa_ant - pfa) <= 3.0 * sigma, f"antenna-domain Pfa {pfa_ant}"
+        pd_sim, pd_ant = np.mean(sim_h1 > threshold), np.mean(ant_h1 > threshold)
+        assert 0.2 < pd_sim < 0.8, "target must leave Pd mid-range to be a test"
+        sigma = np.sqrt(var(pd_sim, self.N_SIM) + var(pd_ant, self.N_ANTENNA))
+        assert abs(pd_ant - pd_sim) <= 3.0 * sigma, f"Pd {pd_sim} simulated, {pd_ant} antenna-domain"
 
 
 class TestCli:

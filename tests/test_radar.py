@@ -13,10 +13,11 @@ from jcsim.radar import (
     detection_probability,
     glrt_statistic,
     qpsk_grid,
+    statistic_map_from_correlation,
     synthesize_tx_grid,
     target_echo,
 )
-from oracles import glrt_map_oracle
+from oracles import glrt_map_oracle, statistic_map_oracle
 
 GEOM = ArrayGeometry.half_wavelength(2, 2, 0.1)
 DIR = Direction(azimuth=0.4, elevation=1.3)
@@ -79,6 +80,19 @@ class TestSymbolsAndGrid:
         assert grid.delays[-1] <= FRAME.cp_duration
         assert np.isclose(np.diff(grid.delays)[0], 1.0 / FRAME.bandwidth)
         assert np.all(np.abs(grid.dopplers) < FRAME.subcarrier_spacing / 2.0)
+
+    @pytest.mark.parametrize("n_symbols", [1, 4, 7, 14])
+    def test_natural_doppler_cells_are_distinct_bins(self, n_symbols):
+        frame = OfdmFrameConfig(n_symbols=n_symbols, n_subcarriers=64, subcarrier_spacing=30e3)
+        dopplers = DelayDopplerGrid.natural(frame).dopplers
+        # One cell per distinct bin of the unambiguous range [-1/(2 T0), 1/(2 T0)).
+        assert dopplers.size == n_symbols
+        cycles = dopplers * frame.symbol_duration
+        assert np.all((cycles >= -0.5) & (cycles < 0.5))
+        wrapped = np.mod(cycles, 1.0)
+        gaps = np.abs(wrapped[:, None] - wrapped[None, :])
+        gaps = np.minimum(gaps, 1.0 - gaps)
+        assert np.all(gaps[~np.eye(n_symbols, dtype=bool)] > 1e-9)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -217,6 +231,28 @@ class TestGlrt:
             u, y, grid.delays, grid.dopplers, FRAME.symbol_duration, FRAME.subcarrier_spacing
         )
         np.testing.assert_allclose(out.statistic_map, ref, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "n_subcarriers, grid_kind",
+        [(64, "natural"), (512, "natural"), (64, "off-natural")],
+    )
+    def test_map_matches_einsum_oracle(self, n_subcarriers, grid_kind):
+        frame = OfdmFrameConfig(n_symbols=14, n_subcarriers=n_subcarriers, subcarrier_spacing=30e3)
+        grid = DelayDopplerGrid.natural(frame)
+        if grid_kind == "off-natural":
+            # Finer than the resolution cells, off zero, wider than one bin.
+            grid = DelayDopplerGrid(
+                delays=np.linspace(1e-8, frame.cp_duration, 11),
+                dopplers=np.linspace(-0.8, 0.7, 9) / frame.symbol_duration,
+            )
+        rng = np.random.default_rng(21)
+        corr = rng.standard_normal((3, 2, 14, n_subcarriers)) + 1j * rng.standard_normal(
+            (3, 2, 14, n_subcarriers)
+        )
+        stat = statistic_map_from_correlation(corr, grid, frame)
+        ref = statistic_map_oracle(corr, grid, frame)
+        assert stat.shape == ref.shape == (3, 2, grid.delays.size, grid.dopplers.size)
+        np.testing.assert_allclose(stat, ref, rtol=0.0, atol=1e-12 * ref.max())
 
     def test_unit_phase_invariance(self):
         rng = np.random.default_rng(13)

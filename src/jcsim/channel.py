@@ -22,6 +22,7 @@ __all__ = [
     "LogDistancePathLoss",
     "los_probability",
     "k_factor_from_los_probability",
+    "hbar_weights",
     "hbar_matrix",
     "draw_user_channel",
     "target_alpha",
@@ -145,12 +146,27 @@ def k_factor_from_los_probability(p_los: float) -> float:
     return p_los / (1.0 - p_los)
 
 
+def hbar_weights(stats: ChannelStats) -> tuple[float, float]:
+    """Weights (d, e) of the correlation E[h h^H] = d I + e a a^H.
+
+    Rayleigh: (beta, 0).  LoS: (0, beta).  Rice: beta/(K+1) times (1, K).
+    """
+    if stats.kind is ChannelModelKind.RAYLEIGH:
+        return stats.beta, 0.0
+    if stats.kind is ChannelModelKind.LOS:
+        return 0.0, stats.beta
+    share = stats.beta / (stats.k_factor + 1.0)
+    return share, share * stats.k_factor
+
+
 def hbar_matrix(stats: ChannelStats, geom: ArrayGeometry) -> np.ndarray:
-    """Channel correlation matrix E[h h^H] for the given model.
+    """Channel correlation matrix E[h h^H] for the given model, as a dense matrix.
 
     Rayleigh: beta * I.  LoS: beta * a a^H.  Rice: the K-factor mixture
     beta/(K+1) * (K a a^H + I).  Hermitian PSD with trace beta * N_A in
-    every case.
+    every case.  The simulation chain uses the structured form of
+    :func:`hbar_weights`; this dense matrix serves checks and callers
+    outside the package.
     """
     n = geom.n_elements
     if stats.kind is ChannelModelKind.RAYLEIGH:

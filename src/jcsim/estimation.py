@@ -3,30 +3,47 @@
 The base station observes a pilot matrix and correlates it against each
 user's pilot sequence.  Both estimators are linear in that statistic,
 h_hat_k = A_k^H y_{p,k}: pilot-matched (PM) estimation is A_k = I / sqrt(p_k)
-and LMMSE is A_k = sqrt(p_k) R_{y,k}^{-1} Hbar_k.  This module is the one
-place that builds the correlation matrices Hbar_k and R_{y,k} and the
-filters A_k; the rate bounds and the Monte-Carlo check apply the same
-filters.
+and LMMSE is A_k = sqrt(p_k) R_{y,k}^{-1} Hbar_k.
+
+Every matrix of that chain is a scaled identity plus a low-rank term over
+one basis, U = [a_1 ... a_K], the users' steering vectors:
+
+    Hbar_k  = d_k I + e_k a_k a_k^H          (Rayleigh e = 0, LoS d = 0)
+    R_{y,k} = s_k I + U D_k U^H,  s_k = sigma^2 + sum_i w_ki d_i,
+                                  D_k = diag(w_ki e_i),
+    w_ki    = p_i |phi_i^H phi_k|^2,
+
+and so are A_k and the estimate covariance C_k = A_k^H R_{y,k} A_k.
+:func:`training_statistics` is the one place that builds these stacks
+(:class:`jcsim.lowrank.IdentityPlusLowRank`); the rate bounds and the
+Monte-Carlo check take them from there.  The LMMSE filter is a Woodbury
+solve with K x K algebra (Bjornson, Hoydis & Sanguinetti, *Massive MIMO
+Networks*, Found. Trends Signal Process., 2017, ch. 3), and its residual
+R_{y,k} A_k - sqrt(p_k) Hbar_k is checked in the same structured algebra.
+No N x N matrix is formed unless a caller asks for one
+(``EstimationOutput.e_matrices``, :func:`lmmse_matrices`).
 """
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .array import ArrayGeometry
-from .channel import ChannelStats, UserChannel, hbar_matrix
+from .array import ArrayGeometry, steering_vector
+from .channel import ChannelStats, UserChannel, hbar_weights
+from .lowrank import IdentityPlusLowRank
 
 __all__ = [
     "Estimator",
     "PilotBook",
+    "TrainingStatistics",
     "EstimationOutput",
+    "EstimationError",
     "training_observation",
     "correlate",
     "pm_estimate",
-    "correlation_matrices",
-    "linear_filters",
+    "training_statistics",
     "lmmse_matrices",
     "estimate_all",
 ]
@@ -92,12 +109,41 @@ class PilotBook:
 
 
 @dataclass(frozen=True)
+class TrainingStatistics:
+    """Second-order statistics of one scenario's training, as stacks of K matrices.
+
+    Every stack shares the basis U = [a_1 ... a_K].  ``diffuse`` and
+    ``specular`` are the weights d_k, e_k of Hbar_k = d_k I + e_k a_k a_k^H.
+    """
+
+    estimator: Estimator
+    diffuse: np.ndarray  # (K,)
+    specular: np.ndarray  # (K,)
+    hbar: IdentityPlusLowRank  # Hbar_k = E[h_k h_k^H]
+    ry: IdentityPlusLowRank  # R_{y,k} = E[y_{p,k} y_{p,k}^H]
+    filters: IdentityPlusLowRank  # A_k, with h_hat_k = A_k^H y_{p,k}
+
+    @cached_property
+    def covariances(self) -> IdentityPlusLowRank:
+        """C_k = A_k^H R_{y,k} A_k = E[h_hat_k h_hat_k^H]."""
+        return self.filters.H @ self.ry @ self.filters
+
+
+@dataclass(frozen=True)
 class EstimationOutput:
-    """Per-user channel estimates plus the linear filters that made them."""
+    """Per-user channel estimates plus the statistics and filters that made them."""
 
     estimates: np.ndarray  # (K, N_A)
-    estimator: Estimator
-    e_matrices: np.ndarray  # (K, N_A, N_A), filter A_k with h_hat_k = A_k^H y_{p,k}
+    statistics: TrainingStatistics
+
+    @property
+    def estimator(self) -> Estimator:
+        return self.statistics.estimator
+
+    @property
+    def e_matrices(self) -> np.ndarray:
+        """The filters A_k as dense N_A x N_A matrices, shape (K, N_A, N_A)."""
+        return self.statistics.filters.dense()
 
 
 def training_observation(
@@ -136,53 +182,55 @@ def pm_estimate(y_pk: np.ndarray, pilot_power: float) -> np.ndarray:
     return y_pk / np.sqrt(pilot_power)
 
 
-def correlation_matrices(
-    book: PilotBook,
-    all_stats: list[ChannelStats],
-    geom: ArrayGeometry,
-    noise_var: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Channel correlations Hbar_k and pilot-statistic correlations R_{y,k}.
-
-    Both are stacks of shape (K, N_A, N_A).  R_{y,k} collects every user's
-    Hbar_i weighted by its pilot power and its squared pilot
-    cross-correlation with user k, plus the noise floor.
-    """
-    if noise_var <= 0:
-        raise ValueError("noise variance must be positive")
-    hbars = np.stack([hbar_matrix(s, geom) for s in all_stats])
-    weights = (book.powers[:, None] * np.abs(book.gram()) ** 2).T  # (k, i)
-    ry = np.tensordot(weights, hbars, axes=1)
-    ry += noise_var * np.eye(geom.n_elements)
-    return hbars, ry
-
-
-def linear_filters(
+def training_statistics(
     book: PilotBook,
     all_stats: list[ChannelStats],
     geom: ArrayGeometry,
     noise_var: float,
     estimator: Estimator,
-) -> np.ndarray:
-    """Per-user filters A_k, shape (K, N_A, N_A), with h_hat_k = A_k^H y_{p,k}.
+) -> TrainingStatistics:
+    """Hbar_k, R_{y,k} and the filters A_k of ``estimator``, all over U.
 
-    PM is I / sqrt(p_k); LMMSE is sqrt(p_k) R_{y,k}^{-1} Hbar_k.
+    R_{y,k} collects every user's Hbar_i weighted by its pilot power and its
+    squared pilot cross-correlation with user k, plus the noise floor.
     """
+    if noise_var <= 0:
+        raise ValueError("noise variance must be positive")
+    n_users = len(all_stats)
+    users = np.arange(n_users)
+    basis = np.stack([steering_vector(geom, s.angles) for s in all_stats], axis=1)
+    diffuse, specular = np.array([hbar_weights(s) for s in all_stats], dtype=float).T
+    hbar_core = np.zeros((n_users, n_users, n_users), dtype=complex)
+    hbar_core[users, users, users] = specular
+    hbar = IdentityPlusLowRank.over(basis, diffuse, hbar_core)
+    weights = (book.powers[:, None] * np.abs(book.gram()) ** 2).T  # (k, i)
+    ry_core = np.zeros_like(hbar_core)
+    ry_core[:, users, users] = weights * specular
+    ry = IdentityPlusLowRank(noise_var + weights @ diffuse, ry_core, hbar.basis, hbar.gram)
     amplitude = np.sqrt(book.powers)
     if estimator is Estimator.PM:
-        return np.eye(geom.n_elements, dtype=complex) / amplitude[:, None, None]
-    return _lmmse_filters(*correlation_matrices(book, all_stats, geom, noise_var), amplitude)
+        zero = np.zeros_like(hbar_core)
+        filters = IdentityPlusLowRank(1.0 / amplitude, zero, hbar.basis, hbar.gram)
+    else:
+        filters = _lmmse_filters(hbar, ry, amplitude)
+    return TrainingStatistics(estimator, diffuse, specular, hbar, ry, filters)
 
 
-def _lmmse_filters(hbars: np.ndarray, ry: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
-    """Hermitian solves, never an explicit inverse; residuals checked to 1e-9."""
-    filters = np.empty_like(hbars)
-    for k in range(len(hbars)):
-        filters[k] = amplitude[k] * scipy.linalg.solve(ry[k], hbars[k], assume_a="pos")
-        residual = np.linalg.norm(ry[k] @ filters[k] - amplitude[k] * hbars[k])
-        scale = np.linalg.norm(hbars[k]) * amplitude[k]
-        if scale > 0 and residual > SOLVE_RESIDUAL_TOL * max(scale, 1.0):
-            raise EstimationError(f"LMMSE solve residual {residual:.3e} for user {k}")
+def _lmmse_filters(
+    hbar: IdentityPlusLowRank, ry: IdentityPlusLowRank, amplitude: np.ndarray
+) -> IdentityPlusLowRank:
+    """sqrt(p_k) R_{y,k}^{-1} Hbar_k by Woodbury; residuals checked to 1e-9.
+
+    The residual ||R_{y,k} A_k - sqrt(p_k) Hbar_k||_F is evaluated in the
+    structured algebra, relative to ||sqrt(p_k) Hbar_k||_F.
+    """
+    filters = ry.solve(hbar) * amplitude
+    residual = (ry @ filters - hbar * amplitude).frobenius_norm()
+    scale = hbar.frobenius_norm() * amplitude
+    bad = (scale > 0) & (residual > SOLVE_RESIDUAL_TOL * np.maximum(scale, 1.0))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise EstimationError(f"LMMSE solve residual {residual[k]:.3e} for user {k}")
     return filters
 
 
@@ -192,9 +240,9 @@ def lmmse_matrices(
     geom: ArrayGeometry,
     noise_var: float,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-user LMMSE filter E_k and correlation R_{y,k} of y_{p,k}, as lists."""
-    hbars, ry = correlation_matrices(book, all_stats, geom, noise_var)
-    return list(_lmmse_filters(hbars, ry, np.sqrt(book.powers))), list(ry)
+    """Per-user LMMSE filter E_k and correlation R_{y,k} of y_{p,k}, as dense lists."""
+    stats = training_statistics(book, all_stats, geom, noise_var, Estimator.LMMSE)
+    return list(stats.filters.dense()), list(stats.ry.dense())
 
 
 def estimate_all(
@@ -206,7 +254,7 @@ def estimate_all(
     estimator: Estimator,
 ) -> EstimationOutput:
     """Estimate every user's channel from one training observation."""
-    filters = linear_filters(book, all_stats, geom, noise_var, estimator)
+    statistics = training_statistics(book, all_stats, geom, noise_var, estimator)
     y = (y_pilot @ book.pilots).T  # row k is y_{p,k}
-    estimates = (y[:, None, :] @ filters.conj())[:, 0, :]
-    return EstimationOutput(estimates=estimates, estimator=estimator, e_matrices=filters)
+    estimates = statistics.filters.H.apply(y[:, None, :])[:, 0, :]
+    return EstimationOutput(estimates=estimates, statistics=statistics)

@@ -22,7 +22,7 @@ import scipy
 from ..array import steering_vector
 from ..beamform import BeamformerSet, RadarBeamKind, matched_beam, pbr_beam, zfr_beam
 from ..channel import SPEED_OF_LIGHT, draw_user_channel, target_alpha
-from ..estimation import estimate_all, linear_filters, training_observation
+from ..estimation import estimate_all, training_observation, training_statistics
 from ..poweralloc import (
     AllocationInfeasibleError,
     PowerAllocation,
@@ -144,7 +144,7 @@ def run_rate_experiment(
             real.noise_var_dl,
             bandwidth=real.frame.bandwidth,
             tau_c=cfg.tau_c,
-            e_matrices=est.e_matrices,
+            statistics=est.statistics,
         )
         sir = RadarSirCoefficients.from_beams(real.geom, radar_dir, beams)
         uni = uniform_allocate(cfg.p_dl_w, cfg.rcr_linear, cfg.n_users, cfg.n_subcarriers, cfg.n_symbols)
@@ -219,9 +219,9 @@ def simulate_peak_statistics(
     geom, frame, book = real.geom, real.frame, real.book
     a = steering_vector(geom, target_direction)
     if filters is None:
-        filters = linear_filters(
+        filters = training_statistics(
             book, list(real.stats), geom, real.noise_var_ul, real.estimator
-        )
+        ).filters.dense()
     eta_all = np.concatenate([powers.eta_users, [powers.eta_radar]])
     ramps = [
         None if t is None else t.alpha_mag * delay_doppler_ramp(frame, t.delay, t.doppler)
@@ -314,6 +314,7 @@ def run_detection_experiment(
     est = estimate_all(
         y_pilot, real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
     )
+    filters = est.e_matrices
 
     rows, failures = [], []
     for rcr_db in cfg.detection_rcr_db:
@@ -336,7 +337,7 @@ def run_detection_experiment(
                 real.noise_var_dl,
                 bandwidth=real.frame.bandwidth,
                 tau_c=cfg.tau_c,
-                e_matrices=est.e_matrices,
+                statistics=est.statistics,
             )
             sir = RadarSirCoefficients.from_beams(real.geom, target_dir, beams)
             uni = uniform_allocate(
@@ -352,7 +353,7 @@ def run_detection_experiment(
                 threshold = calibrate_threshold(
                     lambda n, _rng: simulate_peak_statistics(
                         real, cfg, grid, target_dir, beam_kind, powers,
-                        [None], n, stream_key=0xCA1, filters=est.e_matrices,
+                        [None], n, stream_key=0xCA1, filters=filters,
                     )[0],
                     cfg.pfa_target,
                     n_calibration,
@@ -360,7 +361,7 @@ def run_detection_experiment(
                 )
                 peaks = simulate_peak_statistics(
                     real, cfg, grid, target_dir, beam_kind, powers,
-                    targets, n_trials, stream_key=0x9D, filters=est.e_matrices,
+                    targets, n_trials, stream_key=0x9D, filters=filters,
                 )
                 for r, peak_row in zip(ranges_m, peaks):
                     pd = float(np.mean(peak_row > threshold))

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 BUDGET_SLACK = 1e-9
+PERRON_POLISH_STEPS = 30
 
 
 class AllocationInfeasibleError(RuntimeError):
@@ -130,6 +131,13 @@ def max_min_allocate(
     strictly positive even when B is reducible.  Solving for q rather than
     eta keeps the entries of the eigenvector on one scale when the user
     gains spread over decades.
+
+    The eigensolver's vector loses relative accuracy when the problem is
+    badly scaled, so ``PERRON_POLISH_STEPS`` power steps q <- M q / sum(M q)
+    polish it, starting from its modulus.  A positive matrix contracts the
+    Hilbert projective metric, and the SINR imbalance max/min - 1 is
+    exp(d_H(q, M q)) - 1, so no step makes the balance worse (up to
+    round-off once it is balanced).
     """
     check_problem(coeffs, sir_coeffs, budget, rho_star)
     g = np.asarray(coeffs.signal_gain, dtype=float)
@@ -147,8 +155,13 @@ def max_min_allocate(
     # Every row of 1 c^T is c^T, so the noise term broadcasts over rows.
     noise = coeffs.noise_var / budget * c
     coupling = coeffs.interference + np.outer(coeffs.radar_leakage, ratio) + noise
-    eigvals, eigvecs = np.linalg.eig(coupling / g)
-    eta_users = eigvecs[:, np.argmax(eigvals.real)].real / g
+    matrix = coupling / g
+    eigvals, eigvecs = np.linalg.eig(matrix)
+    q = np.abs(eigvecs[:, np.argmax(eigvals.real)])
+    for _ in range(PERRON_POLISH_STEPS):
+        q = matrix @ q
+        q /= q.sum()
+    eta_users = q / g
     eta_users *= budget / (c @ eta_users)
     if not (np.all(np.isfinite(eta_users)) and np.all(eta_users > 0)):
         raise SolverError(f"Perron vector is not strictly positive: {eta_users}")

@@ -12,17 +12,25 @@ zeta_k the radar-beam leakage.
 Every coefficient comes from one formula in the estimator's linear filter.
 Both estimators give h_hat_j = A_j^H y_{p,j} (see :mod:`jcsim.estimation`),
 and C_j = A_j^H R_{y,j} A_j is the covariance of that estimate.  With p_j
-the pilot power:
+the pilot power and Hbar_k = d_k I + e_k a_k a_k^H:
 
     mean gain   m_j   = sqrt(p_j) Re tr(A_j^H Hbar_j)
     energy      e_j   = tr C_j
     signal      g_j   = m_j^2 / e_j
     interference xi_kj = (tr(C_j Hbar_k) + p_k |phi_k^H phi_j|^2 X_kj) / e_j,
                  less g_k on the diagonal
+    leakage     zeta_k = w_R^H Hbar_k w_R = d_k + e_k |a_k^H w_R|^2
 
 where X_kj is the fourth-moment excess of user k's channel seen through
-A_j.  The coefficients are validated elsewhere against a brute-force
-Monte-Carlo estimate of the same variance decomposition (see
+A_j.  All of these come from the K x K cores of the
+:class:`jcsim.lowrank.IdentityPlusLowRank` stacks that
+:func:`jcsim.estimation.training_statistics` builds: traces are
+N x + tr(B G), and tr(C_j Hbar_k) = d_k tr C_j + e_k a_k^H C_j a_k with the
+forms a_k^H M a_k on the diagonal of U^H M U.  No N x N matrix is formed.
+The imaginary-residue checks (``REAL_TOL``), the clamp of the diagonal
+cancellation (``DIAG_CLAMP_TOL``) and the sign check of the leakage run on
+those K x K values.  The coefficients are validated elsewhere against a
+brute-force Monte-Carlo estimate of the same variance decomposition (see
 :mod:`jcsim.validation`).
 """
 
@@ -30,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArrayGeometry, steering_vector
-from .channel import ChannelModelKind, ChannelStats
-from .estimation import Estimator, PilotBook, correlation_matrices, linear_filters
+from .array import ArrayGeometry
+from .channel import ChannelStats
+from .estimation import Estimator, PilotBook, TrainingStatistics, training_statistics
+from .lowrank import IdentityPlusLowRank
 
 __all__ = [
     "RateCoefficients",
@@ -48,6 +57,7 @@ __all__ = [
 
 REAL_TOL = 1e-9
 DIAG_CLAMP_TOL = 1e-9
+FILTER_RTOL = 1e-9
 
 
 class NumericalConsistencyError(ArithmeticError):
@@ -110,31 +120,26 @@ def _real_checked(value, what: str, scale=None) -> np.ndarray:
 
 
 def fourth_moment_excess(
-    stats: ChannelStats, geom: ArrayGeometry, filters: np.ndarray
+    diffuse: np.ndarray, specular: np.ndarray, filters: IdentityPlusLowRank
 ) -> np.ndarray:
-    """Excess of E|h^H A^H h|^2 over tr(A^H Hbar A Hbar), per filter A.
+    """Excess of E|h_k^H A_j^H h_k|^2 over tr(A_j^H Hbar_k A_j Hbar_k), as X[k, j].
 
-    ``filters`` is one N x N filter or a stack of them; the result has the
-    stack's shape.  This is the pilot contamination term of the
-    interference coefficients.  Zero for pure LoS channels; for Rayleigh
-    and Rice it reduces to squared-trace expressions of the filter.
+    User k has Hbar_k = d_k I + e_k a_k a_k^H with a_k column k of the
+    filters' basis; ``filters`` is the stack of A_j.  This is the pilot
+    contamination term of the interference coefficients:
+
+        X_kj = d_k^2 |tr A_j|^2 + 2 d_k e_k Re(a_k^H A_j a_k conj(tr A_j)),
+
+    zero for pure LoS channels (d = 0).
     """
-    filters = np.asarray(filters)
-    if stats.kind is ChannelModelKind.LOS:
-        return np.zeros(filters.shape[:-2])
-    k = stats.k_factor if stats.kind is ChannelModelKind.RICE else 0.0
-    c = stats.beta / (k + 1.0)
-    trace = np.trace(filters, axis1=-2, axis2=-1)
-    value = np.abs(trace) ** 2
-    if k > 0:
-        a = steering_vector(geom, stats.angles)
-        quad = (filters @ a) @ a.conj()
-        value = value + 2.0 * k * (quad * np.conj(trace)).real
-    return c**2 * value
+    trace = filters.trace()  # (j,)
+    quad = np.diagonal(filters.in_basis(), axis1=-2, axis2=-1).T  # (k, j): a_k^H A_j a_k
+    d, e = np.asarray(diffuse)[:, None], np.asarray(specular)[:, None]
+    return d**2 * np.abs(trace) ** 2 + 2.0 * d * e * (quad * np.conj(trace)).real
 
 
 def mean_gain_and_energy(
-    hbars: np.ndarray, filters: np.ndarray, covs: np.ndarray, powers: np.ndarray
+    statistics: TrainingStatistics, powers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-user mean gain E[h^H h_hat] and mean energy E||h_hat||^2.
 
@@ -144,20 +149,13 @@ def mean_gain_and_energy(
     for PM the estimate carries extra contamination-plus-noise energy, so
     energy > gain.
     """
-    trace_ah = np.sum(filters.conj() * hbars, axis=(-2, -1))  # tr(A^H Hbar)
+    trace_ah = (statistics.filters.H @ statistics.hbar).trace()  # tr(A^H Hbar)
     gains = np.sqrt(powers) * _real_checked(trace_ah, "tr(A^H Hbar)")
-    energy = _real_checked(np.trace(covs, axis1=-2, axis2=-1), "tr(C)")
+    energy = _real_checked(statistics.covariances.trace(), "tr(C)")
     return gains, energy
 
 
-def interference_matrix(
-    all_stats: list[ChannelStats],
-    geom: ArrayGeometry,
-    book: PilotBook,
-    hbars: np.ndarray,
-    filters: np.ndarray,
-    covs: np.ndarray,
-) -> np.ndarray:
+def interference_matrix(book: PilotBook, statistics: TrainingStatistics) -> np.ndarray:
     """K x K interference coefficients xi_kj.
 
     Row k, column j is the variance (per unit power) that user j's stream
@@ -165,13 +163,14 @@ def interference_matrix(
     mean gain, leaving only the gain fluctuation.  Tiny negative values
     from that cancellation are clamped at zero; larger ones raise.
     """
-    gains, energy = mean_gain_and_energy(hbars, filters, covs, book.powers)
+    gains, energy = mean_gain_and_energy(statistics, book.powers)
     useful = gains**2 / energy
     cross = np.abs(book.gram()) ** 2
-    base = _real_checked(
-        np.einsum("jab,kba->kj", covs, hbars, optimize=True), "tr(C Hbar)"
-    )
-    excess = np.stack([fourth_moment_excess(s, geom, filters) for s in all_stats])
+    covs = statistics.covariances
+    quad = np.diagonal(covs.in_basis(), axis1=-2, axis2=-1).T  # (k, j): a_k^H C_j a_k
+    d, e = statistics.diffuse[:, None], statistics.specular[:, None]
+    base = _real_checked(d * covs.trace() + e * quad, "tr(C Hbar)")
+    excess = fourth_moment_excess(statistics.diffuse, statistics.specular, statistics.filters)
     xi = (base + book.powers[:, None] * cross * excess) / energy[None, :]
     xi[np.diag_indices_from(xi)] -= useful
 
@@ -184,20 +183,31 @@ def interference_matrix(
     return np.clip(xi, 0.0, None)
 
 
-def radar_leakage(hbars: np.ndarray, radar_beam: np.ndarray) -> np.ndarray:
-    """Quadratic forms w_R^H Hbar_k w_R: radar power leaking onto each user.
-
-    ``hbars`` is one correlation matrix or a stack of them.
-    """
+def radar_leakage(hbar: IdentityPlusLowRank, radar_beam: np.ndarray) -> np.ndarray:
+    """Quadratic forms w_R^H Hbar_k w_R: radar power leaking onto each user."""
     if not np.isclose(np.linalg.norm(radar_beam), 1.0, atol=1e-6):
         raise ValueError("radar beam must be unit norm")
     # The quadratic form can be arbitrarily close to zero (nulled beam), so
     # residues are judged against the matrix scale, not the value itself.
-    scale = np.trace(hbars, axis1=-2, axis2=-1).real
-    value = _real_checked((hbars @ radar_beam) @ radar_beam.conj(), "radar leakage", scale)
+    scale = hbar.trace().real
+    value = _real_checked(hbar.quadratic_form(radar_beam), "radar leakage", scale)
     if np.any(value < -REAL_TOL * scale):
         raise NumericalConsistencyError(f"radar leakage negative: {np.min(value):.3e}")
     return np.maximum(value, 0.0)
+
+
+def _check_filters(e_matrices, filters: IdentityPlusLowRank) -> None:
+    """Raise ValueError unless dense filters match the structured ones to FILTER_RTOL."""
+    given = np.asarray(e_matrices)
+    expected = filters.dense()
+    if given.shape != expected.shape:
+        raise ValueError(f"e_matrices must have shape {expected.shape}, got {given.shape}")
+    error = np.linalg.norm(given - expected, axis=(-2, -1))
+    if np.any(error > FILTER_RTOL * np.linalg.norm(expected, axis=(-2, -1))):
+        raise ValueError(
+            "e_matrices differ from the estimator's filters for these statistics "
+            f"(largest difference {error.max():.3e})"
+        )
 
 
 def build_rate_coefficients(
@@ -211,24 +221,31 @@ def build_rate_coefficients(
     bandwidth: float,
     tau_c: int,
     e_matrices: np.ndarray | tuple | None = None,
+    statistics: TrainingStatistics | None = None,
 ) -> RateCoefficients:
     """Assemble every coefficient of the rate bound for one scenario.
 
-    ``e_matrices`` are the per-user filters A_k of the estimate, as in
-    ``EstimationOutput.e_matrices``; when omitted they are built for
-    ``estimator`` from the statistics.
+    ``statistics`` are the structured correlations and filters of the
+    estimate, as in ``EstimationOutput.statistics``; when omitted they are
+    built for ``estimator`` from the channel statistics.  ``e_matrices``,
+    dense per-user filters A_k as in ``EstimationOutput.e_matrices``, are
+    only checked: they must match the structured filters to a relative
+    1e-9 per user, else ValueError.  The coefficients always come from
+    the structured form.
     """
-    if e_matrices is None:
-        filters = linear_filters(book, all_stats, geom, noise_var_ul, estimator)
-    else:
-        filters = np.asarray(e_matrices)
-    hbars, ry = correlation_matrices(book, all_stats, geom, noise_var_ul)
-    covs = np.conj(np.swapaxes(filters, -1, -2)) @ ry @ filters  # C_j = E[h_hat_j h_hat_j^H]
-    gains, energy = mean_gain_and_energy(hbars, filters, covs, book.powers)
+    if statistics is None:
+        statistics = training_statistics(book, all_stats, geom, noise_var_ul, estimator)
+    elif statistics.estimator is not estimator:
+        raise ValueError(
+            f"statistics are for {statistics.estimator.value}, not {estimator.value}"
+        )
+    if e_matrices is not None:
+        _check_filters(e_matrices, statistics.filters)
+    gains, energy = mean_gain_and_energy(statistics, book.powers)
     return RateCoefficients(
         signal_gain=gains**2 / energy,
-        interference=interference_matrix(all_stats, geom, book, hbars, filters, covs),
-        radar_leakage=radar_leakage(hbars, radar_beam),
+        interference=interference_matrix(book, statistics),
+        radar_leakage=radar_leakage(statistics.hbar, radar_beam),
         noise_var=noise_var_dl,
         bandwidth=bandwidth,
         tau_c=tau_c,

@@ -6,6 +6,7 @@ cross-check and not a tautology.
 """
 
 import numpy as np
+import scipy.linalg
 
 from jcsim.array import steering_vector
 from jcsim.beamform import BeamformerSet, RadarBeamKind, matched_beam, pbr_beam, zfr_beam
@@ -165,6 +166,27 @@ def grid_search_max_min(coeffs, sir, budget, rho_star, step=1e-3):
     min_sinr = sinr_all.min(axis=1)
     best = int(np.argmax(min_sinr))
     return float(min_sinr[best]), eta_users[best], float(eta_radar[best])
+
+
+def correlation_matrices_oracle(book, all_stats, geom, noise_var):
+    """Dense Hbar_k and R_{y,k}, each a (K, N_A, N_A) stack.
+
+    R_{y,k} collects every user's Hbar_i weighted by its pilot power and its
+    squared pilot cross-correlation with user k, plus the noise floor.
+    """
+    hbars = np.stack([hbar_matrix(s, geom) for s in all_stats])
+    weights = (book.powers[:, None] * np.abs(book.gram()) ** 2).T  # (k, i)
+    ry = np.tensordot(weights, hbars, axes=1)
+    ry += noise_var * np.eye(geom.n_elements)
+    return hbars, ry
+
+
+def lmmse_filters_oracle(hbars, ry, powers):
+    """Dense LMMSE filters sqrt(p_k) R_{y,k}^{-1} Hbar_k by Hermitian solves."""
+    return np.stack([
+        np.sqrt(p) * scipy.linalg.solve(r, h, assume_a="pos")
+        for h, r, p in zip(hbars, ry, powers)
+    ])
 
 
 def fourth_moment_excess_oracle(stats, geom, filter_matrix=None):

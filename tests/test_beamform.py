@@ -10,7 +10,7 @@ from jcsim.beamform import (
     pbr_beam,
     zfr_beam,
 )
-from jcsim.estimation import linear_filters
+from jcsim.estimation import training_statistics
 from jcsim.harness.config import desk_preset
 from jcsim.harness.scenario import draw_scan_direction, realize_scenario
 from jcsim.validation import draw_channel_batch, estimate_batch
@@ -120,9 +120,9 @@ class TestZfrBeam:
         rng = np.random.default_rng([cfg.seed, 0x2F])
         real = realize_scenario(cfg, rng)
         direction = draw_scan_direction(cfg, rng)
-        filters = linear_filters(
+        filters = training_statistics(
             real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
-        )
+        ).filters.dense()
         h = draw_channel_batch(list(real.stats), real.geom, 64, rng)
         stack = estimate_batch(h, real.book, real.noise_var_ul, filters, rng).swapaxes(0, 1)
         assert real.book.tau_p < real.book.n_users

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from jcsim.array import ArrayGeometry, Direction
 from jcsim.channel import ChannelModelKind, ChannelStats, draw_user_channel, hbar_matrix
 from jcsim.estimation import (
+    EstimationError,
     Estimator,
     PilotBook,
     correlate,
@@ -11,7 +14,12 @@ from jcsim.estimation import (
     lmmse_matrices,
     pm_estimate,
     training_observation,
+    training_statistics,
 )
+from jcsim.harness.config import desk_preset
+from jcsim.harness.scenario import realize_scenario
+from jcsim.lowrank import IdentityPlusLowRank
+from oracles import correlation_matrices_oracle, lmmse_filters_oracle
 
 GEOM = ArrayGeometry.half_wavelength(4, 4, 0.1)
 DIR = Direction(azimuth=0.4, elevation=1.3)
@@ -294,3 +302,102 @@ class TestEstimateAll:
         # Identical inputs give identical outputs.
         out_again = estimate_all(y, book, stats, GEOM, 1e-3, Estimator.LMMSE)
         np.testing.assert_array_equal(out_lm.estimates, out_again.estimates)
+
+
+DIR2 = Direction(azimuth=-0.7, elevation=1.1)
+DIR3 = Direction(azimuth=1.2, elevation=1.6)
+
+
+def channel(kind, beta, angles, k_factor=0.0):
+    return ChannelStats(beta=beta, kind=kind, angles=angles, k_factor=k_factor)
+
+
+def desk_reuse_case():
+    cfg = desk_preset().replace(channel_model="rice")
+    real = realize_scenario(cfg, np.random.default_rng([cfg.seed, 0x5A]))
+    assert real.book.tau_p == 2 < real.book.n_users
+    return real.book, list(real.stats), real.geom, real.noise_var_ul
+
+
+LOS, RAY, RICE = ChannelModelKind.LOS, ChannelModelKind.RAYLEIGH, ChannelModelKind.RICE
+STRUCTURE_CASES = {
+    "los_only": lambda: (
+        PilotBook.dft(3, 2, power=0.1),
+        [channel(LOS, 1.0, DIR), channel(LOS, 0.5, DIR2), channel(LOS, 2.0, DIR3)],
+        GEOM,
+        0.05,
+    ),
+    "rayleigh_only": lambda: (
+        PilotBook.dft(3, 2, power=0.1),
+        [channel(RAY, b, d) for b, d in ((0.5, DIR), (1.0, DIR2), (2.0, DIR3))],
+        GEOM,
+        0.05,
+    ),
+    # Users 0 and 2 share a pilot and an angle: U^H U is singular.
+    "same_angle": lambda: (
+        PilotBook.dft(3, 2, power=0.1),
+        [channel(LOS, 1.0, DIR), channel(RAY, 0.8, DIR2), channel(RICE, 0.6, DIR, 2.0)],
+        GEOM,
+        0.05,
+    ),
+    "desk_pilot_reuse": desk_reuse_case,
+    "no_shared_pilot": lambda: (
+        PilotBook.dft(3, 3, power=0.2),
+        [channel(RICE, 1.0, DIR, 3.0), channel(LOS, 0.4, DIR2), channel(RAY, 1.5, DIR3)],
+        GEOM,
+        0.02,
+    ),
+}
+
+
+def assert_stack_matches(stack, dense, rtol=1e-10):
+    """Each matrix of ``stack`` within ``rtol`` of its dense counterpart, in Frobenius norm."""
+    error = np.linalg.norm(stack.dense() - dense, axis=(-2, -1))
+    assert np.all(error <= rtol * np.linalg.norm(dense, axis=(-2, -1))), error
+
+
+class TestStructuredAgainstDenseOracle:
+    """Hbar_k, R_{y,k}, A_k and C_k of the x I + U B U^H stacks against dense algebra."""
+
+    @pytest.mark.parametrize("estimator", [Estimator.PM, Estimator.LMMSE])
+    @pytest.mark.parametrize("case", sorted(STRUCTURE_CASES))
+    def test_stacks_match_dense(self, case, estimator):
+        book, stats, geom, noise_var = STRUCTURE_CASES[case]()
+        got = training_statistics(book, stats, geom, noise_var, estimator)
+        hbars, ry = correlation_matrices_oracle(book, stats, geom, noise_var)
+        if estimator is Estimator.PM:
+            filters = np.broadcast_to(np.eye(geom.n_elements), hbars.shape) / np.sqrt(
+                book.powers
+            )[:, None, None]
+        else:
+            filters = lmmse_filters_oracle(hbars, ry, book.powers)
+        covs = np.conj(np.swapaxes(filters, -1, -2)) @ ry @ filters
+        assert_stack_matches(got.hbar, hbars)
+        assert_stack_matches(got.ry, ry)
+        assert_stack_matches(got.filters, filters)
+        assert_stack_matches(got.covariances, covs)
+
+    def test_same_angle_basis_is_rank_deficient(self):
+        book, stats, geom, noise_var = STRUCTURE_CASES["same_angle"]()
+        gram = training_statistics(book, stats, geom, noise_var, Estimator.LMMSE).hbar.gram
+        assert np.linalg.matrix_rank(gram) == 2
+
+    def test_lmmse_matrices_are_the_dense_stacks(self):
+        book, stats, geom, noise_var = STRUCTURE_CASES["desk_pilot_reuse"]()
+        e_list, ry_list = lmmse_matrices(book, stats, geom, noise_var)
+        got = training_statistics(book, stats, geom, noise_var, Estimator.LMMSE)
+        np.testing.assert_array_equal(np.stack(e_list), got.filters.dense())
+        np.testing.assert_array_equal(np.stack(ry_list), got.ry.dense())
+
+    def test_corrupted_core_trips_residual_check(self, monkeypatch):
+        book, stats, geom, noise_var = STRUCTURE_CASES["no_shared_pilot"]()
+        training_statistics(book, stats, geom, noise_var, Estimator.LMMSE)
+        solve = IdentityPlusLowRank.solve
+
+        def corrupted(self, other):
+            out = solve(self, other)
+            return dataclasses.replace(out, core=out.core * (1.0 + 1e-6))
+
+        monkeypatch.setattr(IdentityPlusLowRank, "solve", corrupted)
+        with pytest.raises(EstimationError, match="residual"):
+            training_statistics(book, stats, geom, noise_var, Estimator.LMMSE)

@@ -172,6 +172,18 @@ class TestRateExperiment:
         assert len(maxmin) == cfg.n_users
         assert all(r["rate_bps"] > 0 for r in maxmin)
 
+    def test_massive_array_scenario(self):
+        """N_A = 256 (16 x 16) and K = 32 users, Rice, LMMSE, ZFR."""
+        cfg = table1_preset().replace(
+            n_y=16, n_z=16, n_users=32, channel_model="rice", estimator="lmmse", radar_beam="zfr"
+        )
+        result = run_rate_experiment(cfg, n_scenarios=1)
+        assert result.failures == []
+        assert {r["allocator"] for r in result.rows} == {"uniform", "maxmin"}
+        assert len(result.rows) == 2 * 32
+        rates = result.column("rate_bps")
+        assert np.all(np.isfinite(rates)) and np.all(rates > 0)
+
     def test_csv_and_manifest_round_trip(self, tmp_path):
         result = run_rate_experiment(small_rate_cfg())
         csv_path = tmp_path / "rates.csv"

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from jcsim import poweralloc
 from jcsim.poweralloc import (
     AllocationInfeasibleError,
     PowerAllocation,
     RadarSirCoefficients,
+    SolverError,
     max_min_allocate,
     uniform_allocate,
 )
@@ -167,3 +169,44 @@ class TestPowerAllocation:
     def test_sir_gains_validation(self):
         with pytest.raises(ValueError):
             RadarSirCoefficients(radar_gain=-1.0, user_gains=np.array([0.0]))
+
+
+def badly_scaled_instance(rng):
+    """K <= 10, gains over 14 decades, 30% zero couplings, the rest over 16 decades."""
+    k = int(rng.integers(1, 11))
+
+    def sparse(shape, low, high):
+        values = 10.0 ** rng.uniform(low, high, size=shape)
+        return np.where(rng.uniform(size=shape) < 0.3, 0.0, values)
+
+    coeffs = make_coeffs(
+        10.0 ** rng.uniform(-14.0, 0.0, size=k),
+        sparse((k, k), -18.0, -2.0),
+        sparse(k, -18.0, -2.0),
+        noise_var=10.0 ** rng.uniform(-16.0, -8.0),
+    )
+    sir = RadarSirCoefficients(
+        radar_gain=10.0 ** rng.uniform(0.0, 2.0), user_gains=sparse(k, -4.0, 1.0)
+    )
+    return coeffs, sir, 10.0 ** rng.uniform(-6.0, -2.0), 10.0 ** rng.uniform(-1.0, 1.0)
+
+
+def sinr_imbalance(coeffs, sir, budget, rho_star):
+    """max/min - 1 of the allocated SINRs; inf when the solver gives no vector."""
+    try:
+        values = sinr(coeffs, max_min_allocate(coeffs, sir, budget, rho_star))
+    except SolverError:
+        return np.inf
+    return values.max() / values.min() - 1.0
+
+
+class TestPerronPolish:
+    def test_power_steps_balance_badly_scaled_problems(self, monkeypatch):
+        rng = np.random.default_rng(20_000)
+        problems = [badly_scaled_instance(rng) for _ in range(3_000)]
+        polished = np.array([sinr_imbalance(*p) for p in problems])
+        monkeypatch.setattr(poweralloc, "PERRON_POLISH_STEPS", 0)
+        raw = np.array([sinr_imbalance(*p) for p in problems])
+        assert polished.max() <= 1e-8
+        # Near balance both are round-off: a few ulps of 1 either way.
+        assert np.all(polished <= np.maximum(raw, 1e-14))

@@ -12,8 +12,10 @@ from jcsim.estimation import (
     estimate_all,
     lmmse_matrices,
     training_observation,
+    training_statistics,
 )
 from jcsim.harness.config import desk_preset, table1_preset
+from jcsim.harness.experiments import run_rate_experiment
 from jcsim.harness.scenario import draw_scan_direction, realize_scenario
 from jcsim.rate import (
     RateCoefficients,
@@ -29,11 +31,26 @@ from oracles import dense_rate_coefficients
 GEOM = ArrayGeometry.half_wavelength(4, 4, 0.1)
 DIR = Direction(azimuth=0.3, elevation=1.2)
 DIR2 = Direction(azimuth=-0.9, elevation=1.4)
-EYE = np.eye(16, dtype=complex)
 
 
 def stats_of(kind, beta=1.0, k_factor=0.0, angles=DIR):
     return ChannelStats(beta=beta, kind=kind, angles=angles, k_factor=k_factor)
+
+
+def pm_statistics(stats):
+    """Structured statistics of ``stats`` with unit-power orthogonal pilots: A = I."""
+    book = PilotBook.dft(len(stats), len(stats), power=1.0)
+    return training_statistics(book, stats, GEOM, 0.1, Estimator.PM)
+
+
+def excess_through_identity(stats, factors=(1.0,)):
+    """X[0, j] of one user seen through the filters factors[j] * I."""
+    t = pm_statistics([stats])
+    return fourth_moment_excess(t.diffuse, t.specular, t.filters * np.asarray(factors))[0]
+
+
+def hbar_of(stats):
+    return pm_statistics([stats]).hbar
 
 
 def coefficients(stats, book, estimator, noise_var, e_matrices=None):
@@ -46,18 +63,18 @@ def coefficients(stats, book, estimator, noise_var, e_matrices=None):
 class TestFourthMomentExcess:
     def test_los_is_zero(self):
         stats = stats_of(ChannelModelKind.LOS, beta=2.0)
-        assert fourth_moment_excess(stats, GEOM, EYE) == 0.0
-        assert fourth_moment_excess(stats, GEOM, np.stack([EYE, 2.0 * EYE])).tolist() == [0, 0]
+        assert excess_through_identity(stats) == 0.0
+        assert excess_through_identity(stats, (1.0, 2.0)).tolist() == [0, 0]
 
     def test_rayleigh_pilot_matched_value(self):
         stats = stats_of(ChannelModelKind.RAYLEIGH, beta=2.0)
-        assert np.isclose(fourth_moment_excess(stats, GEOM, EYE), 4.0 * 256.0, rtol=1e-12)
+        assert np.isclose(excess_through_identity(stats), 4.0 * 256.0, rtol=1e-12)
 
     def test_rice_zero_factor_equals_rayleigh(self):
         rice = stats_of(ChannelModelKind.RICE, beta=1.3, k_factor=0.0)
         ray = stats_of(ChannelModelKind.RAYLEIGH, beta=1.3)
         assert np.isclose(
-            fourth_moment_excess(rice, GEOM, EYE), fourth_moment_excess(ray, GEOM, EYE), rtol=1e-12
+            excess_through_identity(rice), excess_through_identity(ray), rtol=1e-12
         )
 
 
@@ -68,7 +85,7 @@ class TestRadarLeakage:
         for _ in range(5):
             w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             w /= np.linalg.norm(w)
-            assert np.isclose(radar_leakage(hbar_matrix(stats, GEOM), w), 0.7, rtol=1e-12)
+            assert np.isclose(radar_leakage(hbar_of(stats), w), 0.7, rtol=1e-12)
 
     def test_los_nulled_beam_leaks_nothing(self):
         stats = stats_of(ChannelModelKind.LOS, beta=1.0)
@@ -77,7 +94,7 @@ class TestRadarLeakage:
         w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         w = w - a * (a.conj() @ w) / (a.conj() @ a)
         w /= np.linalg.norm(w)
-        assert radar_leakage(hbar_matrix(stats, GEOM), w) <= 1e-12 * 16
+        assert radar_leakage(hbar_of(stats), w) <= 1e-12 * 16
 
     def test_rice_matches_dense_quadratic_form(self):
         stats = stats_of(ChannelModelKind.RICE, beta=0.9, k_factor=2.5)
@@ -89,12 +106,12 @@ class TestRadarLeakage:
         for i in range(16):
             for j in range(16):
                 ref += (w[i].conjugate() * hbar[i, j] * w[j]).real
-        assert np.isclose(radar_leakage(hbar, w), ref, rtol=1e-10)
+        assert np.isclose(radar_leakage(hbar_of(stats), w), ref, rtol=1e-10)
 
     def test_requires_unit_norm(self):
         stats = stats_of(ChannelModelKind.RAYLEIGH)
         with pytest.raises(ValueError):
-            radar_leakage(hbar_matrix(stats, GEOM), np.ones(16, dtype=complex))
+            radar_leakage(hbar_of(stats), np.ones(16, dtype=complex))
 
 
 class TestScalarSpecializations:
@@ -320,3 +337,61 @@ class TestRateFunction:
         coeffs = self.make_coeffs()
         with pytest.raises(ValueError):
             sinr(coeffs, (np.array([-1.0, 0.0]), 0.0))
+
+
+class TestTable1LineOfSight:
+    @pytest.mark.parametrize("estimator", ["pm", "lmmse"])
+    def test_sweep_with_near_orthogonal_users_completes(self, estimator):
+        """Table1 LoS sweeps, ZFR, 50 scenarios.
+
+        Trials 7, 14, 19 and 49 hold LoS users nearly orthogonal to the strong
+        users' steering vectors; dense traces left imaginary residues up to
+        4.9e-6 of tr(C_j Hbar_k) there and the sweep aborted.
+        """
+        cfg = table1_preset().replace(channel_model="los", estimator=estimator, radar_beam="zfr")
+        result = run_rate_experiment(cfg, 50)
+        trials = result.column("trial", allocator="uniform")
+        assert sorted(set(trials.tolist())) == list(range(50))
+        rates = result.column("rate_bps")
+        assert np.all(np.isfinite(rates)) and np.all(rates > 0)
+
+
+class TestDenseFilterArgument:
+    """``e_matrices`` is only checked against the structured filters."""
+
+    NOISE = 0.02
+
+    def setup_method(self):
+        self.book = PilotBook.dft(3, 2, power=0.1)
+        self.stats = [
+            stats_of(ChannelModelKind.RICE, beta=1.0, k_factor=2.0),
+            stats_of(ChannelModelKind.LOS, beta=0.5, angles=DIR2),
+            stats_of(ChannelModelKind.RAYLEIGH, beta=2.0),
+        ]
+
+    def test_matching_filters_give_the_structured_coefficients(self):
+        e_list, _ = lmmse_matrices(self.book, self.stats, GEOM, self.NOISE)
+        dense = coefficients(self.stats, self.book, Estimator.LMMSE, self.NOISE, tuple(e_list))
+        plain = coefficients(self.stats, self.book, Estimator.LMMSE, self.NOISE)
+        for field in ("signal_gain", "interference", "radar_leakage"):
+            np.testing.assert_array_equal(getattr(dense, field), getattr(plain, field))
+
+    def test_mismatched_filters_rejected(self):
+        e_list, _ = lmmse_matrices(self.book, self.stats, GEOM, self.NOISE)
+        off = np.stack(e_list)
+        off[1] *= 1.0 + 1e-7
+        with pytest.raises(ValueError, match="differ"):
+            coefficients(self.stats, self.book, Estimator.LMMSE, self.NOISE, off)
+        pm_filters = np.broadcast_to(np.eye(16), (3, 16, 16)) / np.sqrt(0.1)
+        with pytest.raises(ValueError, match="differ"):
+            coefficients(self.stats, self.book, Estimator.LMMSE, self.NOISE, pm_filters)
+        with pytest.raises(ValueError, match="shape"):
+            coefficients(self.stats, self.book, Estimator.LMMSE, self.NOISE, np.stack(e_list)[:2])
+
+    def test_statistics_of_another_estimator_rejected(self):
+        pm = training_statistics(self.book, self.stats, GEOM, self.NOISE, Estimator.PM)
+        with pytest.raises(ValueError, match="statistics"):
+            build_rate_coefficients(
+                self.stats, GEOM, self.book, Estimator.LMMSE, pbr_beam(GEOM, DIR2),
+                self.NOISE, 0.1, bandwidth=1e6, tau_c=200, statistics=pm,
+            )

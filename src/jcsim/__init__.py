@@ -8,6 +8,7 @@ from .beamform import (
     RadarBeamKind,
     matched_beam,
     pbr_beam,
+    radar_beam,
     zfr_beam,
 )
 from .channel import (
@@ -15,8 +16,7 @@ from .channel import (
     ChannelStats,
     LogDistancePathLoss,
     TargetChannel,
-    UserChannel,
-    draw_user_channel,
+    draw_channels,
     hbar_matrix,
     k_factor_from_los_probability,
     los_probability,
@@ -25,9 +25,8 @@ from .channel import (
 from .estimation import (
     Estimator,
     PilotBook,
-    estimate_all,
-    pm_estimate,
-    training_observation,
+    estimate,
+    training_statistics,
 )
 from .poweralloc import (
     AllocationInfeasibleError,
@@ -66,22 +65,21 @@ __all__ = [
     "RadarBeamKind",
     "matched_beam",
     "pbr_beam",
+    "radar_beam",
     "zfr_beam",
     "ChannelModelKind",
     "ChannelStats",
     "LogDistancePathLoss",
     "TargetChannel",
-    "UserChannel",
-    "draw_user_channel",
+    "draw_channels",
     "hbar_matrix",
     "k_factor_from_los_probability",
     "los_probability",
     "target_alpha",
     "Estimator",
     "PilotBook",
-    "estimate_all",
-    "pm_estimate",
-    "training_observation",
+    "estimate",
+    "training_statistics",
     "AllocationInfeasibleError",
     "PowerAllocation",
     "RadarSirCoefficients",

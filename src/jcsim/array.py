@@ -8,6 +8,7 @@ slowest.  Every module in the package relies on this ordering.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,16 @@ class ArrayGeometry:
     def wavenumber(self) -> float:
         return 2.0 * np.pi / self.wavelength
 
+    @cached_property
+    def element_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Horizontal and vertical index (a_y, a_z) of every element, in vector order.
+
+        Computed once per geometry and shared by every call, so read-only.
+        """
+        a_y, a_z = np.divmod(np.arange(self.n_elements), self.n_z)
+        a_y.flags.writeable = a_z.flags.writeable = False
+        return a_y, a_z
+
 
 def steering_vector(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
     """Planar-array response vector for the given direction.
@@ -86,8 +97,7 @@ def steering_vector(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
     np.ndarray
         Complex vector of length ``geom.n_elements``, horizontal-index-major.
     """
-    a_y = np.repeat(np.arange(geom.n_y), geom.n_z)
-    a_z = np.tile(np.arange(geom.n_z), geom.n_y)
+    a_y, a_z = geom.element_indices
     phase = geom.wavenumber * geom.spacing_d * (
         a_y * np.sin(direction.azimuth) * np.sin(direction.elevation)
         + a_z * np.cos(direction.elevation)

@@ -19,6 +19,7 @@ __all__ = [
     "matched_beam",
     "pbr_beam",
     "zfr_beam",
+    "radar_beam",
 ]
 
 RANK_TOL = 1e-10
@@ -114,3 +115,19 @@ def zfr_beam(
             "surveillance direction lies in the span of the estimated channels"
         )
     return projected / norm
+
+
+def radar_beam(
+    kind: RadarBeamKind,
+    geom: ArrayGeometry,
+    direction: Direction,
+    estimated_channels: np.ndarray | None,
+) -> np.ndarray:
+    """The radar beam of ``kind``: PBR ignores the estimates, ZFR nulls them.
+
+    ``estimated_channels`` is what :func:`zfr_beam` takes; with a stack of
+    estimates the PBR beam is the single shared beam.
+    """
+    if kind is RadarBeamKind.PBR:
+        return pbr_beam(geom, direction)
+    return zfr_beam(geom, direction, estimated_channels)

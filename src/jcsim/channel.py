@@ -17,14 +17,13 @@ from .array import ArrayGeometry, Direction, steering_vector
 __all__ = [
     "ChannelModelKind",
     "ChannelStats",
-    "UserChannel",
     "TargetChannel",
     "LogDistancePathLoss",
     "los_probability",
     "k_factor_from_los_probability",
     "hbar_weights",
     "hbar_matrix",
-    "draw_user_channel",
+    "draw_channels",
     "target_alpha",
 ]
 
@@ -56,13 +55,6 @@ class ChannelStats:
             raise ValueError("beta must be positive")
         if self.k_factor < 0:
             raise ValueError("k_factor must be nonnegative")
-
-
-@dataclass(frozen=True)
-class UserChannel:
-    h: np.ndarray
-    stats: ChannelStats
-    phase_psi: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -183,23 +175,31 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def draw_user_channel(
-    stats: ChannelStats, geom: ArrayGeometry, rng: np.random.Generator
-) -> UserChannel:
-    """Draw one channel realization consistent with ``stats``."""
-    n = geom.n_elements
-    if stats.kind is ChannelModelKind.RAYLEIGH:
-        h = np.sqrt(stats.beta) * _complex_normal(rng, n)
-        return UserChannel(h=h, stats=stats)
-    a = steering_vector(geom, stats.angles)
-    psi = float(rng.uniform(0.0, 2.0 * np.pi))
-    if stats.kind is ChannelModelKind.LOS:
-        h = np.sqrt(stats.beta) * np.exp(1j * psi) * a
-        return UserChannel(h=h, stats=stats, phase_psi=psi)
-    k = stats.k_factor
-    g = _complex_normal(rng, n)
-    h = np.sqrt(stats.beta / (k + 1.0)) * (np.sqrt(k) * np.exp(1j * psi) * a + g)
-    return UserChannel(h=h, stats=stats, phase_psi=psi)
+def draw_channels(
+    all_stats: list[ChannelStats],
+    geom: ArrayGeometry,
+    n: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """n channel realizations per user, shape (K, n, N_A), consistent with each ``stats``.
+
+    Users draw in order; per user, the LoS phases come before the diffuse part.
+    """
+    n_a = geom.n_elements
+    out = np.empty((len(all_stats), n, n_a), dtype=complex)
+    for k, stats in enumerate(all_stats):
+        if stats.kind is ChannelModelKind.RAYLEIGH:
+            out[k] = np.sqrt(stats.beta) * _complex_normal(rng, (n, n_a))
+            continue
+        psi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        los = np.exp(1j * psi)[:, None] * steering_vector(geom, stats.angles)
+        if stats.kind is ChannelModelKind.LOS:
+            out[k] = np.sqrt(stats.beta) * los
+            continue
+        kf = stats.k_factor
+        g = _complex_normal(rng, (n, n_a))
+        out[k] = np.sqrt(stats.beta / (kf + 1.0)) * (np.sqrt(kf) * los + g)
+    return out
 
 
 def target_alpha(

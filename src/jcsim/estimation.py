@@ -1,9 +1,16 @@
 """Uplink training and channel estimation.
 
-The base station observes a pilot matrix and correlates it against each
-user's pilot sequence.  Both estimators are linear in that statistic,
-h_hat_k = A_k^H y_{p,k}: pilot-matched (PM) estimation is A_k = I / sqrt(p_k)
-and LMMSE is A_k = sqrt(p_k) R_{y,k}^{-1} Hbar_k.
+The base station observes a pilot matrix and projects it onto each
+user's pilot sequence,
+
+    y_{p,k} = sum_i sqrt(p_i) (phi_i^H phi_k) h_i + W phi_k,
+
+with W the (N_A, tau_p) receiver noise.  Both estimators are linear in that
+statistic, h_hat_k = A_k^H y_{p,k}: pilot-matched (PM) estimation is
+A_k = I / sqrt(p_k) and LMMSE is A_k = sqrt(p_k) R_{y,k}^{-1} Hbar_k.
+:func:`estimate` runs this training on a batch of channel draws
+(:func:`jcsim.channel.draw_channels`); a scenario's own estimate is a batch
+of one.
 
 Every matrix of that chain is a scaled identity plus a low-rank term over
 one basis, U = [a_1 ... a_K], the users' steering vectors:
@@ -20,8 +27,8 @@ Monte-Carlo check take them from there.  The LMMSE filter is a Woodbury
 solve with K x K algebra (Bjornson, Hoydis & Sanguinetti, *Massive MIMO
 Networks*, Found. Trends Signal Process., 2017, ch. 3), and its residual
 R_{y,k} A_k - sqrt(p_k) Hbar_k is checked in the same structured algebra.
-No N x N matrix is formed unless a caller asks for one
-(``EstimationOutput.e_matrices``, :func:`lmmse_matrices`).
+The filters are applied in that form too, so no N x N matrix is formed
+unless a caller asks for one (:func:`lmmse_matrices`).
 """
 
 import enum
@@ -31,21 +38,17 @@ from functools import cached_property
 import numpy as np
 
 from .array import ArrayGeometry, steering_vector
-from .channel import ChannelStats, UserChannel, hbar_weights
+from .channel import ChannelStats, hbar_weights
 from .lowrank import IdentityPlusLowRank
 
 __all__ = [
     "Estimator",
     "PilotBook",
     "TrainingStatistics",
-    "EstimationOutput",
     "EstimationError",
-    "training_observation",
-    "correlate",
-    "pm_estimate",
     "training_statistics",
     "lmmse_matrices",
-    "estimate_all",
+    "estimate",
 ]
 
 SOLVE_RESIDUAL_TOL = 1e-9
@@ -129,59 +132,6 @@ class TrainingStatistics:
         return self.filters.H @ self.ry @ self.filters
 
 
-@dataclass(frozen=True)
-class EstimationOutput:
-    """Per-user channel estimates plus the statistics and filters that made them."""
-
-    estimates: np.ndarray  # (K, N_A)
-    statistics: TrainingStatistics
-
-    @property
-    def estimator(self) -> Estimator:
-        return self.statistics.estimator
-
-    @property
-    def e_matrices(self) -> np.ndarray:
-        """The filters A_k as dense N_A x N_A matrices, shape (K, N_A, N_A)."""
-        return self.statistics.filters.dense()
-
-
-def training_observation(
-    channels: list[UserChannel] | np.ndarray,
-    book: PilotBook,
-    noise_var: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Received uplink pilot matrix, (N_A, tau_p).
-
-    Sum over users of sqrt(power_k) h_k phi_k^H plus i.i.d. complex
-    Gaussian noise of variance ``noise_var`` per entry.
-    """
-    h = np.stack([c.h if isinstance(c, UserChannel) else np.asarray(c) for c in channels])
-    if h.shape[0] != book.n_users:
-        raise ValueError("channel count does not match pilot book")
-    n_a = h.shape[1]
-    signal = (np.sqrt(book.powers)[:, None] * h).T @ book.pilots.conj().T
-    noise = np.sqrt(noise_var / 2.0) * (
-        rng.standard_normal((n_a, book.tau_p)) + 1j * rng.standard_normal((n_a, book.tau_p))
-    )
-    return signal + noise
-
-
-def correlate(y_pilot: np.ndarray, book: PilotBook, k: int) -> np.ndarray:
-    """Pilot-correlated statistic y_{p,k} = Y_p phi_k."""
-    if not 0 <= k < book.n_users:
-        raise ValueError("user index out of range")
-    return y_pilot @ book.pilots[:, k]
-
-
-def pm_estimate(y_pk: np.ndarray, pilot_power: float) -> np.ndarray:
-    """Pilot-matched estimate: correlation rescaled by the pilot amplitude."""
-    if pilot_power <= 0:
-        raise ValueError("pilot power must be positive")
-    return y_pk / np.sqrt(pilot_power)
-
-
 def training_statistics(
     book: PilotBook,
     all_stats: list[ChannelStats],
@@ -245,16 +195,26 @@ def lmmse_matrices(
     return list(stats.filters.dense()), list(stats.ry.dense())
 
 
-def estimate_all(
-    y_pilot: np.ndarray,
+def estimate(
+    channels: np.ndarray,
     book: PilotBook,
-    all_stats: list[ChannelStats],
-    geom: ArrayGeometry,
     noise_var: float,
-    estimator: Estimator,
-) -> EstimationOutput:
-    """Estimate every user's channel from one training observation."""
-    statistics = training_statistics(book, all_stats, geom, noise_var, estimator)
-    y = (y_pilot @ book.pilots).T  # row k is y_{p,k}
-    estimates = statistics.filters.H.apply(y[:, None, :])[:, 0, :]
-    return EstimationOutput(estimates=estimates, statistics=statistics)
+    filters: IdentityPlusLowRank,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Train on a (K, n, N_A) channel batch and estimate; h_hat has the same shape.
+
+    Draws the (n, N_A, tau_p) pilot noise W, forms every y_{p,k} and applies
+    the filters A_k of :class:`TrainingStatistics` as h_hat_k = A_k^H y_{p,k}.
+    """
+    n_users, n, n_a = channels.shape
+    if n_users != book.n_users:
+        raise ValueError("channel count does not match pilot book")
+    noise = np.sqrt(noise_var / 2.0) * (
+        rng.standard_normal((n, n_a, book.tau_p))
+        + 1j * rng.standard_normal((n, n_a, book.tau_p))
+    )
+    coupling = np.sqrt(book.powers)[:, None] * book.gram()  # sqrt(p_i) phi_i^H phi_k
+    y = (coupling.T @ channels.reshape(n_users, n * n_a)).reshape(channels.shape)
+    y += np.moveaxis(noise @ book.pilots, -1, 0)
+    return filters.H.apply(y)

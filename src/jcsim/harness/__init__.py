@@ -4,10 +4,10 @@ from .config import ScenarioConfig, desk_preset, table1_preset
 from .experiments import (
     ExperimentResult,
     empirical_cdf,
-    noise_variance,
     run_detection_experiment,
     run_rate_experiment,
 )
+from .scenario import noise_variance
 
 __all__ = [
     "ScenarioConfig",

@@ -20,11 +20,11 @@ import numpy as np
 
 from ..poweralloc import (
     AllocationInfeasibleError,
-    PowerAllocation,
     RadarSirCoefficients,
     SolverError,
     check_problem,
     max_min_allocate,
+    uniform_allocate,
 )
 from ..rate import NumericalConsistencyError, RateCoefficients, rate, sinr
 from .config import PRESETS, ConfigError, ScenarioConfig, dump_config, load_config
@@ -157,9 +157,7 @@ def _cmd_allocate(args) -> int:
         alloc = max_min_allocate(coeffs, sir, budget, rho_star)
     else:
         # Even split of the budget at the requested radar-to-communication ratio.
-        eta_radar = budget * rho_star / (1.0 + rho_star)
-        eta_users = np.full(coeffs.n_users, (budget - eta_radar) / coeffs.n_users)
-        alloc = PowerAllocation(eta_users=eta_users, eta_radar=eta_radar, budget=budget)
+        alloc = uniform_allocate(budget / (1.0 + rho_star), rho_star, coeffs.n_users, 1, 1)
     report = {
         "allocator": allocator,
         "eta_users": alloc.eta_users.tolist(),
@@ -177,35 +175,29 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from ..beamform import RadarBeamKind, pbr_beam, zfr_beam
-    from ..channel import draw_user_channel
-    from ..estimation import estimate_all, training_observation
+    from ..beamform import RadarBeamKind, radar_beam
     from ..rate import build_rate_coefficients
     from ..validation import compare_terms, monte_carlo_rate_terms
-    from .scenario import draw_scan_direction, realize_scenario
+    from .scenario import draw_estimates, draw_scan_direction, realize_scenario
 
     cfg = _scenario_config(args)
     rng = np.random.default_rng([cfg.seed, 0x7A])
     real = realize_scenario(cfg, rng)
     direction = draw_scan_direction(cfg, rng)
     beam_kind = RadarBeamKind(cfg.radar_beam)
-    if beam_kind is RadarBeamKind.PBR:
-        radar_beam = pbr_beam(real.geom, direction)
-    else:
-        channels = [draw_user_channel(s, real.geom, rng) for s in real.stats]
-        y_pilot = training_observation(channels, real.book, real.noise_var_ul, rng)
-        est = estimate_all(
-            y_pilot, real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
-        )
-        radar_beam = zfr_beam(real.geom, direction, est.estimates)
+    # Only the ZFR beam needs estimates; for PBR none are drawn.
+    statistics, estimates = (
+        draw_estimates(real, rng) if beam_kind is RadarBeamKind.ZFR else (None, None)
+    )
+    w_radar = radar_beam(beam_kind, real.geom, direction, estimates)
 
     coeffs = build_rate_coefficients(
-        list(real.stats), real.geom, real.book, real.estimator, radar_beam,
+        list(real.stats), real.geom, real.book, real.estimator, w_radar,
         real.noise_var_ul, real.noise_var_dl,
-        bandwidth=real.frame.bandwidth, tau_c=cfg.tau_c,
+        bandwidth=real.frame.bandwidth, tau_c=cfg.tau_c, statistics=statistics,
     )
     mc = monte_carlo_rate_terms(
-        list(real.stats), real.geom, real.book, real.estimator, radar_beam,
+        list(real.stats), real.geom, real.book, real.estimator, w_radar,
         real.noise_var_ul, args.draws, rng,
     )
     report = compare_terms(mc, coeffs, rtol=args.rtol)

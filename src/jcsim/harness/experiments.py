@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from ..array import steering_vector
-from ..beamform import BeamformerSet, RadarBeamKind, matched_beam, pbr_beam, zfr_beam
-from ..channel import SPEED_OF_LIGHT, draw_user_channel, target_alpha
-from ..estimation import estimate_all, training_observation, training_statistics
+from ..beamform import BeamformerSet, RadarBeamKind, matched_beam, radar_beam
+from ..channel import SPEED_OF_LIGHT, draw_channels, target_alpha
+from ..estimation import estimate, training_statistics
+from ..lowrank import IdentityPlusLowRank
 from ..poweralloc import (
     AllocationInfeasibleError,
     PowerAllocation,
@@ -38,17 +38,15 @@ from ..radar import (
     statistic_map_from_correlation,
 )
 from ..rate import build_rate_coefficients, rate
-from ..validation import draw_channel_batch, estimate_batch
 from .config import ConfigError, ScenarioConfig
-from .experiments_util import binomial_ci, empirical_cdf, noise_variance
-from .scenario import ScenarioRealization, draw_scan_direction, realize_scenario
+from .scenario import ScenarioRealization, draw_estimates, draw_scan_direction, realize_scenario
 
 __all__ = [
     "ExperimentResult",
     "run_rate_experiment",
     "run_detection_experiment",
-    "noise_variance",
     "empirical_cdf",
+    "binomial_ci",
 ]
 
 RATE_FIELDS = ["trial", "user", "allocator", "estimator", "channel_model", "rate_bps", "seed"]
@@ -56,6 +54,21 @@ PD_FIELDS = [
     "range_m", "beam", "allocator", "rcr_db", "pd", "ci_low", "ci_high",
     "n_trials", "threshold", "seed",
 ]
+
+
+def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted samples with empirical probabilities i/n."""
+    values = np.sort(np.asarray(samples, dtype=float))
+    if values.size == 0:
+        raise ValueError("cannot build a CDF from no samples")
+    probs = np.arange(1, values.size + 1) / values.size
+    return values, probs
+
+
+def binomial_ci(p_hat: float, n: int, z: float = 1.96) -> tuple[float, float]:
+    """Normal-approximation confidence interval for a proportion."""
+    half = z * np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+    return max(0.0, p_hat - half), min(1.0, p_hat + half)
 
 
 @dataclass
@@ -90,7 +103,7 @@ class ExperimentResult:
             "config": self.config,
             "n_rows": len(self.rows),
             "failures": self.failures,
-            "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
+            "versions": {"numpy": np.__version__},
         }
         Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -104,12 +117,6 @@ class ExperimentResult:
         return np.asarray(out)
 
 
-def _radar_beam(kind: RadarBeamKind, geom, direction, estimates):
-    if kind is RadarBeamKind.PBR:
-        return pbr_beam(geom, direction)
-    return zfr_beam(geom, direction, estimates)
-
-
 def run_rate_experiment(
     cfg: ScenarioConfig, n_scenarios: int | None = None
 ) -> ExperimentResult:
@@ -120,17 +127,13 @@ def run_rate_experiment(
     for trial in range(n_scenarios):
         rng = np.random.default_rng([cfg.seed, trial])
         real = realize_scenario(cfg, rng)
-        channels = [draw_user_channel(s, real.geom, rng) for s in real.stats]
-        y_pilot = training_observation(channels, real.book, real.noise_var_ul, rng)
-        est = estimate_all(
-            y_pilot, real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
-        )
+        statistics, estimates = draw_estimates(real, rng)
         radar_dir = draw_scan_direction(cfg, rng)
-        user_beams = np.stack([matched_beam(h) for h in est.estimates])
-        radar_beam = _radar_beam(beam_kind, real.geom, radar_dir, est.estimates)
+        user_beams = np.stack([matched_beam(h) for h in estimates])
+        w_radar = radar_beam(beam_kind, real.geom, radar_dir, estimates)
         beams = BeamformerSet(
             user_beams=user_beams,
-            radar_beam=radar_beam,
+            radar_beam=w_radar,
             radar_kind=beam_kind,
             radar_direction=radar_dir,
         )
@@ -139,12 +142,12 @@ def run_rate_experiment(
             real.geom,
             real.book,
             real.estimator,
-            radar_beam,
+            w_radar,
             real.noise_var_ul,
             real.noise_var_dl,
             bandwidth=real.frame.bandwidth,
             tau_c=cfg.tau_c,
-            statistics=est.statistics,
+            statistics=statistics,
         )
         sir = RadarSirCoefficients.from_beams(real.geom, radar_dir, beams)
         uni = uniform_allocate(cfg.p_dl_w, cfg.rcr_linear, cfg.n_users, cfg.n_subcarriers, cfg.n_symbols)
@@ -198,30 +201,32 @@ def simulate_peak_statistics(
     n_trials: int,
     stream_key: int,
     batch: int = 256,
-    filters: np.ndarray | None = None,
+    filters: IdentityPlusLowRank | None = None,
 ) -> np.ndarray:
     """Peak GLRT statistics, shape (len(targets), n_trials).
 
     Entries of ``targets`` are _TargetParams or None (H0).  ``filters`` are
-    the per-user estimation filters A_k, built from the scenario statistics
-    when omitted; pass an estimate's ``e_matrices`` to reuse them.  Works on the
-    scalar correlation u^H y: the echo contributes alpha |a^H u|^2 times
-    the delay/Doppler ramp and the noise contributes a complex Gaussian of
-    variance sigma^2 ||u||^2 per resource element, which together are
-    distributed exactly as in the antenna-domain model.  Each batch of
-    trials draws channels and estimates, builds the beams (the ZFR beam by
-    :func:`jcsim.beamform.zfr_beam` on the stack of estimates), draws QPSK
-    symbols, and gets a^H u and ||u||^2 from batched matmuls with the
-    (K+1) x (K+1) beam Gram matrix, never forming the N_A-antenna grid.
-    All randomness is drawn before the per-target loop so streams pair
-    across cells.
+    the per-user estimation filters A_k in their structured form
+    (``TrainingStatistics.filters``), built from the scenario statistics
+    when omitted.  Works on the scalar correlation u^H y: the echo
+    contributes alpha |a^H u|^2 times the delay/Doppler ramp and the noise
+    contributes a complex Gaussian of variance sigma^2 ||u||^2 per resource
+    element, which together are distributed exactly as in the antenna-domain
+    model.  Each batch of trials draws channels and estimates with
+    :func:`jcsim.channel.draw_channels` and :func:`jcsim.estimation.estimate`
+    (the chain a scenario's own estimate runs as a batch of one), builds the
+    beams (the ZFR beam by :func:`jcsim.beamform.zfr_beam` on the stack of
+    estimates), draws QPSK symbols, and gets a^H u and ||u||^2 from batched
+    matmuls with the (K+1) x (K+1) beam Gram matrix, never forming the
+    N_A-antenna grid.  All randomness is drawn before the per-target loop
+    so streams pair across cells.
     """
     geom, frame, book = real.geom, real.frame, real.book
     a = steering_vector(geom, target_direction)
     if filters is None:
         filters = training_statistics(
             book, list(real.stats), geom, real.noise_var_ul, real.estimator
-        ).filters.dense()
+        ).filters
     eta_all = np.concatenate([powers.eta_users, [powers.eta_radar]])
     ramps = [
         None if t is None else t.alpha_mag * delay_doppler_ramp(frame, t.delay, t.doppler)
@@ -235,10 +240,10 @@ def simulate_peak_statistics(
     while done < n_trials:
         nb = min(batch, n_trials - done)
         rng = np.random.default_rng([cfg.seed, stream_key, batch_idx])
-        h = draw_channel_batch(list(real.stats), geom, nb, rng)
-        h_hat = estimate_batch(h, book, real.noise_var_ul, filters, rng).swapaxes(0, 1)
+        h = draw_channels(list(real.stats), geom, nb, rng)
+        h_hat = estimate(h, book, real.noise_var_ul, filters, rng).swapaxes(0, 1)
         radar = np.broadcast_to(
-            _radar_beam(beam_kind, geom, target_direction, h_hat), (nb, geom.n_elements)
+            radar_beam(beam_kind, geom, target_direction, h_hat), (nb, geom.n_elements)
         )
         beams = np.concatenate(
             [h_hat / np.linalg.norm(h_hat, axis=-1, keepdims=True), radar[:, None, :]], axis=1
@@ -309,21 +314,16 @@ def run_detection_experiment(
         targets.append(_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler))
 
     # Reference realization for the per-cell power allocation.
-    channels = [draw_user_channel(s, real.geom, rng0) for s in real.stats]
-    y_pilot = training_observation(channels, real.book, real.noise_var_ul, rng0)
-    est = estimate_all(
-        y_pilot, real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
-    )
-    filters = est.e_matrices
+    statistics, estimates = draw_estimates(real, rng0)
 
     rows, failures = [], []
     for rcr_db in cfg.detection_rcr_db:
         rcr = 10.0 ** (rcr_db / 10.0)
         for beam_kind in (RadarBeamKind.PBR, RadarBeamKind.ZFR):
-            radar_beam = _radar_beam(beam_kind, real.geom, target_dir, est.estimates)
+            w_radar = radar_beam(beam_kind, real.geom, target_dir, estimates)
             beams = BeamformerSet(
-                user_beams=np.stack([matched_beam(h) for h in est.estimates]),
-                radar_beam=radar_beam,
+                user_beams=np.stack([matched_beam(h) for h in estimates]),
+                radar_beam=w_radar,
                 radar_kind=beam_kind,
                 radar_direction=target_dir,
             )
@@ -332,12 +332,12 @@ def run_detection_experiment(
                 real.geom,
                 real.book,
                 real.estimator,
-                radar_beam,
+                w_radar,
                 real.noise_var_ul,
                 real.noise_var_dl,
                 bandwidth=real.frame.bandwidth,
                 tau_c=cfg.tau_c,
-                statistics=est.statistics,
+                statistics=statistics,
             )
             sir = RadarSirCoefficients.from_beams(real.geom, target_dir, beams)
             uni = uniform_allocate(
@@ -353,7 +353,7 @@ def run_detection_experiment(
                 threshold = calibrate_threshold(
                     lambda n, _rng: simulate_peak_statistics(
                         real, cfg, grid, target_dir, beam_kind, powers,
-                        [None], n, stream_key=0xCA1, filters=filters,
+                        [None], n, stream_key=0xCA1, filters=statistics.filters,
                     )[0],
                     cfg.pfa_target,
                     n_calibration,
@@ -361,7 +361,7 @@ def run_detection_experiment(
                 )
                 peaks = simulate_peak_statistics(
                     real, cfg, grid, target_dir, beam_kind, powers,
-                    targets, n_trials, stream_key=0x9D, filters=filters,
+                    targets, n_trials, stream_key=0x9D, filters=statistics.filters,
                 )
                 for r, peak_row in zip(ranges_m, peaks):
                     pd = float(np.mean(peak_row > threshold))

@@ -1,4 +1,5 @@
-"""Turn a config into concrete geometry, user statistics and noise levels."""
+"""Turn a config into concrete geometry, user statistics and noise levels,
+and draw a deployment's channel estimates."""
 
 from dataclasses import dataclass
 
@@ -10,15 +11,21 @@ from ..channel import (
     ChannelModelKind,
     ChannelStats,
     LogDistancePathLoss,
+    draw_channels,
     k_factor_from_los_probability,
     los_probability,
 )
-from ..estimation import Estimator, PilotBook
+from ..estimation import Estimator, PilotBook, TrainingStatistics, estimate, training_statistics
 from ..radar import OfdmFrameConfig
 from .config import ScenarioConfig
-from .experiments_util import noise_variance
 
-__all__ = ["ScenarioRealization", "realize_scenario", "draw_scan_direction"]
+__all__ = [
+    "ScenarioRealization",
+    "noise_variance",
+    "realize_scenario",
+    "draw_estimates",
+    "draw_scan_direction",
+]
 
 KIND_MAP = {
     "rayleigh": ChannelModelKind.RAYLEIGH,
@@ -40,6 +47,13 @@ class ScenarioRealization:
     noise_var_dl: float
     positions: np.ndarray  # (K, 2) ground-plane coordinates
     estimator: Estimator
+
+
+def noise_variance(bandwidth: float, noise_figure_db: float, psd_dbm_hz: float = -174.0) -> float:
+    """Thermal noise power in watts over the given bandwidth."""
+    if bandwidth <= 0:
+        raise ValueError("bandwidth must be positive")
+    return 10.0 ** ((psd_dbm_hz + noise_figure_db) / 10.0) * 1e-3 * bandwidth
 
 
 def _user_direction(cfg: ScenarioConfig, x: float, y: float) -> tuple[Direction, float, float]:
@@ -105,6 +119,23 @@ def realize_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioR
         positions=positions,
         estimator=ESTIMATOR_MAP[cfg.estimator],
     )
+
+
+def draw_estimates(
+    real: ScenarioRealization, rng: np.random.Generator
+) -> tuple[TrainingStatistics, np.ndarray]:
+    """Training statistics of the deployment and one drawn estimate per user, (K, N_A).
+
+    A batch of one of :func:`jcsim.channel.draw_channels` and
+    :func:`jcsim.estimation.estimate`.
+    """
+    stats = list(real.stats)
+    statistics = training_statistics(
+        real.book, stats, real.geom, real.noise_var_ul, real.estimator
+    )
+    channels = draw_channels(stats, real.geom, 1, rng)
+    estimates = estimate(channels, real.book, real.noise_var_ul, statistics.filters, rng)
+    return statistics, estimates[:, 0]
 
 
 def draw_scan_direction(cfg: ScenarioConfig, rng: np.random.Generator) -> Direction:

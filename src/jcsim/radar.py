@@ -2,9 +2,9 @@
 
 Everything lives on the N x M symbol grid: the transmitted vector per
 resource element, the echo with its delay/Doppler phase ramp, and the
-detector, which correlates the transmitted and received grids, steers the
-correlation over a uniform delay-Doppler grid and thresholds the peak of
-the resulting energy map.
+detector, which matches the received grid against the transmitted one,
+steers the correlation over a uniform delay-Doppler grid and thresholds the
+peak of the resulting energy map.
 """
 
 from dataclasses import dataclass

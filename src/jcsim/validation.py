@@ -2,11 +2,15 @@
 
 The closed forms in :mod:`jcsim.rate` are traces of correlation and
 estimator matrices.  This module estimates the same quantities by brute
-force: draw channels and pilot noise, run the actual estimators, form the
-mean-gain / gain-variance / interference-power moments of the effective
-downlink channel, and compare.  Nothing here reuses the closed-form
-algebra; agreement of the two routes is the primary correctness check for
-the interference coefficients.
+force: draw channels from the model statistics
+(:func:`jcsim.channel.draw_channels`, not the closed-form weights), run the
+training chain the simulator runs (:func:`jcsim.estimation.estimate` with
+the estimator's filters), form the mean-gain / gain-variance /
+interference-power moments of the effective downlink channel from the
+samples, and compare.  Only the filters are shared; none of the traces,
+covariances or fourth-moment terms of the closed forms is reused, so
+agreement of the two routes is the primary correctness check for the
+interference coefficients.
 
 The downlink analysis normalizes each user's beam to unit average power,
 dividing the estimate by the square root of its mean squared norm.  The
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArrayGeometry, steering_vector
-from .channel import ChannelModelKind, ChannelStats
-from .estimation import Estimator, PilotBook, training_statistics
+from .array import ArrayGeometry
+from .channel import ChannelStats, draw_channels
+from .estimation import Estimator, PilotBook, estimate, training_statistics
 from .rate import RateCoefficients
 
 __all__ = ["MonteCarloRateTerms", "monte_carlo_rate_terms", "compare_terms"]
@@ -34,58 +38,6 @@ class MonteCarloRateTerms:
     interference: np.ndarray  # (K, K)
     radar_leakage: np.ndarray  # (K,)
     n_draws: int
-
-
-def draw_channel_batch(
-    all_stats: list[ChannelStats],
-    geom: ArrayGeometry,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """n channel realizations per user, shape (K, n, N_A)."""
-    n_a = geom.n_elements
-    out = np.empty((len(all_stats), n, n_a), dtype=complex)
-    for k, stats in enumerate(all_stats):
-        if stats.kind is ChannelModelKind.RAYLEIGH:
-            g = (rng.standard_normal((n, n_a)) + 1j * rng.standard_normal((n, n_a))) / np.sqrt(2)
-            out[k] = np.sqrt(stats.beta) * g
-            continue
-        a = steering_vector(geom, stats.angles)
-        psi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        los = np.exp(1j * psi)[:, None] * a[None, :]
-        if stats.kind is ChannelModelKind.LOS:
-            out[k] = np.sqrt(stats.beta) * los
-            continue
-        kf = stats.k_factor
-        g = (rng.standard_normal((n, n_a)) + 1j * rng.standard_normal((n, n_a))) / np.sqrt(2)
-        out[k] = np.sqrt(stats.beta / (kf + 1.0)) * (np.sqrt(kf) * los + g)
-    return out
-
-
-def estimate_batch(
-    channels: np.ndarray,
-    book: PilotBook,
-    noise_var_ul: float,
-    filters: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Run the uplink training chain on a (K, n, N_A) channel batch.
-
-    ``filters`` are the per-user estimation filters A_k as dense matrices
-    (``training_statistics(...).filters.dense()``); h_hat_k = A_k^H y_{p,k}.
-    Applied to a whole batch, one dense matmul beats the structured form
-    up to N_A of about 100.
-    """
-    _, n, n_a = channels.shape
-    noise = np.sqrt(noise_var_ul / 2.0) * (
-        rng.standard_normal((n, n_a, book.tau_p))
-        + 1j * rng.standard_normal((n, n_a, book.tau_p))
-    )
-    # y_{p,k} = sum_i sqrt(power_i) (phi_i^H phi_k) h_i + W phi_k
-    coupling = np.sqrt(book.powers)[:, None] * book.gram()  # (i, k)
-    y = np.einsum("ik,ina->kna", coupling, channels)
-    y = y + np.einsum("nat,tk->kna", noise, book.pilots)
-    return y @ np.conj(filters)
 
 
 def monte_carlo_rate_terms(
@@ -111,7 +63,7 @@ def monte_carlo_rate_terms(
     * radar leakage       = E|h_k^H w_R|^2
     """
     n_users = len(all_stats)
-    filters = training_statistics(book, all_stats, geom, noise_var_ul, estimator).filters.dense()
+    filters = training_statistics(book, all_stats, geom, noise_var_ul, estimator).filters
 
     sum_z = np.zeros((n_users, n_users), dtype=complex)
     sum_z2 = np.zeros((n_users, n_users))
@@ -120,8 +72,8 @@ def monte_carlo_rate_terms(
     done = 0
     while done < n_draws:
         n = min(batch, n_draws - done)
-        h = draw_channel_batch(all_stats, geom, n, rng)
-        h_hat = estimate_batch(h, book, noise_var_ul, filters, rng)
+        h = draw_channels(all_stats, geom, n, rng)
+        h_hat = estimate(h, book, noise_var_ul, filters, rng)
         z = np.einsum("kna,jna->kjn", h.conj(), h_hat)
         sum_z += z.sum(axis=-1)
         sum_z2 += (np.abs(z) ** 2).sum(axis=-1)

@@ -10,8 +10,9 @@ import scipy.linalg
 
 from jcsim.array import steering_vector
 from jcsim.beamform import BeamformerSet, RadarBeamKind, matched_beam, pbr_beam, zfr_beam
-from jcsim.channel import ChannelModelKind, TargetChannel, draw_user_channel, hbar_matrix
-from jcsim.estimation import Estimator, estimate_all, training_observation
+from jcsim.channel import ChannelModelKind, TargetChannel, hbar_matrix
+from jcsim.estimation import Estimator
+from jcsim.harness.scenario import draw_estimates
 from jcsim.radar import glrt_statistic, qpsk_grid, synthesize_tx_grid, target_echo
 
 
@@ -93,17 +94,13 @@ def antenna_domain_peaks(real, grid, direction, beam_kind, powers, target, n, rn
     shape = (real.frame.n_symbols, real.frame.n_subcarriers)
     peaks = np.empty(n)
     for i in range(n):
-        channels = [draw_user_channel(s, real.geom, rng) for s in real.stats]
-        y_pilot = training_observation(channels, real.book, real.noise_var_ul, rng)
-        est = estimate_all(
-            y_pilot, real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
-        )
+        _, estimates = draw_estimates(real, rng)
         if beam_kind is RadarBeamKind.PBR:
             radar = pbr_beam(real.geom, direction)
         else:
-            radar = zfr_beam(real.geom, direction, est.estimates)
+            radar = zfr_beam(real.geom, direction, estimates)
         beams = BeamformerSet(
-            user_beams=np.stack([matched_beam(h) for h in est.estimates]),
+            user_beams=np.stack([matched_beam(h) for h in estimates]),
             radar_beam=radar,
             radar_kind=beam_kind,
             radar_direction=direction,
@@ -120,6 +117,66 @@ def antenna_domain_peaks(real, grid, direction, beam_kind, powers, target, n, rn
         y = target_echo(u, echo, real.frame, real.noise_var_dl, rng)
         peaks[i] = glrt_statistic(u, y, grid, real.frame).peak_value
     return peaks
+
+
+def pilot_correlation_oracle(channels, noise, book):
+    """y_{p,k} = Y_p phi_k by explicit loops, shape (K, n, N_A).
+
+    ``channels`` is (K, n, N_A) and ``noise`` the (n, N_A, tau_p) receiver
+    noise W; each draw's pilot matrix Y_p = sum_i sqrt(p_i) h_i phi_i^H + W is
+    built entry by entry and then projected onto every pilot.
+    """
+    n_users, n, n_a = channels.shape
+    tau_p = book.tau_p
+    out = np.zeros(channels.shape, dtype=complex)
+    for d in range(n):
+        y_pilot = np.array(noise[d], dtype=complex)
+        for a in range(n_a):
+            for t in range(tau_p):
+                for i in range(n_users):
+                    y_pilot[a, t] += (
+                        np.sqrt(book.powers[i]) * channels[i, d, a] * np.conj(book.pilots[t, i])
+                    )
+        for k in range(n_users):
+            for a in range(n_a):
+                for t in range(tau_p):
+                    out[k, d, a] += y_pilot[a, t] * book.pilots[t, k]
+    return out
+
+
+def single_shot_estimates_oracle(real, filters, rng):
+    """One estimate per user, drawn user by user as a single-shot chain would.
+
+    Each user's channel is drawn on its own (LoS phase first, then the
+    diffuse part), then the (N_A, tau_p) pilot noise, and each estimate is
+    the dense filter (K, N_A, N_A) applied to Y_p phi_k.  A batch of one of
+    the package's chain draws the same numbers in the same order.
+    """
+    n_a = real.geom.n_elements
+    channels = []
+    for stats in real.stats:
+        if stats.kind is ChannelModelKind.RAYLEIGH:
+            g = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
+            channels.append(np.sqrt(stats.beta / 2.0) * g)
+            continue
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        los = phase * steering_vector(real.geom, stats.angles)
+        if stats.kind is ChannelModelKind.LOS:
+            channels.append(np.sqrt(stats.beta) * los)
+            continue
+        g = (rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)) / np.sqrt(2.0)
+        k = stats.k_factor
+        channels.append(np.sqrt(stats.beta / (k + 1.0)) * (np.sqrt(k) * los + g))
+    noise = np.sqrt(real.noise_var_ul / 2.0) * (
+        rng.standard_normal((n_a, real.book.tau_p))
+        + 1j * rng.standard_normal((n_a, real.book.tau_p))
+    )
+    pilots = real.book.pilots.T
+    y_pilot = noise + sum(
+        np.sqrt(p) * np.outer(h, phi.conj())
+        for h, p, phi in zip(channels, real.book.powers, pilots)
+    )
+    return np.stack([f.conj().T @ (y_pilot @ phi) for f, phi in zip(filters, pilots)])
 
 
 def simplex_grid(n_users, step):

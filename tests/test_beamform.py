@@ -10,10 +10,10 @@ from jcsim.beamform import (
     pbr_beam,
     zfr_beam,
 )
-from jcsim.estimation import training_statistics
+from jcsim.channel import draw_channels
+from jcsim.estimation import estimate, training_statistics
 from jcsim.harness.config import desk_preset
 from jcsim.harness.scenario import draw_scan_direction, realize_scenario
-from jcsim.validation import draw_channel_batch, estimate_batch
 from oracles import gram_schmidt_zfr
 
 GEOM = ArrayGeometry.half_wavelength(4, 4, 0.1)
@@ -122,9 +122,9 @@ class TestZfrBeam:
         direction = draw_scan_direction(cfg, rng)
         filters = training_statistics(
             real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
-        ).filters.dense()
-        h = draw_channel_batch(list(real.stats), real.geom, 64, rng)
-        stack = estimate_batch(h, real.book, real.noise_var_ul, filters, rng).swapaxes(0, 1)
+        ).filters
+        h = draw_channels(list(real.stats), real.geom, 64, rng)
+        stack = estimate(h, real.book, real.noise_var_ul, filters, rng).swapaxes(0, 1)
         assert real.book.tau_p < real.book.n_users
         sv = np.linalg.svd(stack, compute_uv=False)
         ranks = np.sum(sv > 1e-10 * sv[:, :1], axis=-1)

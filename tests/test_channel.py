@@ -8,7 +8,7 @@ from jcsim.channel import (
     ChannelStats,
     LogDistancePathLoss,
     TargetChannel,
-    draw_user_channel,
+    draw_channels,
     hbar_matrix,
     k_factor_from_los_probability,
     los_probability,
@@ -84,15 +84,14 @@ class TestDraws:
     def test_los_norm_is_deterministic(self):
         stats = ChannelStats(beta=0.9, kind=ChannelModelKind.LOS, angles=DIR)
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            ch = draw_user_channel(stats, GEOM, rng)
-            assert np.isclose(np.linalg.norm(ch.h) ** 2, 0.9 * GEOM.n_elements, rtol=1e-12)
+        for h in draw_channels([stats], GEOM, 5, rng)[0]:
+            assert np.isclose(np.linalg.norm(h) ** 2, 0.9 * GEOM.n_elements, rtol=1e-12)
 
     def test_rayleigh_sample_covariance(self):
         stats = ChannelStats(beta=1.3, kind=ChannelModelKind.RAYLEIGH, angles=DIR)
         rng = np.random.default_rng(5)
         n = 100_000
-        h = np.stack([draw_user_channel(stats, GEOM, rng).h for _ in range(n)])
+        h = draw_channels([stats], GEOM, n, rng)[0]
         cov = np.einsum("na,nb->ab", h, h.conj()) / n
         ref = hbar_matrix(stats, GEOM)
         assert np.linalg.norm(cov - ref) / np.linalg.norm(ref) < 0.02
@@ -104,7 +103,7 @@ class TestDraws:
         )
         rng = np.random.default_rng(9)
         n = 100_000
-        h = np.stack([draw_user_channel(stats, GEOM, rng).h for _ in range(n)])
+        h = draw_channels([stats], GEOM, n, rng)[0]
         cov = np.einsum("na,nb->ab", h, h.conj()) / n
         ref = hbar_matrix(stats, GEOM)
         assert np.linalg.norm(cov - ref) / np.linalg.norm(ref) < 0.03
@@ -114,10 +113,22 @@ class TestDraws:
         rice = ChannelStats(beta=2.0, kind=ChannelModelKind.RICE, angles=DIR, k_factor=0.0)
         rng = np.random.default_rng(13)
         n = 50_000
-        h = np.stack([draw_user_channel(rice, GEOM, rng).h for _ in range(n)])
+        h = draw_channels([rice], GEOM, n, rng)[0]
         cov = np.einsum("na,nb->ab", h, h.conj()) / n
         assert np.linalg.norm(cov - 2.0 * np.eye(4)) / np.linalg.norm(2.0 * np.eye(4)) < 0.03
         assert abs(h.mean()) < 0.05
+
+    def test_users_draw_in_turn(self):
+        all_stats = [
+            ChannelStats(beta=1.0, kind=ChannelModelKind.RAYLEIGH, angles=DIR),
+            ChannelStats(beta=0.5, kind=ChannelModelKind.LOS, angles=DIR),
+            ChannelStats(beta=2.0, kind=ChannelModelKind.RICE, angles=DIR, k_factor=3.0),
+        ]
+        batch = draw_channels(all_stats, GEOM, 7, np.random.default_rng(21))
+        assert batch.shape == (3, 7, GEOM.n_elements)
+        rng = np.random.default_rng(21)
+        one_by_one = np.concatenate([draw_channels([s], GEOM, 7, rng) for s in all_stats])
+        np.testing.assert_array_equal(batch, one_by_one)
 
 
 class TestTarget:

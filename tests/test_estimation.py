@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 
 from jcsim.array import ArrayGeometry, Direction
-from jcsim.channel import ChannelModelKind, ChannelStats, draw_user_channel, hbar_matrix
+from jcsim.channel import ChannelModelKind, ChannelStats, draw_channels, hbar_matrix
 from jcsim.estimation import (
     EstimationError,
     Estimator,
     PilotBook,
-    correlate,
-    estimate_all,
+    estimate,
     lmmse_matrices,
-    pm_estimate,
-    training_observation,
     training_statistics,
 )
 from jcsim.harness.config import desk_preset
 from jcsim.harness.scenario import realize_scenario
 from jcsim.lowrank import IdentityPlusLowRank
-from oracles import correlation_matrices_oracle, lmmse_filters_oracle
+from oracles import (
+    correlation_matrices_oracle,
+    lmmse_filters_oracle,
+    pilot_correlation_oracle,
+)
 
 GEOM = ArrayGeometry.half_wavelength(4, 4, 0.1)
 DIR = Direction(azimuth=0.4, elevation=1.3)
@@ -49,59 +50,76 @@ class TestPilotBook:
             PilotBook(pilots=np.eye(2), powers=np.array([1.0, 0.0]))
 
 
+def identity_filters(n_users):
+    """A_k = I for every user, so ``estimate`` returns y_{p,k} itself."""
+    return IdentityPlusLowRank.over(
+        np.zeros((GEOM.n_elements, 1)), np.ones(n_users), np.zeros((n_users, 1, 1))
+    )
+
+
+def pm_filters(book, stats):
+    """The PM filters I / sqrt(p_k); they do not depend on the noise level."""
+    return training_statistics(book, stats, GEOM, 1.0, Estimator.PM).filters
+
+
+def one_channel(stats, rng):
+    return draw_channels([stats], GEOM, 1, rng)[0, 0]
+
+
+def correlations(channels, book, noise_var, rng):
+    """y_{p,k} of a (K, N_A) set of channels, one draw: shape (K, N_A)."""
+    channels = np.asarray(channels)[:, None, :]
+    return estimate(channels, book, noise_var, identity_filters(book.n_users), rng)[:, 0]
+
+
+def pilot_noise(seed, n, book, noise_var):
+    """The (n, N_A, tau_p) pilot noise ``estimate`` draws from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    shape = (n, GEOM.n_elements, book.tau_p)
+    return np.sqrt(noise_var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 class TestTrainingObservation:
     def test_noiseless_single_user_canonical_pilot(self):
         rng = np.random.default_rng(0)
         book = PilotBook(pilots=np.eye(3)[:, :1], powers=np.array([0.25]))
-        h = draw_user_channel(rayleigh_stats(), GEOM, rng)
-        y = training_observation([h], book, noise_var=0.0, rng=rng)
-        np.testing.assert_allclose(y[:, 0], 0.5 * h.h, atol=1e-14)
-        np.testing.assert_allclose(y[:, 1:], 0.0, atol=1e-14)
+        h = one_channel(rayleigh_stats(), rng)
+        y = correlations([h], book, noise_var=0.0, rng=rng)
+        np.testing.assert_allclose(y[0], 0.5 * h, atol=1e-14)
 
     def test_zero_channels_pure_noise_variance(self):
         rng = np.random.default_rng(1)
         book = PilotBook.dft(2, 2, power=1.0)
         noise_var = 0.5
-        draws = [
-            training_observation(
-                np.zeros((2, GEOM.n_elements), dtype=complex), book, noise_var, rng
-            )
-            for _ in range(10_000)
-        ]
-        var = np.mean(np.abs(np.stack(draws)) ** 2)
+        zeros = np.zeros((2, 10_000, GEOM.n_elements), dtype=complex)
+        draws = estimate(zeros, book, noise_var, identity_filters(2), rng)
+        var = np.mean(np.abs(draws) ** 2)
         assert abs(var - noise_var) / noise_var < 0.05
 
     def test_mean_matches_signal_term(self):
         rng = np.random.default_rng(2)
         book = PilotBook.dft(3, 3, power=0.4)
-        channels = [draw_user_channel(rayleigh_stats(), GEOM, rng) for _ in range(3)]
-        signal = sum(
-            np.sqrt(0.4) * np.outer(c.h, book.pilots[:, k].conj())
-            for k, c in enumerate(channels)
-        )
-        mean = np.mean(
-            [training_observation(channels, book, 0.2, rng) for _ in range(10_000)],
-            axis=0,
-        )
+        channels = draw_channels([rayleigh_stats()] * 3, GEOM, 1, rng)
+        signal = np.sqrt(0.4) * (book.gram().T @ channels[:, 0])  # row k: sum_i (phi_i^H phi_k) h_i
+        repeated = np.broadcast_to(channels, (3, 10_000, GEOM.n_elements))
+        mean = estimate(repeated, book, 0.2, identity_filters(3), rng).mean(axis=1)
         assert np.linalg.norm(mean - signal) / np.linalg.norm(signal) < 0.02
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(3)
         book = PilotBook.dft(3, 3, power=1.0)
         with pytest.raises(ValueError):
-            training_observation(np.zeros((2, 4), dtype=complex), book, 0.1, rng)
+            estimate(np.zeros((2, 1, 4), dtype=complex), book, 0.1, identity_filters(3), rng)
 
 
 class TestCorrelate:
     def test_orthonormal_noiseless_recovers_scaled_channel(self):
         rng = np.random.default_rng(4)
         book = PilotBook.dft(2, 2, power=0.09)
-        channels = [draw_user_channel(rayleigh_stats(), GEOM, rng) for _ in range(2)]
-        y = training_observation(channels, book, 0.0, rng)
+        channels = draw_channels([rayleigh_stats()] * 2, GEOM, 1, rng)[:, 0]
+        y = correlations(channels, book, 0.0, rng)
         for k in range(2):
-            np.testing.assert_allclose(
-                correlate(y, book, k), 0.3 * channels[k].h, atol=1e-12
-            )
+            np.testing.assert_allclose(y[k], 0.3 * channels[k], atol=1e-12)
 
     def test_identical_pilots_superpose(self):
         rng = np.random.default_rng(5)
@@ -109,45 +127,36 @@ class TestCorrelate:
         book = PilotBook(
             pilots=np.hstack([pilot, pilot]), powers=np.array([0.25, 0.16])
         )
-        channels = [draw_user_channel(rayleigh_stats(), GEOM, rng) for _ in range(2)]
-        y = training_observation(channels, book, 0.0, rng)
+        channels = draw_channels([rayleigh_stats()] * 2, GEOM, 1, rng)[:, 0]
+        y = correlations(channels, book, 0.0, rng)
         np.testing.assert_allclose(
-            correlate(y, book, 0), 0.5 * channels[0].h + 0.4 * channels[1].h, atol=1e-12
+            y[0], 0.5 * channels[0] + 0.4 * channels[1], atol=1e-12
         )
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(6)
         book = PilotBook.dft(3, 3, power=1.0)
-        y = rng.standard_normal((GEOM.n_elements, 3)) + 1j * rng.standard_normal(
-            (GEOM.n_elements, 3)
-        )
-        for k in range(3):
-            ref = np.zeros(GEOM.n_elements, dtype=complex)
-            for a in range(GEOM.n_elements):
-                for t in range(3):
-                    ref[a] += y[a, t] * book.pilots[t, k]
-            np.testing.assert_allclose(correlate(y, book, k), ref, atol=1e-12)
-
-    def test_index_out_of_range(self):
-        book = PilotBook.dft(2, 2, power=1.0)
-        with pytest.raises(ValueError):
-            correlate(np.zeros((4, 2), dtype=complex), book, 2)
+        channels = draw_channels([rayleigh_stats(b) for b in (0.5, 1.0, 2.0)], GEOM, 4, rng)
+        y = estimate(channels, book, 0.3, identity_filters(3), np.random.default_rng(60))
+        ref = pilot_correlation_oracle(channels, pilot_noise(60, 4, book, 0.3), book)
+        np.testing.assert_allclose(y, ref, atol=1e-12)
 
 
 class TestPmEstimate:
     def test_noiseless_orthonormal_is_exact(self):
         rng = np.random.default_rng(7)
         book = PilotBook.dft(2, 2, power=0.3)
-        channels = [draw_user_channel(rayleigh_stats(), GEOM, rng) for _ in range(2)]
-        y = training_observation(channels, book, 0.0, rng)
+        stats = [rayleigh_stats()] * 2
+        channels = draw_channels(stats, GEOM, 1, rng)
+        h_hat = estimate(channels, book, 0.0, pm_filters(book, stats), rng)
         for k in range(2):
-            np.testing.assert_allclose(
-                pm_estimate(correlate(y, book, k), 0.3), channels[k].h, atol=1e-12
-            )
+            np.testing.assert_allclose(h_hat[k], channels[k], atol=1e-12)
 
     def test_unit_power_is_identity(self):
-        v = np.arange(4) + 1j
-        np.testing.assert_allclose(pm_estimate(v, 1.0), v)
+        v = np.arange(GEOM.n_elements) + 1j
+        book = PilotBook.dft(1, 1, power=1.0)
+        filters = pm_filters(book, [rayleigh_stats()])
+        np.testing.assert_allclose(filters.H.apply(v[None, None, :])[0, 0], v)
 
     def test_contaminated_estimate_algebra(self):
         rng = np.random.default_rng(8)
@@ -155,15 +164,15 @@ class TestPmEstimate:
         book = PilotBook(
             pilots=np.hstack([pilot, pilot]), powers=np.array([0.25, 0.09])
         )
-        channels = [draw_user_channel(rayleigh_stats(), GEOM, rng) for _ in range(2)]
-        y = training_observation(channels, book, 0.0, rng)
-        h_hat = pm_estimate(correlate(y, book, 0), 0.25)
-        ref = channels[0].h + np.sqrt(0.09 / 0.25) * channels[1].h
+        stats = [rayleigh_stats()] * 2
+        channels = draw_channels(stats, GEOM, 1, rng)[:, 0]
+        h_hat = estimate(channels[:, None, :], book, 0.0, pm_filters(book, stats), rng)[0, 0]
+        ref = channels[0] + np.sqrt(0.09 / 0.25) * channels[1]
         np.testing.assert_allclose(h_hat, ref, atol=1e-12)
 
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
-            pm_estimate(np.ones(2, dtype=complex), 0.0)
+            PilotBook(pilots=np.eye(2)[:, :1], powers=np.array([0.0]))
 
 
 class TestLmmse:
@@ -209,9 +218,7 @@ class TestLmmse:
         rng = np.random.default_rng(9)
         book = PilotBook.dft(1, 1, power=1.0)
         stats = [rayleigh_stats(1.0)]
-        h = draw_user_channel(stats[0], GEOM, rng)
-        y = training_observation([h], book, 0.05, rng)
-        y_pk = correlate(y, book, 0)
+        y_pk = correlations([one_channel(stats[0], rng)], book, 0.05, rng)[0]
         norms = [
             np.linalg.norm(lmmse_matrices(book, stats, GEOM, nv)[0][0].conj().T @ y_pk)
             for nv in (0.1, 1.0, 10.0, 100.0, 1e4)
@@ -225,14 +232,11 @@ class TestLmmse:
         stats = [rayleigh_stats(1.0), rayleigh_stats(0.7)]
         noise_var = 0.2
         e_list, _ = lmmse_matrices(book, stats, GEOM, noise_var)
-        mse_pm = mse_lmmse = 0.0
         n = 10_000
-        for _ in range(n):
-            channels = [draw_user_channel(s, GEOM, rng) for s in stats]
-            y = training_observation(channels, book, noise_var, rng)
-            y0 = correlate(y, book, 0)
-            mse_pm += np.linalg.norm(pm_estimate(y0, 0.05) - channels[0].h) ** 2
-            mse_lmmse += np.linalg.norm(e_list[0].conj().T @ y0 - channels[0].h) ** 2
+        channels = draw_channels(stats, GEOM, n, rng)
+        y0 = estimate(channels, book, noise_var, identity_filters(2), rng)[0]
+        mse_pm = np.linalg.norm(y0 / np.sqrt(0.05) - channels[0]) ** 2
+        mse_lmmse = np.linalg.norm(y0 @ np.conj(e_list[0]) - channels[0]) ** 2
         assert mse_lmmse < mse_pm
 
     def test_orthogonality_principle(self):
@@ -246,12 +250,7 @@ class TestLmmse:
         n = 100_000
         batch = 10_000
         for _ in range(n // batch):
-            h = np.stack(
-                [
-                    np.stack([draw_user_channel(s, GEOM, rng).h for s in stats])
-                    for _ in range(batch)
-                ]
-            )  # (batch, K, N_A)
+            h = draw_channels(stats, GEOM, batch, rng).swapaxes(0, 1)  # (batch, K, N_A)
             noise = np.sqrt(noise_var / 2.0) * (
                 rng.standard_normal((batch, GEOM.n_elements, 2))
                 + 1j * rng.standard_normal((batch, GEOM.n_elements, 2))
@@ -268,40 +267,62 @@ class TestLmmse:
         rng = np.random.default_rng(12)
         book = PilotBook.dft(1, 1, power=0.3)
         stats = [rayleigh_stats(1.2)]
-        h = draw_user_channel(stats[0], GEOM, rng)
-        y = training_observation([h], book, 0.1, rng)
-        y0 = correlate(y, book, 0)
-        h_pm = pm_estimate(y0, 0.3)
+        y0 = correlations([one_channel(stats[0], rng)], book, 0.1, rng)[0]
+        h_pm = pm_filters(book, stats).H.apply(y0[None, None, :])[0, 0]
         e_list, _ = lmmse_matrices(book, stats, GEOM, 0.1)
         h_lm = e_list[0].conj().T @ y0
         cos = abs(h_pm.conj() @ h_lm) / (np.linalg.norm(h_pm) * np.linalg.norm(h_lm))
         assert np.isclose(cos, 1.0, atol=1e-12)
 
 
-class TestEstimateAll:
+class TestEstimate:
     def test_pm_and_lmmse_shapes_and_filters(self):
         rng = np.random.default_rng(13)
         book = PilotBook.dft(4, 2, power=0.1)
         stats = [rayleigh_stats(10.0 ** -(k + 1)) for k in range(4)]
-        channels = [draw_user_channel(s, GEOM, rng) for s in stats]
-        y = training_observation(channels, book, 1e-3, rng)
-        out_pm = estimate_all(y, book, stats, GEOM, 1e-3, Estimator.PM)
-        assert out_pm.estimates.shape == (4, GEOM.n_elements)
+        channels = draw_channels(stats, GEOM, 1, rng)
+        pm = training_statistics(book, stats, GEOM, 1e-3, Estimator.PM)
+        out_pm = estimate(channels, book, 1e-3, pm.filters, np.random.default_rng(14))
+        assert out_pm.shape == (4, 1, GEOM.n_elements)
         # PM is the linear filter I / sqrt(p) for every user.
         np.testing.assert_allclose(
-            out_pm.e_matrices,
+            pm.filters.dense(),
             np.broadcast_to(np.eye(GEOM.n_elements) / np.sqrt(0.1), (4, 16, 16)),
             atol=1e-15,
         )
-        np.testing.assert_allclose(
-            out_pm.estimates[0], pm_estimate(correlate(y, book, 0), 0.1), rtol=1e-14
-        )
-        out_lm = estimate_all(y, book, stats, GEOM, 1e-3, Estimator.LMMSE)
-        assert out_lm.estimates.shape == (4, GEOM.n_elements)
-        assert len(out_lm.e_matrices) == 4
+        y = estimate(channels, book, 1e-3, identity_filters(4), np.random.default_rng(14))
+        np.testing.assert_allclose(out_pm[0], y[0] / np.sqrt(0.1), rtol=1e-14)
+        lmmse = training_statistics(book, stats, GEOM, 1e-3, Estimator.LMMSE)
+        out_lm = estimate(channels, book, 1e-3, lmmse.filters, np.random.default_rng(15))
+        assert out_lm.shape == (4, 1, GEOM.n_elements)
+        assert len(lmmse.filters.dense()) == 4
         # Identical inputs give identical outputs.
-        out_again = estimate_all(y, book, stats, GEOM, 1e-3, Estimator.LMMSE)
-        np.testing.assert_array_equal(out_lm.estimates, out_again.estimates)
+        out_again = estimate(channels, book, 1e-3, lmmse.filters, np.random.default_rng(15))
+        np.testing.assert_array_equal(out_lm, out_again)
+
+    @pytest.mark.parametrize("estimator", ["pm", "lmmse"])
+    def test_matches_dense_filters_on_triple_loop_correlation(self, estimator):
+        """h_hat_k = A_k^H y_{p,k} with dense A_k and the loop y_{p,k}, under pilot reuse."""
+        cfg = desk_preset().replace(channel_model="rice", estimator=estimator)
+        real = realize_scenario(cfg, np.random.default_rng([cfg.seed, 0x3E]))
+        assert real.book.tau_p < real.book.n_users
+        stats = list(real.stats)
+        hbars, ry = correlation_matrices_oracle(real.book, stats, real.geom, real.noise_var_ul)
+        if estimator == "pm":
+            dense = np.broadcast_to(np.eye(real.geom.n_elements), hbars.shape) / np.sqrt(
+                real.book.powers
+            )[:, None, None]
+        else:
+            dense = lmmse_filters_oracle(hbars, ry, real.book.powers)
+        filters = training_statistics(
+            real.book, stats, real.geom, real.noise_var_ul, real.estimator
+        ).filters
+        channels = draw_channels(stats, real.geom, 3, np.random.default_rng(16))
+        got = estimate(channels, real.book, real.noise_var_ul, filters, np.random.default_rng(17))
+        noise = pilot_noise(17, 3, real.book, real.noise_var_ul)
+        y = pilot_correlation_oracle(channels, noise, real.book)
+        ref = np.einsum("kab,kna->knb", dense.conj(), y)  # rows A_k^H y_{p,k}
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 
 DIR2 = Direction(azimuth=-0.7, elevation=1.1)

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import jcsim
 
 from jcsim.beamform import RadarBeamKind
 from jcsim.channel import SPEED_OF_LIGHT, target_alpha
@@ -16,15 +22,21 @@ from jcsim.harness.config import (
 )
 from jcsim.harness.experiments import (
     _TargetParams,
+    binomial_ci,
+    empirical_cdf,
     run_detection_experiment,
     run_rate_experiment,
     simulate_peak_statistics,
 )
-from jcsim.harness.experiments_util import binomial_ci, empirical_cdf, noise_variance
-from jcsim.harness.scenario import draw_scan_direction, realize_scenario
+from jcsim.harness.scenario import (
+    draw_estimates,
+    draw_scan_direction,
+    noise_variance,
+    realize_scenario,
+)
 from jcsim.poweralloc import uniform_allocate
 from jcsim.radar import DelayDopplerGrid
-from oracles import antenna_domain_peaks
+from oracles import antenna_domain_peaks, single_shot_estimates_oracle
 
 
 def small_rate_cfg(**overrides):
@@ -140,8 +152,42 @@ class TestScenarioRealization:
             assert np.deg2rad(-60) <= d.azimuth <= np.deg2rad(60)
             assert np.deg2rad(10) <= d.elevation <= np.deg2rad(80)
 
+    @pytest.mark.parametrize("model", ["rayleigh", "los", "rice"])
+    @pytest.mark.parametrize("estimator", ["pm", "lmmse"])
+    def test_draw_estimates_replays_single_shot_draws(self, model, estimator):
+        """A batch of one draws what per-user draws and one pilot-noise matrix drew."""
+        cfg = desk_preset().replace(channel_model=model, estimator=estimator)
+        real = realize_scenario(cfg, np.random.default_rng([cfg.seed, 0x51]))
+        rng, twin = np.random.default_rng(52), np.random.default_rng(52)
+        statistics, estimates = draw_estimates(real, rng)
+        ref = single_shot_estimates_oracle(real, statistics.filters.dense(), twin)
+        assert estimates.shape == (cfg.n_users, real.geom.n_elements)
+        np.testing.assert_allclose(estimates, ref, rtol=1e-12, atol=0)
+        assert rng.uniform() == twin.uniform()  # both streams consumed alike
+
 
 class TestRateExperiment:
+    def test_runs_without_scipy(self, tmp_path):
+        """``import jcsim`` and a desk scenario with scipy blocked from import."""
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import jcsim\n"
+            "from jcsim.harness.config import desk_preset\n"
+            "from jcsim.harness.experiments import run_rate_experiment\n"
+            "result = run_rate_experiment(desk_preset().replace(n_scenarios=1))\n"
+            "result.write_manifest(sys.argv[1])\n"
+            "print(len(result.rows))\n"
+        )
+        src = str(Path(jcsim.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "m.json")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) > 0
+        assert "scipy" not in json.loads((tmp_path / "m.json").read_text())["versions"]
+
     def test_zero_scenarios_empty(self):
         result = run_rate_experiment(small_rate_cfg(), n_scenarios=0)
         assert result.rows == [] and result.failures == []
@@ -375,6 +421,30 @@ class TestCli:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
         assert cli_main(["allocate", "--config", str(path)]) == 2
+
+    def test_allocate_uniform_split(self, tmp_path, capsys):
+        problem = {
+            "signal_gain": [4.0, 6.0, 5.0],
+            "interference": [[0.5, 0.2, 0.1], [0.3, 0.8, 0.2], [0.1, 0.1, 0.4]],
+            "radar_leakage": [0.1, 0.4, 0.2],
+            "noise_var": 1.0,
+            "bandwidth": 1e6,
+            "tau_c": 200,
+            "tau_p": 3,
+            "budget": 0.7,
+            "rho_star": 1.5,
+            "radar_gain": 4.0,
+            "user_gains": [0.5, 0.5, 0.2],
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert cli_main(["allocate", "--config", str(path), "--allocator", "uniform"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        users = np.asarray(report["eta_users"])
+        assert report["allocator"] == "uniform"
+        assert np.all(users == users[0])
+        assert np.isclose(report["eta_radar"] / users.sum(), 1.5, rtol=1e-12)
+        assert abs(users.sum() + report["eta_radar"] - 0.7) <= 1e-12
 
     def test_allocate_requires_config(self):
         assert cli_main(["allocate"]) == 2

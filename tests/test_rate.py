@@ -5,18 +5,11 @@ import pytest
 
 from jcsim.array import ArrayGeometry, Direction, steering_vector
 from jcsim.beamform import pbr_beam, zfr_beam
-from jcsim.channel import ChannelModelKind, ChannelStats, draw_user_channel, hbar_matrix
-from jcsim.estimation import (
-    Estimator,
-    PilotBook,
-    estimate_all,
-    lmmse_matrices,
-    training_observation,
-    training_statistics,
-)
+from jcsim.channel import ChannelModelKind, ChannelStats, hbar_matrix
+from jcsim.estimation import Estimator, PilotBook, lmmse_matrices, training_statistics
 from jcsim.harness.config import desk_preset, table1_preset
 from jcsim.harness.experiments import run_rate_experiment
-from jcsim.harness.scenario import draw_scan_direction, realize_scenario
+from jcsim.harness.scenario import draw_estimates, draw_scan_direction, realize_scenario
 from jcsim.rate import (
     RateCoefficients,
     build_rate_coefficients,
@@ -235,18 +228,16 @@ class TestDenseOracle:
             rng = np.random.default_rng([cfg.seed, 0x0AC, seed])
             real = realize_scenario(cfg, rng)
             stats = list(real.stats)
-            channels = [draw_user_channel(s, real.geom, rng) for s in stats]
-            y = training_observation(channels, real.book, real.noise_var_ul, rng)
-            est = estimate_all(y, real.book, stats, real.geom, real.noise_var_ul, real.estimator)
+            statistics, estimates = draw_estimates(real, rng)
             direction = draw_scan_direction(cfg, rng)
             if beam == "pbr":
                 radar_beam = pbr_beam(real.geom, direction)
             else:
-                radar_beam = zfr_beam(real.geom, direction, est.estimates)
+                radar_beam = zfr_beam(real.geom, direction, estimates)
             got = build_rate_coefficients(
                 stats, real.geom, real.book, real.estimator, radar_beam,
                 real.noise_var_ul, real.noise_var_dl, bandwidth=1e6, tau_c=cfg.tau_c,
-                e_matrices=est.e_matrices,
+                e_matrices=statistics.filters.dense(),
             )
             useful, xi, leakage = dense_rate_coefficients(
                 stats, real.geom, real.book, real.estimator, real.noise_var_ul, radar_beam

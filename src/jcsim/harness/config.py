@@ -95,8 +95,12 @@ class ScenarioConfig:
             raise ConfigError(f"unknown radar beam {self.radar_beam!r}")
         if self.n_users < 1 or self.n_y < 1 or self.n_z < 1:
             raise ConfigError("counts must be positive")
-        if self.tau_p is not None and self.tau_p > self.tau_c:
-            raise ConfigError("tau_p must not exceed tau_c")
+        if self.tau_p is not None and not 1 <= self.tau_p <= self.tau_c:
+            raise ConfigError("tau_p must lie in [1, tau_c]")
+        if self.n_detection_trials < 1:
+            raise ConfigError("n_detection_trials must be >= 1")
+        if not self.detection_ranges_m or not self.detection_rcr_db:
+            raise ConfigError("detection_ranges_m and detection_rcr_db must not be empty")
         if not 0 < self.pfa_target <= 1:
             raise ConfigError("pfa_target must lie in (0, 1]")
         for value, name in ((self.p_dl_w, "p_dl_w"), (self.pilot_power_w, "pilot_power_w"),

@@ -157,16 +157,25 @@ def synthesize_tx_grid(
     return u + np.sqrt(powers.eta_radar) * beams.radar_beam[:, None, None] * radar_grid
 
 
+def _phase_axes(config: OfdmFrameConfig, delays, dopplers) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis phases of a delay-Doppler shift on the grid.
+
+    exp(j 2 pi nu n T0) as (n_dopplers, N) and exp(-j 2 pi m df tau) as
+    (M, n_delays); their outer product is the ramp of one (tau, nu).
+    """
+    n = np.arange(config.n_symbols)
+    m = np.arange(config.n_subcarriers)
+    doppler_phase = np.exp(2j * np.pi * np.outer(dopplers, n) * config.symbol_duration)
+    delay_phase = np.exp(-2j * np.pi * np.outer(m, delays) * config.subcarrier_spacing)
+    return doppler_phase, delay_phase
+
+
 def delay_doppler_ramp(
     config: OfdmFrameConfig, delay: float, doppler: float
 ) -> np.ndarray:
     """Phase ramp exp(j 2 pi nu n T0) exp(-j 2 pi m df tau) on the grid."""
-    n = np.arange(config.n_symbols)
-    m = np.arange(config.n_subcarriers)
-    return np.outer(
-        np.exp(2j * np.pi * doppler * n * config.symbol_duration),
-        np.exp(-2j * np.pi * m * config.subcarrier_spacing * delay),
-    )
+    doppler_phase, delay_phase = _phase_axes(config, [delay], [doppler])
+    return np.outer(doppler_phase[0], delay_phase[:, 0])
 
 
 def target_echo(
@@ -206,15 +215,9 @@ def statistic_map_from_correlation(
     periodogram |sum_nm exp(-j 2 pi nu n T0) corr[n, m] exp(j 2 pi m df tau)|^2
     as two chained matmuls, which serve any grid.
     """
-    n = np.arange(config.n_symbols)
-    m = np.arange(config.n_subcarriers)
-    doppler_steer = np.exp(
-        -2j * np.pi * np.outer(grid.dopplers, n) * config.symbol_duration
-    )  # (n_dopplers, N)
-    delay_steer = np.exp(
-        2j * np.pi * np.outer(m, grid.delays) * config.subcarrier_spacing
-    )  # (M, n_delays)
-    amplitude = doppler_steer @ (corr @ delay_steer)  # (..., n_dopplers, n_delays)
+    doppler_phase, delay_phase = _phase_axes(config, grid.delays, grid.dopplers)
+    # The matched filter undoes each candidate shift: the conjugate phases.
+    amplitude = doppler_phase.conj() @ (corr @ delay_phase.conj())  # (..., n_dopplers, n_delays)
     return (np.abs(amplitude) ** 2).swapaxes(-1, -2)
 
 

@@ -9,11 +9,24 @@ import numpy as np
 import scipy.linalg
 
 from jcsim.array import steering_vector
-from jcsim.beamform import BeamformerSet, RadarBeamKind, matched_beam, pbr_beam, zfr_beam
-from jcsim.channel import ChannelModelKind, TargetChannel, hbar_matrix
-from jcsim.estimation import Estimator
+from jcsim.beamform import (
+    BeamformerSet,
+    RadarBeamKind,
+    matched_beam,
+    pbr_beam,
+    radar_beam,
+    zfr_beam,
+)
+from jcsim.channel import ChannelModelKind, TargetChannel, draw_channels, hbar_matrix
+from jcsim.estimation import Estimator, estimate
 from jcsim.harness.scenario import draw_estimates
-from jcsim.radar import glrt_statistic, qpsk_grid, synthesize_tx_grid, target_echo
+from jcsim.radar import (
+    delay_doppler_ramp,
+    glrt_statistic,
+    qpsk_grid,
+    synthesize_tx_grid,
+    target_echo,
+)
 
 
 def steering_oracle(n_y, n_z, spacing_d, wavelength, azimuth, elevation):
@@ -116,6 +129,48 @@ def antenna_domain_peaks(real, grid, direction, beam_kind, powers, target, n, rn
             )
         y = target_echo(u, echo, real.frame, real.noise_var_dl, rng)
         peaks[i] = glrt_statistic(u, y, grid, real.frame).peak_value
+    return peaks
+
+
+def cell_peaks_oracle(
+    real, cfg, grid, direction, beam_kind, powers, targets, n_trials, stream_key, batch, filters
+):
+    """One cell's scalar-simulator peaks with u formed on the antennas, trial by trial.
+
+    Replays the simulator's draws (streams [seed, stream_key, batch], same
+    order: channels, estimates, QPSK symbols, noise normals, target phases),
+    but builds each trial's beams one by one, forms
+    u = sum_p sqrt(eta_p) w_p x_p on the N_A antennas and takes a^H u and
+    ||u||^2 from it, with no beam Gram matrix and no power folding.
+    """
+    geom, frame, book = real.geom, real.frame, real.book
+    shape = (frame.n_symbols, frame.n_subcarriers)
+    a = steering_vector(geom, direction)
+    amp = np.sqrt(np.concatenate([powers.eta_users, [powers.eta_radar]]))
+    peaks = np.empty((len(targets), n_trials))
+    for batch_idx, start in enumerate(range(0, n_trials, batch)):
+        nb = min(batch, n_trials - start)
+        rng = np.random.default_rng([cfg.seed, stream_key, batch_idx])
+        h = draw_channels(list(real.stats), geom, nb, rng)
+        h_hat = estimate(h, book, real.noise_var_ul, filters, rng).swapaxes(0, 1)
+        xs = qpsk_grid((nb, book.n_users + 1, shape[0] * shape[1]), rng)
+        normals = rng.standard_normal((nb, *shape)) + 1j * rng.standard_normal((nb, *shape))
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=nb))
+        for b in range(nb):
+            beams = np.stack(
+                [matched_beam(e) for e in h_hat[b]]
+                + [radar_beam(beam_kind, geom, direction, h_hat[b])]
+            )
+            u = (amp[:, None] * beams).T @ xs[b]  # (N_A, N M)
+            v = (a.conj() @ u).reshape(shape)
+            energy = np.sum(np.abs(u) ** 2, axis=0).reshape(shape)
+            noise = np.sqrt(real.noise_var_dl / 2.0 * energy) * normals[b]
+            for ti, t in enumerate(targets):
+                corr = noise
+                if t is not None:
+                    ramp = delay_doppler_ramp(frame, t.delay, t.doppler)
+                    corr = t.alpha_mag * phases[b] * np.abs(v) ** 2 * ramp + noise
+                peaks[ti, start + b] = statistic_map_oracle(corr, grid, frame).max()
     return peaks
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import jcsim
 
 from jcsim.beamform import RadarBeamKind
 from jcsim.channel import SPEED_OF_LIGHT, target_alpha
+from jcsim.harness import experiments
 from jcsim.harness.cli import main as cli_main
 from jcsim.harness.config import (
     ConfigError,
@@ -21,12 +23,14 @@ from jcsim.harness.config import (
     table1_preset,
 )
 from jcsim.harness.experiments import (
+    _detection_cells,
     _TargetParams,
     binomial_ci,
     empirical_cdf,
     run_detection_experiment,
     run_rate_experiment,
     simulate_peak_statistics,
+    simulate_sweep_peaks,
 )
 from jcsim.harness.scenario import (
     draw_estimates,
@@ -36,7 +40,7 @@ from jcsim.harness.scenario import (
 )
 from jcsim.poweralloc import uniform_allocate
 from jcsim.radar import DelayDopplerGrid
-from oracles import antenna_domain_peaks, single_shot_estimates_oracle
+from oracles import antenna_domain_peaks, cell_peaks_oracle, single_shot_estimates_oracle
 
 
 def small_rate_cfg(**overrides):
@@ -269,6 +273,111 @@ class TestDetectionExperiment:
         with pytest.raises(ConfigError):
             run_detection_experiment(cfg)
 
+    def test_degenerate_overrides_rejected(self):
+        with pytest.raises(ConfigError):
+            run_detection_experiment(small_detect_cfg(), n_trials=0)
+        with pytest.raises(ConfigError):
+            run_detection_experiment(small_detect_cfg(), ranges_m=())
+
+    @pytest.mark.parametrize("rcr_db", [(3.0,), (3.0, 6.0)])
+    def test_one_draw_per_batch_whatever_the_cells(self, monkeypatch, rcr_db):
+        """Channels and QPSK symbols are drawn once per batch and stream, not per cell."""
+        calls = {"draw_channels": 0, "qpsk_grid": 0}
+
+        def counted(name):
+            original = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, counted(name))
+        cfg = small_detect_cfg(detection_rcr_db=rcr_db, n_detection_trials=300, pfa_target=0.25)
+        result = run_detection_experiment(cfg)
+        cells = {(r["rcr_db"], r["beam"], r["allocator"]) for r in result.rows}
+        assert len(cells) + len(result.failures) == 4 * len(rcr_db)
+        # H0 on max(300, 100 / Pfa) = 400 trials and H1 on 300, in batches of 256.
+        batches = math.ceil(400 / 256) + math.ceil(300 / 256)
+        assert calls == {"draw_channels": batches, "qpsk_grid": batches}
+
+
+class TestSweepPeaks:
+    """simulate_sweep_peaks: every cell of a desk sweep on the same draws.
+
+    The cells are PBR/ZFR x uniform/max-min at 3 and 6 dB RCR, simulated
+    over two batches on the H0 and the H1 stream.  Each cell's row must match
+    a one-cell pass, the antenna-domain replay of its draws
+    (``oracles.cell_peaks_oracle``) and the same cells in reverse order.
+    """
+
+    N_TRIALS = 150
+    BATCH = 96
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        cfg = desk_preset()
+        rng = np.random.default_rng([cfg.seed, 0xD0])
+        real = realize_scenario(cfg, rng)
+        grid = DelayDopplerGrid.natural(real.frame)
+        direction = draw_scan_direction(cfg, rng)
+        statistics, estimates = draw_estimates(real, rng)
+        _, cells, failures = _detection_cells(cfg, real, direction, statistics, estimates)
+        assert not failures and len(cells) == 8
+        targets = []
+        for r in (250.0, 345.0):
+            alpha, delay = target_alpha(r, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
+            doppler = 2.0 * cfg.target_speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
+            targets.append(_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler))
+        return cfg, real, grid, direction, statistics.filters, cells, targets
+
+    @pytest.fixture(scope="class", params=["h0", "h1"])
+    def hypothesis(self, request, sweep):
+        cfg, real, grid, direction, filters, cells, targets = sweep
+        targets, stream = ([None], 0xCA1) if request.param == "h0" else (targets, 0x9D)
+        peaks = simulate_sweep_peaks(
+            real, cfg, grid, direction, cells, targets, self.N_TRIALS, stream,
+            batch=self.BATCH, filters=filters,
+        )
+        return targets, stream, peaks
+
+    def test_shape_and_positive(self, sweep, hypothesis):
+        cells = sweep[5]
+        targets, _, peaks = hypothesis
+        assert peaks.shape == (len(cells), len(targets), self.N_TRIALS)
+        assert np.all(np.isfinite(peaks)) and np.all(peaks > 0)
+
+    def test_rows_match_one_cell_passes(self, sweep, hypothesis):
+        cfg, real, grid, direction, filters, cells, _ = sweep
+        targets, stream, peaks = hypothesis
+        for row, (kind, powers) in zip(peaks, cells):
+            single = simulate_peak_statistics(
+                real, cfg, grid, direction, kind, powers, targets, self.N_TRIALS, stream,
+                batch=self.BATCH, filters=filters,
+            )
+            np.testing.assert_allclose(row, single, rtol=1e-12, atol=0)
+
+    def test_rows_match_antenna_domain_replay(self, sweep, hypothesis):
+        cfg, real, grid, direction, filters, cells, _ = sweep
+        targets, stream, peaks = hypothesis
+        for row, (kind, powers) in zip(peaks, cells):
+            ref = cell_peaks_oracle(
+                real, cfg, grid, direction, kind, powers, targets, self.N_TRIALS, stream,
+                self.BATCH, filters,
+            )
+            np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0)
+
+    def test_cell_order_does_not_matter(self, sweep, hypothesis):
+        cfg, real, grid, direction, filters, cells, _ = sweep
+        targets, stream, peaks = hypothesis
+        reverse = simulate_sweep_peaks(
+            real, cfg, grid, direction, cells[::-1], targets, self.N_TRIALS, stream,
+            batch=self.BATCH, filters=filters,
+        )
+        np.testing.assert_allclose(reverse[::-1], peaks, rtol=1e-12, atol=0)
+
 
 class TestScalarSimulatorMatchesAntennaDomain:
     """simulate_peak_statistics against synthesize_tx_grid -> target_echo -> glrt_statistic.
@@ -445,6 +554,31 @@ class TestCli:
         assert np.all(users == users[0])
         assert np.isclose(report["eta_radar"] / users.sum(), 1.5, rtol=1e-12)
         assert abs(users.sum() + report["eta_radar"] - 0.7) <= 1e-12
+
+    def test_detect_zero_trials_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "detect.csv"
+        assert cli_main(["detect", "--preset", "desk", "--trials", "0", "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_detection_trials", 0),
+            ("tau_p", 0),
+            ("detection_ranges_m", []),
+            ("detection_rcr_db", []),
+        ],
+    )
+    def test_detect_degenerate_config_is_config_error(self, tmp_path, capsys, key, value):
+        data = json.loads(dump_config(desk_preset()))
+        data[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "detect.csv"
+        assert cli_main(["detect", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_allocate_requires_config(self):
         assert cli_main(["allocate"]) == 2

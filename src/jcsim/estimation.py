@@ -80,8 +80,8 @@ class PilotBook:
             raise ValueError("pilots must be a (tau_p, K) matrix")
         if powers.shape != (pilots.shape[1],):
             raise ValueError("one pilot power per user required")
-        norms = np.linalg.norm(pilots, axis=0)
-        if not np.allclose(norms, 1.0, atol=1e-9):
+        # Unit norm within an absolute 1e-9 plus a relative 1e-5; NaN fails.
+        if not np.all(np.abs(np.linalg.norm(pilots, axis=0) - 1.0) <= 1e-9 + 1e-5):
             raise ValueError("pilot sequences must have unit norm")
         if np.any(powers <= 0):
             raise ValueError("pilot powers must be positive")

@@ -16,6 +16,7 @@ __all__ = [
     "table1_preset",
     "load_config",
     "dump_config",
+    "hash_config",
 ]
 
 
@@ -122,10 +123,11 @@ class ScenarioConfig:
         return self.n_users if self.tau_p is None else self.tau_p
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key, value in out.items():
-            if isinstance(value, tuple):
-                out[key] = list(value)
+        # Every field is a scalar, a tuple or None, so no recursive deep copy.
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
     @classmethod
@@ -140,8 +142,13 @@ class ScenarioConfig:
         return dataclasses.replace(self, **changes)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return hash_config(self.to_dict())
+
+
+def hash_config(data: dict) -> str:
+    """Short SHA-256 of a config dict (``ScenarioConfig.to_dict``) in canonical JSON."""
+    canonical = json.dumps(data, sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def desk_preset() -> ScenarioConfig:

@@ -35,13 +35,16 @@ from ..poweralloc import (
 )
 from ..radar import (
     DelayDopplerGrid,
+    _matched_phases,
+    _pair_form,
+    _qpsk_pair_table,
+    _statistic_map,
     calibrate_threshold,
     delay_doppler_ramp,
-    qpsk_grid,
-    statistic_map_from_correlation,
+    qpsk_indices,
 )
 from ..rate import build_rate_coefficients, rate
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, hash_config
 from .scenario import ScenarioRealization, draw_estimates, draw_scan_direction, realize_scenario
 
 __all__ = [
@@ -175,13 +178,14 @@ def run_rate_experiment(
                         "seed": f"{cfg.seed}:{trial}",
                     }
                 )
+    config = cfg.to_dict()
     return ExperimentResult(
         kind="rates",
         rows=rows,
         fields=RATE_FIELDS,
-        config=cfg.to_dict(),
+        config=config,
         seed=cfg.seed,
-        config_hash=cfg.config_hash(),
+        config_hash=hash_config(config),
         failures=failures,
     )
 
@@ -191,6 +195,12 @@ class _TargetParams:
     alpha_mag: float
     delay: float
     doppler: float
+
+
+# Trial blocks are sized so that their QPSK pair table stays near this many
+# bytes; at the table1 geometry (55 pairs, 7,168 resource elements) a block
+# is one trial.
+PAIR_TABLE_BYTES = 2 << 20
 
 
 def simulate_sweep_peaks(
@@ -217,22 +227,31 @@ def simulate_sweep_peaks(
     element, which together are distributed exactly as in the antenna-domain
     model.
 
+    Both ||u||^2 and |a^H u|^2 are quadratic forms x^H M x in the unit-modulus
+    QPSK symbols x_p of one resource element, with M = diag(sqrt(eta)) G
+    diag(sqrt(eta)) for the beam Gram matrix G = [w_p^H w_q] and M = c c^H
+    for c_p = sqrt(eta_p) a^H w_p.  Each is tr M plus a real row of
+    coefficients times the table of pair products conj(x_p) x_q, which is the
+    same for every cell (:func:`jcsim.radar._pair_form`).
+
     Every cell runs on the same draws, so the sweep pairs its cells through
     common random numbers.  Each batch of trials works on three levels:
 
-    - once per batch, in stream order: channels and estimates
+    - per batch, in stream order: channels and estimates
       (:func:`jcsim.channel.draw_channels`, :func:`jcsim.estimation.estimate`),
-      the unscaled QPSK symbols x_p, the complex noise normals and the
-      target phases;
-    - once per distinct beam kind: the radar beam (the ZFR beam by
-      :func:`jcsim.beamform.zfr_beam` on the stack of estimates), a^H w_p
-      and the (K+1) x (K+1) beam Gram matrix G = [w_p^H w_q];
-    - per cell: sqrt(eta) folded into a^H w_p and into diag(sqrt(eta)) G
-      diag(sqrt(eta)), so the shared symbols are never scaled or copied,
-      then a^H u, ||u||^2, the noise scale, the echo and the maps, written
-      into buffers allocated once per batch.
+      the QPSK indices of x_p (:func:`jcsim.radar.qpsk_indices`), the complex
+      noise normals and the target phases; then, once per distinct beam
+      kind, the radar beam (the ZFR beam by :func:`jcsim.beamform.zfr_beam`
+      on the stack of estimates), a^H w_p and G;
+    - per trial block, sized so its pair table stays near
+      ``PAIR_TABLE_BYTES``: the real pair table of the block's symbols
+      (:func:`jcsim.radar._qpsk_pair_table`) and one batched matmul by the
+      coefficient rows of every cell;
+    - per cell: its coefficient rows, the energy row always and the echo row
+      in H1 passes, whose results give the noise scale, the echo and the
+      maps.
 
-    The N_A-antenna grid is never formed.
+    The N_A-antenna grid and the complex symbols are never formed.
     """
     geom, frame, book = real.geom, real.frame, real.book
     a = steering_vector(geom, target_direction)
@@ -241,24 +260,42 @@ def simulate_sweep_peaks(
             book, list(real.stats), geom, real.noise_var_ul, real.estimator
         ).filters
     kinds = list(dict.fromkeys(kind for kind, _ in cells))
+    cell_amps = [
+        (kind, np.sqrt(np.concatenate([powers.eta_users, [powers.eta_radar]])))
+        for kind, powers in cells
+    ]
     ramps = [
         None if t is None else t.alpha_mag * delay_doppler_ramp(frame, t.delay, t.doppler)
         for t in targets
     ]
     with_echo = any(r is not None for r in ramps)
+    phases = _matched_phases(frame, grid)
     grid_shape = (frame.n_symbols, frame.n_subcarriers)
     n_grid = grid_shape[0] * grid_shape[1]
+    n_beams = book.n_users + 1
+    n_cells = len(cells)
+    n_rows = 2 * n_cells if with_echo else n_cells  # energy rows, then echo rows
+    n_pair_rows = n_beams * (n_beams - 1)
+    block = max(1, PAIR_TABLE_BYTES // (n_pair_rows * n_grid * 8))
+    # Work buffers, allocated once and reused by every batch.
+    size = min(batch, n_trials)
+    table = np.empty((min(block, size), n_pair_rows, n_grid))
+    forms = np.empty((size, n_rows, n_grid))  # ||u||^2 rows, then |a^H u|^2 rows
+    normals, noise = (np.empty((size, *grid_shape), dtype=complex) for _ in range(2))
+    if with_echo:
+        corr = np.empty((size, *grid_shape), dtype=complex)
+        echoes = np.empty((len(targets), size, *grid_shape), dtype=complex)
 
-    peaks = np.empty((len(cells), len(targets), n_trials))
+    peaks = np.empty((n_cells, len(targets), n_trials))
     for batch_idx, start in enumerate(range(0, n_trials, batch)):
         nb = min(batch, n_trials - start)
         rng = np.random.default_rng([cfg.seed, stream_key, batch_idx])
         h = draw_channels(list(real.stats), geom, nb, rng)
         h_hat = estimate(h, book, real.noise_var_ul, filters, rng).swapaxes(0, 1)
-        xs = qpsk_grid((nb, book.n_users + 1, n_grid), rng)  # x_p, radar last
-        normals = np.empty((nb, *grid_shape), dtype=complex)
-        normals.real = rng.standard_normal(normals.shape)
-        normals.imag = rng.standard_normal(normals.shape)
+        symbols = qpsk_indices((nb, n_beams, n_grid), rng).astype(np.int8)  # radar last
+        normal = normals[:nb]
+        normal.real = rng.standard_normal(normal.shape)
+        normal.imag = rng.standard_normal(normal.shape)
         alpha_phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=nb))[:, None, None]
 
         users = h_hat / np.linalg.norm(h_hat, axis=-1, keepdims=True)
@@ -270,37 +307,40 @@ def simulate_sweep_peaks(
             beams = np.concatenate([users, radar[:, None, :]], axis=1)  # unit-norm w_p
             beam_terms[kind] = (beams @ a.conj(), beams.conj() @ beams.swapaxes(-1, -2))
 
-        gx = np.empty_like(xs)
-        products = np.empty((nb, 2 * n_grid))  # Re and Im products, interleaved
-        energy = np.empty((nb, n_grid))
-        noise = np.empty_like(normals)
+        # Each cell's M of ||u||^2 and, in H1 passes, of |a^H u|^2.
+        forms_of = [amp[:, None] * beam_terms[kind][1] * amp for kind, amp in cell_amps]
         if with_echo:
-            v = np.empty((nb, 1, n_grid), dtype=complex)
-            echo = np.empty_like(normals)
-            corr = np.empty_like(normals)
-        for ci, (kind, powers) in enumerate(cells):
-            beam_toward, gram = beam_terms[kind]
-            amp = np.sqrt(np.concatenate([powers.eta_users, [powers.eta_radar]]))
-            # ||u||^2 = ||sum_p sqrt(eta_p) w_p x_p||^2 = Re sum_p conj(x_p) (G_eta x)_p
-            np.matmul(amp[:, None] * gram * amp, xs, out=gx)
-            np.einsum("bpl,bpl->bl", xs.view(float), gx.view(float), out=products)
-            np.add(products[:, 0::2], products[:, 1::2], out=energy)
-            # In place: ||u||^2 becomes the noise scale sqrt(sigma^2 ||u||^2 / 2).
-            np.clip(energy, 0.0, None, out=energy)
-            energy *= real.noise_var_dl / 2.0
-            np.sqrt(energy, out=energy)
-            np.multiply(normals, energy.reshape(nb, *grid_shape), out=noise)
-            if with_echo:
-                np.matmul((beam_toward * amp)[:, None, :], xs, out=v)  # a^H u
-                # alpha / |alpha| times |a^H u|^2
-                np.multiply(alpha_phase, np.abs(v.reshape(nb, *grid_shape)) ** 2, out=echo)
+            echo_weights = [beam_terms[kind][0] * amp for kind, amp in cell_amps]
+            forms_of += [c.conj()[:, :, None] * c[:, None, :] for c in echo_weights]
+        coef, trace = _pair_form(np.stack(forms_of, axis=1))
+        for lo in range(0, nb, block):
+            hi = min(lo + block, nb)
+            pairs = table[: hi - lo]
+            np.copyto(pairs, _qpsk_pair_table(symbols[lo:hi]))
+            np.matmul(coef[lo:hi], pairs, out=forms[lo:hi])
+        form = forms[:nb]
+        form += trace[:, :, None]
+        # In place: ||u||^2 becomes the noise scale sqrt(sigma^2 ||u||^2 / 2).
+        scale = form[:, :n_cells]
+        np.clip(scale, 0.0, None, out=scale)
+        scale *= real.noise_var_dl / 2.0
+        np.sqrt(scale, out=scale)
+        for ti, ramp in enumerate(ramps):
+            if ramp is not None:  # alpha / |alpha| times the ramp, scaled per cell by |a^H u|^2
+                np.multiply(alpha_phase, ramp, out=echoes[ti, :nb])
+
+        for ci in range(n_cells):
+            np.multiply(normal, scale[:, ci].reshape(nb, *grid_shape), out=noise[:nb])
             for ti, ramp in enumerate(ramps):
                 if ramp is None:
-                    received = noise
+                    received = noise[:nb]
                 else:
-                    received = np.multiply(echo, ramp, out=corr)
-                    received += noise
-                stat = statistic_map_from_correlation(received, grid, frame)
+                    received = np.multiply(
+                        echoes[ti, :nb], form[:, n_cells + ci].reshape(nb, *grid_shape),
+                        out=corr[:nb],
+                    )
+                    received += noise[:nb]
+                stat = _statistic_map(received, phases)
                 peaks[ci, ti, start : start + nb] = stat.max(axis=(-2, -1))
     return peaks
 
@@ -454,12 +494,13 @@ def run_detection_experiment(
                     "seed": f"{cfg.seed}",
                 }
             )
+    config = cfg.to_dict()
     return ExperimentResult(
         kind="detect",
         rows=rows,
         fields=PD_FIELDS,
-        config=cfg.to_dict(),
+        config=config,
         seed=cfg.seed,
-        config_hash=cfg.config_hash(),
+        config_hash=hash_config(config),
         failures=failures,
     )

@@ -8,6 +8,7 @@ peak of the resulting energy map.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -19,6 +20,8 @@ __all__ = [
     "OfdmFrameConfig",
     "DelayDopplerGrid",
     "DetectionOutcome",
+    "QPSK_POINTS",
+    "qpsk_indices",
     "qpsk_grid",
     "synthesize_tx_grid",
     "target_echo",
@@ -29,6 +32,9 @@ __all__ = [
 ]
 
 DEFAULT_CP_FRACTION = 0.07
+
+# The four unit-modulus QPSK points exp(j (pi/4 + i pi/2)), i = 0..3.
+QPSK_POINTS = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * np.arange(4)))
 
 
 @dataclass(frozen=True)
@@ -124,10 +130,56 @@ class DetectionOutcome:
         return self.peak_value > threshold
 
 
+def qpsk_indices(shape, rng: np.random.Generator) -> np.ndarray:
+    """Uniform QPSK symbol indices into :data:`QPSK_POINTS`, one int64 draw."""
+    return rng.integers(0, 4, size=shape)
+
+
 def qpsk_grid(shape, rng: np.random.Generator) -> np.ndarray:
     """Unit-modulus QPSK symbols: a uniform index into the four points."""
-    points = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * np.arange(4)))
-    return points[rng.integers(0, 4, size=shape)]
+    return QPSK_POINTS[qpsk_indices(shape, rng)]
+
+
+@cache
+def _symbol_pairs(n_symbols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices p and q of the pairs p < q of n symbols, ``np.triu_indices`` order, read-only."""
+    pairs = np.triu_indices(n_symbols, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _qpsk_pair_table(indices: np.ndarray) -> np.ndarray:
+    """Pair products of QPSK symbols as the real table [Re z; Im z], int8.
+
+    ``indices`` (..., P, L) index :data:`QPSK_POINTS`.  For each of the
+    P(P-1)/2 pairs p < q (``np.triu_indices`` order), z_pq = conj(x_p) x_q
+    = j^((i_q - i_p) mod 4) is one of 1, j, -1, -j.  Returns (..., P(P-1), L):
+    the real parts of all pairs, then their imaginary parts.  The entries are
+    built in bytes, far cheaper than in floats; the caller casts them once.
+    """
+    p, q = _symbol_pairs(indices.shape[-2])
+    d = (indices[..., q, :] - indices[..., p, :]).astype(np.int8, copy=False)
+    d &= 3
+    odd = d & 1
+    table = np.empty(d.shape[:-2] + (2 * p.size, d.shape[-1]), dtype=np.int8)
+    # Re z = (1 - d)(1 - odd) and Im z = (2 - d) odd for d in 0..3.
+    np.multiply(1 - d, 1 - odd, out=table[..., : p.size, :])
+    np.multiply(2 - d, odd, out=table[..., p.size :, :])
+    return table
+
+
+def _pair_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic form x^H M x of unit-modulus x over the pair table.
+
+    For Hermitian M (..., P, P), x^H M x = tr M + 2 sum_{p<q} Re(M_pq z_pq)
+    = tr M + rows @ table with rows = [2 Re M_pq, -2 Im M_pq] matching
+    :func:`_qpsk_pair_table`.  Returns rows (..., P(P-1)) and tr M (...).
+    """
+    p, q = _symbol_pairs(m.shape[-1])
+    upper = m[..., p, q]
+    rows = np.concatenate([2.0 * upper.real, -2.0 * upper.imag], axis=-1)
+    return rows, np.trace(m, axis1=-2, axis2=-1).real
 
 
 def synthesize_tx_grid(
@@ -206,6 +258,23 @@ def target_echo(
     return echo + noise
 
 
+def _matched_phases(
+    config: OfdmFrameConfig, grid: DelayDopplerGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """The matched filter undoes each candidate shift: the conjugate phase pair."""
+    doppler_phase, delay_phase = _phase_axes(config, grid.delays, grid.dopplers)
+    return doppler_phase.conj(), delay_phase.conj()
+
+
+def _statistic_map(corr: np.ndarray, phases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """GLRT energy map of ``corr`` under the conjugate phase pair of :func:`_matched_phases`."""
+    doppler_conj, delay_conj = phases
+    # One matmul over every row of the stack, then one per grid.
+    by_delay = (corr.reshape(-1, corr.shape[-1]) @ delay_conj).reshape(*corr.shape[:-1], -1)
+    amplitude = doppler_conj @ by_delay  # (..., n_dopplers, n_delays)
+    return (np.abs(amplitude) ** 2).swapaxes(-1, -2)
+
+
 def statistic_map_from_correlation(
     corr: np.ndarray, grid: DelayDopplerGrid, config: OfdmFrameConfig
 ) -> np.ndarray:
@@ -215,10 +284,7 @@ def statistic_map_from_correlation(
     periodogram |sum_nm exp(-j 2 pi nu n T0) corr[n, m] exp(j 2 pi m df tau)|^2
     as two chained matmuls, which serve any grid.
     """
-    doppler_phase, delay_phase = _phase_axes(config, grid.delays, grid.dopplers)
-    # The matched filter undoes each candidate shift: the conjugate phases.
-    amplitude = doppler_phase.conj() @ (corr @ delay_phase.conj())  # (..., n_dopplers, n_delays)
-    return (np.abs(amplitude) ** 2).swapaxes(-1, -2)
+    return _statistic_map(corr, _matched_phases(config, grid))
 
 
 def glrt_statistic(

@@ -49,6 +49,14 @@ class TestPilotBook:
         with pytest.raises(ValueError):
             PilotBook(pilots=np.eye(2), powers=np.array([1.0, 0.0]))
 
+    def test_unit_norm_tolerance_edges(self):
+        """A column norm is accepted when |norm - 1| <= 1e-9 + 1e-5."""
+        PilotBook(pilots=(1.0 + 5e-6) * np.eye(2), powers=np.ones(2))
+        with pytest.raises(ValueError):
+            PilotBook(pilots=(1.0 + 2e-5) * np.eye(2), powers=np.ones(2))
+        with pytest.raises(ValueError):
+            PilotBook(pilots=np.full((2, 1), np.nan), powers=np.ones(1))
+
 
 def identity_filters(n_users):
     """A_k = I for every user, so ``estimate`` returns y_{p,k} itself."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from jcsim.harness.config import (
     ScenarioConfig,
     desk_preset,
     dump_config,
+    hash_config,
     load_config,
     table1_preset,
 )
@@ -120,6 +122,24 @@ class TestConfig:
             ScenarioConfig(pfa_target=0.0)
         with pytest.raises(ConfigError):
             ScenarioConfig(tau_p=300)
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (desk_preset, "01873d8125a79436"),
+            (table1_preset, "038154da2c3262c5"),
+            (lambda: ScenarioConfig(seed=7, rcr_db=6.0), "31f149e8549ca70b"),
+        ],
+    )
+    def test_dict_and_hash_are_pinned(self, make, digest):
+        """to_dict matches dataclasses.asdict with tuples as lists; the hash is pinned."""
+        cfg = make()
+        reference = {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in dataclasses.asdict(cfg).items()
+        }
+        assert json.dumps(cfg.to_dict()) == json.dumps(reference)
+        assert cfg.config_hash() == hash_config(cfg.to_dict()) == digest
 
     def test_presets_differ(self):
         desk, table = desk_preset(), table1_preset()
@@ -282,7 +302,7 @@ class TestDetectionExperiment:
     @pytest.mark.parametrize("rcr_db", [(3.0,), (3.0, 6.0)])
     def test_one_draw_per_batch_whatever_the_cells(self, monkeypatch, rcr_db):
         """Channels and QPSK symbols are drawn once per batch and stream, not per cell."""
-        calls = {"draw_channels": 0, "qpsk_grid": 0}
+        calls = {"draw_channels": 0, "qpsk_indices": 0}
 
         def counted(name):
             original = getattr(experiments, name)
@@ -301,7 +321,7 @@ class TestDetectionExperiment:
         assert len(cells) + len(result.failures) == 4 * len(rcr_db)
         # H0 on max(300, 100 / Pfa) = 400 trials and H1 on 300, in batches of 256.
         batches = math.ceil(400 / 256) + math.ceil(300 / 256)
-        assert calls == {"draw_channels": batches, "qpsk_grid": batches}
+        assert calls == {"draw_channels": batches, "qpsk_indices": batches}
 
 
 class TestSweepPeaks:
@@ -366,6 +386,38 @@ class TestSweepPeaks:
             ref = cell_peaks_oracle(
                 real, cfg, grid, direction, kind, powers, targets, self.N_TRIALS, stream,
                 self.BATCH, filters,
+            )
+            np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("hypothesis_name", ["h0", "h1"])
+    def test_many_users_match_antenna_domain_replay(self, hypothesis_name):
+        """K = 8: a batch spans several pair-table blocks and ends in a ragged one."""
+        cfg = desk_preset().replace(n_users=8)
+        rng = np.random.default_rng([cfg.seed, 0xD0])
+        real = realize_scenario(cfg, rng)
+        grid = DelayDopplerGrid.natural(real.frame)
+        direction = draw_scan_direction(cfg, rng)
+        statistics, estimates = draw_estimates(real, rng)
+        _, cells, _ = _detection_cells(cfg, real, direction, statistics, estimates)
+        n_trials, batch = 14, 10
+        block = experiments.PAIR_TABLE_BYTES // (9 * 8 * real.frame.n_symbols
+                                                 * real.frame.n_subcarriers * 8)
+        assert 1 < block < batch and batch % block != 0
+        if hypothesis_name == "h0":
+            targets, stream = [None], 0xCA1
+        else:
+            alpha, delay = target_alpha(300.0, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
+            doppler = 2.0 * cfg.target_speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
+            targets = [_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler)]
+            stream = 0x9D
+        peaks = simulate_sweep_peaks(
+            real, cfg, grid, direction, cells, targets, n_trials, stream,
+            batch=batch, filters=statistics.filters,
+        )
+        for row, (kind, powers) in zip(peaks, cells):
+            ref = cell_peaks_oracle(
+                real, cfg, grid, direction, kind, powers, targets, n_trials, stream,
+                batch, statistics.filters,
             )
             np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0)
 

@@ -6,13 +6,17 @@ from jcsim.beamform import BeamformerSet, RadarBeamKind, matched_beam, pbr_beam
 from jcsim.channel import TargetChannel
 from jcsim.poweralloc import PowerAllocation
 from jcsim.radar import (
+    QPSK_POINTS,
     DelayDopplerGrid,
     DetectionOutcome,
     OfdmFrameConfig,
     calibrate_threshold,
     detection_probability,
+    _pair_form,
+    _qpsk_pair_table,
     glrt_statistic,
     qpsk_grid,
+    qpsk_indices,
     statistic_map_from_correlation,
     synthesize_tx_grid,
     target_echo,
@@ -73,6 +77,32 @@ class TestSymbolsAndGrid:
         rng = np.random.default_rng(0)
         grid = qpsk_grid((4, 8), rng)
         np.testing.assert_allclose(np.abs(grid), 1.0, atol=1e-14)
+
+    def test_qpsk_grid_is_points_at_the_drawn_indices(self):
+        indices = qpsk_indices((3, 5), np.random.default_rng(4))
+        assert indices.dtype == np.int64 and set(np.unique(indices)) <= {0, 1, 2, 3}
+        np.testing.assert_array_equal(
+            qpsk_grid((3, 5), np.random.default_rng(4)), QPSK_POINTS[indices]
+        )
+
+    @pytest.mark.parametrize("n_symbols", [2, 11])
+    def test_pair_table_quadratic_forms_match_dense(self, n_symbols):
+        """tr M + rows @ table equals x^H M x for random Hermitian M, per element."""
+        rng = np.random.default_rng(n_symbols)
+        indices = qpsk_indices((3, n_symbols, 40), rng)
+        x = QPSK_POINTS[indices]
+        m = rng.standard_normal((3, n_symbols, n_symbols, 2)) @ [1.0, 1j]
+        m = m + m.conj().swapaxes(-1, -2)
+        table = _qpsk_pair_table(indices)
+        assert table.shape == (3, n_symbols * (n_symbols - 1), 40)
+        np.testing.assert_array_equal(_qpsk_pair_table(indices.astype(np.int8)), table)
+        pairs = np.triu_indices(n_symbols, 1)
+        z = x.conj()[:, pairs[0]] * x[:, pairs[1]]
+        np.testing.assert_allclose(table, np.concatenate([z.real, z.imag], axis=1), atol=1e-15)
+        rows, trace = _pair_form(m)
+        dense = np.einsum("bpl,bpq,bql->bl", x.conj(), m, x).real
+        np.testing.assert_allclose(trace[:, None] + (rows[:, None, :] @ table)[:, 0], dense,
+                                   rtol=1e-12, atol=1e-12 * np.abs(m).sum())
 
     def test_natural_grid_spacing_and_extent(self):
         grid = DelayDopplerGrid.natural(FRAME)

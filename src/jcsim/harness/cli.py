@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..beamform import RadarBeamKind
+from ..estimation import Estimator
 from ..poweralloc import (
     AllocationInfeasibleError,
     RadarSirCoefficients,
@@ -47,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", type=Path, help="output file")
         p.add_argument("--preset", choices=sorted(PRESETS), default="desk")
-        p.add_argument("--estimator", choices=("pm", "lmmse"))
-        p.add_argument("--beam", choices=("pbr", "zfr"))
+        p.add_argument("--estimator", choices=[e.value for e in Estimator])
+        p.add_argument("--beam", choices=[b.value for b in RadarBeamKind])
         p.add_argument("--allocator", choices=("uniform", "maxmin"))
 
     p_rates = sub.add_parser("rates", help="simulate per-user downlink rates")
@@ -70,17 +72,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_config(args) -> ScenarioConfig:
+    """The preset or ``--config`` file, with every flag that sizes or picks the run folded in."""
     if args.config is not None:
         cfg = load_config(Path(args.config).read_text())
     else:
         cfg = PRESETS[args.preset]()
-    changes = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.estimator is not None:
-        changes["estimator"] = args.estimator
-    if args.beam is not None:
-        changes["radar_beam"] = args.beam
+    flags = {
+        "seed": args.seed,
+        "estimator": args.estimator,
+        "radar_beam": args.beam,
+        "n_scenarios": getattr(args, "scenarios", None),
+        "n_detection_trials": getattr(args, "trials", None),
+    }
+    changes = {name: value for name, value in flags.items() if value is not None}
     return cfg.replace(**changes) if changes else cfg
 
 
@@ -91,29 +95,21 @@ def _write_result(result, out: Path | None, default_name: str) -> Path:
     return out
 
 
-def _cmd_rates(args) -> int:
-    from .experiments import run_rate_experiment
+def _cmd_sweep(args) -> int:
+    from .experiments import run_detection_experiment, run_rate_experiment
 
     cfg = _scenario_config(args)
-    result = run_rate_experiment(cfg, n_scenarios=args.scenarios)
-    if args.allocator is not None:
-        result.rows = [r for r in result.rows if r["allocator"] == args.allocator]
-    out = _write_result(result, args.out, "rates.csv")
-    print(f"wrote {len(result.rows)} rate rows to {out} "
-          f"({len(result.failures)} infeasible deployments skipped)")
-    return EXIT_OK
-
-
-def _cmd_detect(args) -> int:
-    from .experiments import run_detection_experiment
-
-    cfg = _scenario_config(args)
-    result = run_detection_experiment(cfg, n_trials=args.trials)
-    if args.allocator is not None:
-        result.rows = [r for r in result.rows if r["allocator"] == args.allocator]
-    out = _write_result(result, args.out, "detect.csv")
-    print(f"wrote {len(result.rows)} detection rows to {out} "
-          f"({len(result.failures)} infeasible cells skipped)")
+    if args.command == "rates":
+        result, noun, unit = run_rate_experiment(cfg), "rate", "deployments"
+    else:
+        result, noun, unit = run_detection_experiment(cfg), "detection", "cells"
+    # Rate rows carry no beam column: there --beam already picked cfg.radar_beam.
+    wanted = {"allocator": args.allocator, "beam": args.beam}
+    wanted = {k: v for k, v in wanted.items() if v is not None and k in result.fields}
+    result.rows = [r for r in result.rows if all(r[k] == v for k, v in wanted.items())]
+    out = _write_result(result, args.out, f"{args.command}.csv")
+    print(f"wrote {len(result.rows)} {noun} rows to {out} "
+          f"({len(result.failures)} infeasible {unit} skipped)")
     return EXIT_OK
 
 
@@ -175,11 +171,13 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from ..beamform import RadarBeamKind, radar_beam
+    from ..beamform import radar_beam
     from ..rate import build_rate_coefficients
     from ..validation import compare_terms, monte_carlo_rate_terms
     from .scenario import draw_estimates, draw_scan_direction, realize_scenario
 
+    if args.draws < 1 or not args.rtol > 0:
+        raise ConfigError(f"need --draws >= 1 and --rtol > 0, got {args.draws} and {args.rtol}")
     cfg = _scenario_config(args)
     rng = np.random.default_rng([cfg.seed, 0x7A])
     real = realize_scenario(cfg, rng)
@@ -219,8 +217,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
-        "rates": _cmd_rates,
-        "detect": _cmd_detect,
+        "rates": _cmd_sweep,
+        "detect": _cmd_sweep,
         "allocate": _cmd_allocate,
         "validate": _cmd_validate,
     }

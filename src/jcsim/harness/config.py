@@ -9,6 +9,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from ..beamform import RadarBeamKind
+from ..channel import ChannelModelKind
+from ..estimation import Estimator
+
 __all__ = [
     "ScenarioConfig",
     "ConfigError",
@@ -48,9 +52,9 @@ class ScenarioConfig:
 
     # users and links
     n_users: int = 4
-    channel_model: str = "rayleigh"  # rayleigh | los | rice
-    estimator: str = "pm"  # pm | lmmse
-    radar_beam: str = "pbr"  # pbr | zfr
+    channel_model: str = "rayleigh"  # a ChannelModelKind value
+    estimator: str = "pm"  # an Estimator value
+    radar_beam: str = "pbr"  # a RadarBeamKind value
     user_x_range_m: tuple = (10.0, 100.0)
     user_y_range_m: tuple = (10.0, 50.0)  # magnitude; sign drawn uniformly
     user_height_m: float = 1.65
@@ -85,21 +89,23 @@ class ScenarioConfig:
     n_detection_trials: int = 20_000
 
     def __post_init__(self):
-        for name in ("user_x_range_m", "user_y_range_m", "scan_azimuth_deg",
-                     "scan_elevation_deg", "detection_ranges_m", "detection_rcr_db"):
+        pairs = ("user_x_range_m", "user_y_range_m", "scan_azimuth_deg", "scan_elevation_deg")
+        for name in (*pairs, "detection_ranges_m", "detection_rcr_db"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.channel_model not in ("rayleigh", "los", "rice"):
-            raise ConfigError(f"unknown channel model {self.channel_model!r}")
-        if self.estimator not in ("pm", "lmmse"):
-            raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if self.radar_beam not in ("pbr", "zfr"):
-            raise ConfigError(f"unknown radar beam {self.radar_beam!r}")
+        for name in pairs:
+            low_high = getattr(self, name)
+            if len(low_high) != 2 or low_high[0] > low_high[1]:
+                raise ConfigError(f"{name} must be a (low, high) pair with low <= high")
+        for name, kind in (("channel_model", ChannelModelKind), ("estimator", Estimator),
+                           ("radar_beam", RadarBeamKind)):
+            if getattr(self, name) not in {k.value for k in kind}:
+                raise ConfigError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}")
         if self.n_users < 1 or self.n_y < 1 or self.n_z < 1:
             raise ConfigError("counts must be positive")
-        if self.tau_p is not None and not 1 <= self.tau_p <= self.tau_c:
-            raise ConfigError("tau_p must lie in [1, tau_c]")
-        if self.n_detection_trials < 1:
-            raise ConfigError("n_detection_trials must be >= 1")
+        if not 1 <= self.effective_tau_p <= self.tau_c:
+            raise ConfigError("tau_p (default: n_users) must lie in [1, tau_c]")
+        if self.n_scenarios < 0 or self.n_detection_trials < 1:
+            raise ConfigError("n_scenarios must be >= 0 and n_detection_trials >= 1")
         if not self.detection_ranges_m or not self.detection_rcr_db:
             raise ConfigError("detection_ranges_m and detection_rcr_db must not be empty")
         if not 0 < self.pfa_target <= 1:

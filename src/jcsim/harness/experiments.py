@@ -2,7 +2,9 @@
 
 The rate driver replays the full per-scenario chain (placement, training,
 estimation, beamforming, coefficient assembly, power allocation) and
-collects per-user rates under uniform and max-min allocation.  The
+collects per-user rates under uniform and max-min allocation.  Both
+drivers allocate a deployment's (RCR, beam, allocator) cells through one
+pipeline, :func:`_cells`, and size a run by its config alone.  The
 detection driver simulates the GLRT at scale; it works on the scalar
 sufficient statistic u^H y per resource element, which has exactly the
 same distribution as the full antenna-domain simulation but is two orders
@@ -95,6 +97,15 @@ class ExperimentResult:
                 if isinstance(value, float) and not np.isfinite(value):
                     raise ArithmeticError(f"non-finite value in result row: {key}={value}")
 
+    @classmethod
+    def of_run(cls, kind: str, cfg: ScenarioConfig, rows, fields, failures) -> "ExperimentResult":
+        """A driver's result, with the config dict and hash of ``cfg``."""
+        config = cfg.to_dict()
+        return cls(
+            kind=kind, rows=rows, fields=fields, config=config, seed=cfg.seed,
+            config_hash=hash_config(config), failures=failures,
+        )
+
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=self.fields)
@@ -123,50 +134,21 @@ class ExperimentResult:
         return np.asarray(out)
 
 
-def run_rate_experiment(
-    cfg: ScenarioConfig, n_scenarios: int | None = None
-) -> ExperimentResult:
-    """Per-user downlink rates over random deployments, Uni vs max-min."""
-    n_scenarios = cfg.n_scenarios if n_scenarios is None else n_scenarios
-    beam_kind = RadarBeamKind(cfg.radar_beam)
+def run_rate_experiment(cfg: ScenarioConfig) -> ExperimentResult:
+    """Per-user downlink rates over ``cfg.n_scenarios`` random deployments, Uni vs max-min."""
     rows, failures = [], []
-    for trial in range(n_scenarios):
+    for trial in range(cfg.n_scenarios):
         rng = np.random.default_rng([cfg.seed, trial])
         real = realize_scenario(cfg, rng)
         statistics, estimates = draw_estimates(real, rng)
         radar_dir = draw_scan_direction(cfg, rng)
-        user_beams = np.stack([matched_beam(h) for h in estimates])
-        w_radar = radar_beam(beam_kind, real.geom, radar_dir, estimates)
-        beams = BeamformerSet(
-            user_beams=user_beams,
-            radar_beam=w_radar,
-            radar_kind=beam_kind,
-            radar_direction=radar_dir,
+        cells, cell_failures = _cells(
+            cfg, real, radar_dir, statistics, estimates,
+            [RadarBeamKind(cfg.radar_beam)], [cfg.rcr_db],
         )
-        coeffs = build_rate_coefficients(
-            list(real.stats),
-            real.geom,
-            real.book,
-            real.estimator,
-            w_radar,
-            real.noise_var_ul,
-            real.noise_var_dl,
-            bandwidth=real.frame.bandwidth,
-            tau_c=cfg.tau_c,
-            statistics=statistics,
-        )
-        sir = RadarSirCoefficients.from_beams(real.geom, radar_dir, beams)
-        uni = uniform_allocate(cfg.p_dl_w, cfg.rcr_linear, cfg.n_users, cfg.n_subcarriers, cfg.n_symbols)
-        allocations = {"uniform": uni}
-        try:
-            allocations["maxmin"] = max_min_allocate(
-                coeffs, sir, uni.budget, cfg.effective_rho_star
-            )
-        except AllocationInfeasibleError as exc:
-            failures.append({"trial": trial, "error": str(exc)})
-        for allocator, powers in allocations.items():
-            user_rates = rate(coeffs, powers)
-            for k, value in enumerate(user_rates):
+        failures += [{"trial": trial, "error": f["error"]} for f in cell_failures]
+        for (_, _, allocator), coeffs, powers in cells:
+            for k, value in enumerate(rate(coeffs, powers)):
                 rows.append(
                     {
                         "trial": trial,
@@ -178,16 +160,7 @@ def run_rate_experiment(
                         "seed": f"{cfg.seed}:{trial}",
                     }
                 )
-    config = cfg.to_dict()
-    return ExperimentResult(
-        kind="rates",
-        rows=rows,
-        fields=RATE_FIELDS,
-        config=config,
-        seed=cfg.seed,
-        config_hash=hash_config(config),
-        failures=failures,
-    )
+    return ExperimentResult.of_run("rates", cfg, rows, RATE_FIELDS, failures)
 
 
 @dataclass(frozen=True)
@@ -373,73 +346,67 @@ def _snap(value: float, axis: np.ndarray) -> float:
     return float(axis[np.argmin(np.abs(axis - value))])
 
 
-def _detection_cells(cfg, real, direction, statistics, estimates):
-    """Every (RCR, beam, allocator) cell of a sweep, allocated on one realization.
+def _cells(cfg, real, direction, statistics, estimates, beam_kinds, rcrs_db):
+    """Every (RCR, beam, allocator) cell of one deployment, allocated in row order.
 
-    Returns the cell labels (rcr_db, beam name, allocator), the matching
-    (RadarBeamKind, PowerAllocation) pairs in row order, and one failure
-    record per infeasible max-min cell, which gets no entry.
+    Per beam kind, the beams, the closed-form rate coefficients and the
+    radar SIR gains are built once.  Per RCR, each beam gets the uniform
+    split and the max-min powers at rho* = ``cfg.rho_star``, else the
+    cell's linear RCR.  Returns ((rcr_db, RadarBeamKind, allocator),
+    RateCoefficients, PowerAllocation) triples, RCRs outermost, and one
+    failure record per infeasible max-min cell, which gets no triple.
     """
-    labels, cells, failures = [], [], []
-    for rcr_db in cfg.detection_rcr_db:
+    user_beams = np.stack([matched_beam(h) for h in estimates])
+    per_beam = []
+    for kind in beam_kinds:
+        w_radar = radar_beam(kind, real.geom, direction, estimates)
+        beams = BeamformerSet(
+            user_beams=user_beams, radar_beam=w_radar, radar_kind=kind, radar_direction=direction
+        )
+        coeffs = build_rate_coefficients(
+            list(real.stats),
+            real.geom,
+            real.book,
+            real.estimator,
+            w_radar,
+            real.noise_var_ul,
+            real.noise_var_dl,
+            bandwidth=real.frame.bandwidth,
+            tau_c=cfg.tau_c,
+            statistics=statistics,
+        )
+        sir = RadarSirCoefficients.from_beams(real.geom, direction, beams)
+        per_beam.append((kind, coeffs, sir))
+    cells, failures = [], []
+    for rcr_db in rcrs_db:
         rcr = 10.0 ** (rcr_db / 10.0)
-        for beam_kind in (RadarBeamKind.PBR, RadarBeamKind.ZFR):
-            w_radar = radar_beam(beam_kind, real.geom, direction, estimates)
-            beams = BeamformerSet(
-                user_beams=np.stack([matched_beam(h) for h in estimates]),
-                radar_beam=w_radar,
-                radar_kind=beam_kind,
-                radar_direction=direction,
-            )
-            coeffs = build_rate_coefficients(
-                list(real.stats),
-                real.geom,
-                real.book,
-                real.estimator,
-                w_radar,
-                real.noise_var_ul,
-                real.noise_var_dl,
-                bandwidth=real.frame.bandwidth,
-                tau_c=cfg.tau_c,
-                statistics=statistics,
-            )
-            sir = RadarSirCoefficients.from_beams(real.geom, direction, beams)
-            uni = uniform_allocate(
-                cfg.p_dl_w, rcr, cfg.n_users, cfg.n_subcarriers, cfg.n_symbols
-            )
-            cell_allocs = {"uniform": uni}
+        rho_star = rcr if cfg.rho_star is None else cfg.rho_star
+        uni = uniform_allocate(cfg.p_dl_w, rcr, cfg.n_users, cfg.n_subcarriers, cfg.n_symbols)
+        for kind, coeffs, sir in per_beam:
+            cells.append(((rcr_db, kind, "uniform"), coeffs, uni))
             try:
-                cell_allocs["maxmin"] = max_min_allocate(coeffs, sir, uni.budget, rcr)
+                powers = max_min_allocate(coeffs, sir, uni.budget, rho_star)
             except AllocationInfeasibleError as exc:
-                failures.append({"rcr_db": rcr_db, "beam": beam_kind.value, "error": str(exc)})
-            for allocator, powers in cell_allocs.items():
-                labels.append((rcr_db, beam_kind.value, allocator))
-                cells.append((beam_kind, powers))
-    return labels, cells, failures
+                failures.append({"rcr_db": rcr_db, "beam": kind.value, "error": str(exc)})
+            else:
+                cells.append(((rcr_db, kind, "maxmin"), coeffs, powers))
+    return cells, failures
 
 
-def run_detection_experiment(
-    cfg: ScenarioConfig,
-    ranges_m=None,
-    n_trials: int | None = None,
-) -> ExperimentResult:
+def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     """Detection probability vs range per (RCR, beam, allocator) cell.
 
     Every cell's power allocation is computed first on one reference
-    realization; an infeasible max-min cell goes into ``failures``.  Two
-    :func:`simulate_sweep_peaks` passes then serve all cells on the same
-    draws: the H0 pass on stream 0xCA1 and the H1 pass on stream 0x9D,
-    both keyed [seed, stream, batch] as a one-cell run would be.  Each
-    cell's threshold is calibrated at the configured false-alarm
+    realization (:func:`_cells`, both beams at each of
+    ``cfg.detection_rcr_db``); an infeasible max-min cell goes into
+    ``failures``.  Two :func:`simulate_sweep_peaks` passes then serve all
+    cells on the same draws: the H0 pass on stream 0xCA1 and the H1 pass on
+    stream 0x9D, both keyed [seed, stream, batch] as a one-cell run would
+    be.  Each cell's threshold is calibrated at the configured false-alarm
     probability on the shared H0 draws through its own beam and powers; its
-    Pd trials are the fresh H1 draws.
+    ``cfg.n_detection_trials`` Pd trials per range are the fresh H1 draws.
     """
-    ranges_m = tuple(cfg.detection_ranges_m if ranges_m is None else ranges_m)
-    n_trials = cfg.n_detection_trials if n_trials is None else n_trials
-    if n_trials < 1:
-        raise ConfigError(f"detection needs at least one trial per cell, got {n_trials}")
-    if not ranges_m:
-        raise ConfigError("detection needs at least one target range")
+    n_trials = cfg.n_detection_trials
     rng0 = np.random.default_rng([cfg.seed, 0xD0])
     real = realize_scenario(cfg, rng0)
     grid = DelayDopplerGrid.natural(real.frame)
@@ -447,7 +414,7 @@ def run_detection_experiment(
     wavelength = SPEED_OF_LIGHT / cfg.carrier_hz
 
     targets = []
-    for r in ranges_m:
+    for r in cfg.detection_ranges_m:
         alpha, delay = target_alpha(r, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
         if delay > real.frame.cp_duration:
             raise ConfigError(
@@ -462,7 +429,11 @@ def run_detection_experiment(
     # Reference realization for the per-cell power allocation.
     statistics, estimates = draw_estimates(real, rng0)
 
-    labels, cells, failures = _detection_cells(cfg, real, target_dir, statistics, estimates)
+    allocated, failures = _cells(
+        cfg, real, target_dir, statistics, estimates,
+        [RadarBeamKind.PBR, RadarBeamKind.ZFR], cfg.detection_rcr_db,
+    )
+    cells = [(kind, powers) for (_, kind, _), _, powers in allocated]
     n_calibration = max(n_trials, int(np.ceil(100.0 / cfg.pfa_target)))
     h0_peaks = simulate_sweep_peaks(
         real, cfg, grid, target_dir, cells, [None], n_calibration,
@@ -473,17 +444,17 @@ def run_detection_experiment(
         stream_key=0x9D, filters=statistics.filters,
     )
     rows = []
-    for (rcr_db, beam, allocator), h0_row, peaks in zip(labels, h0_peaks, h1_peaks):
+    for ((rcr_db, kind, allocator), _, _), h0_row, peaks in zip(allocated, h0_peaks, h1_peaks):
         threshold = calibrate_threshold(
             lambda _n, _rng: h0_row, cfg.pfa_target, n_calibration, rng0
         )
-        for r, peak_row in zip(ranges_m, peaks):
+        for r, peak_row in zip(cfg.detection_ranges_m, peaks):
             pd = float(np.mean(peak_row > threshold))
             ci_low, ci_high = binomial_ci(pd, n_trials)
             rows.append(
                 {
                     "range_m": r,
-                    "beam": beam,
+                    "beam": kind.value,
                     "allocator": allocator,
                     "rcr_db": rcr_db,
                     "pd": pd,
@@ -494,13 +465,4 @@ def run_detection_experiment(
                     "seed": f"{cfg.seed}",
                 }
             )
-    config = cfg.to_dict()
-    return ExperimentResult(
-        kind="detect",
-        rows=rows,
-        fields=PD_FIELDS,
-        config=config,
-        seed=cfg.seed,
-        config_hash=hash_config(config),
-        failures=failures,
-    )
+    return ExperimentResult.of_run("detect", cfg, rows, PD_FIELDS, failures)

@@ -27,14 +27,6 @@ __all__ = [
     "draw_scan_direction",
 ]
 
-KIND_MAP = {
-    "rayleigh": ChannelModelKind.RAYLEIGH,
-    "los": ChannelModelKind.LOS,
-    "rice": ChannelModelKind.RICE,
-}
-ESTIMATOR_MAP = {"pm": Estimator.PM, "lmmse": Estimator.LMMSE}
-
-
 @dataclass(frozen=True)
 class ScenarioRealization:
     """One deployment: fixed user positions and large-scale statistics."""
@@ -80,7 +72,7 @@ def realize_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioR
         subcarrier_spacing=cfg.subcarrier_spacing_hz,
         cp_duration=cfg.cp_fraction / cfg.subcarrier_spacing_hz,
     )
-    kind = KIND_MAP[cfg.channel_model]
+    kind = ChannelModelKind(cfg.channel_model)
     pathloss = LogDistancePathLoss.los() if kind is ChannelModelKind.LOS else LogDistancePathLoss.nlos()
     if cfg.shadowing_db is not None:
         pathloss = LogDistancePathLoss(
@@ -117,7 +109,7 @@ def realize_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioR
         noise_var_ul=sigma2,
         noise_var_dl=sigma2,
         positions=positions,
-        estimator=ESTIMATOR_MAP[cfg.estimator],
+        estimator=Estimator(cfg.estimator),
     )
 
 

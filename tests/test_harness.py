@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -25,7 +26,7 @@ from jcsim.harness.config import (
     table1_preset,
 )
 from jcsim.harness.experiments import (
-    _detection_cells,
+    _cells,
     _TargetParams,
     binomial_ci,
     empirical_cdf,
@@ -47,6 +48,15 @@ from oracles import antenna_domain_peaks, cell_peaks_oracle, single_shot_estimat
 
 def small_rate_cfg(**overrides):
     return desk_preset().replace(n_scenarios=3, **overrides)
+
+
+def sweep_cells(cfg, real, direction, statistics, estimates):
+    """The detection sweep's (RadarBeamKind, PowerAllocation) cells and failures."""
+    allocated, failures = _cells(
+        cfg, real, direction, statistics, estimates,
+        [RadarBeamKind.PBR, RadarBeamKind.ZFR], cfg.detection_rcr_db,
+    )
+    return [(kind, powers) for (_, kind, _), _, powers in allocated], failures
 
 
 def small_detect_cfg(**overrides):
@@ -213,7 +223,7 @@ class TestRateExperiment:
         assert "scipy" not in json.loads((tmp_path / "m.json").read_text())["versions"]
 
     def test_zero_scenarios_empty(self):
-        result = run_rate_experiment(small_rate_cfg(), n_scenarios=0)
+        result = run_rate_experiment(small_rate_cfg().replace(n_scenarios=0))
         assert result.rows == [] and result.failures == []
 
     def test_fixed_seed_bit_identical(self):
@@ -245,9 +255,10 @@ class TestRateExperiment:
     def test_massive_array_scenario(self):
         """N_A = 256 (16 x 16) and K = 32 users, Rice, LMMSE, ZFR."""
         cfg = table1_preset().replace(
-            n_y=16, n_z=16, n_users=32, channel_model="rice", estimator="lmmse", radar_beam="zfr"
+            n_y=16, n_z=16, n_users=32, channel_model="rice", estimator="lmmse", radar_beam="zfr",
+            n_scenarios=1,
         )
-        result = run_rate_experiment(cfg, n_scenarios=1)
+        result = run_rate_experiment(cfg)
         assert result.failures == []
         assert {r["allocator"] for r in result.rows} == {"uniform", "maxmin"}
         assert len(result.rows) == 2 * 32
@@ -295,9 +306,47 @@ class TestDetectionExperiment:
 
     def test_degenerate_overrides_rejected(self):
         with pytest.raises(ConfigError):
-            run_detection_experiment(small_detect_cfg(), n_trials=0)
+            run_detection_experiment(small_detect_cfg().replace(n_detection_trials=0))
         with pytest.raises(ConfigError):
-            run_detection_experiment(small_detect_cfg(), ranges_m=())
+            run_detection_experiment(small_detect_cfg().replace(detection_ranges_m=()))
+
+    def test_rho_star_is_every_max_min_sir(self, monkeypatch):
+        """With cfg.rho_star set, each max-min cell's radar SIR is tight at it, not at its RCR."""
+        allocations = []
+        original = experiments.max_min_allocate
+
+        def recorded(coeffs, sir, budget, rho_star):
+            powers = original(coeffs, sir, budget, rho_star)
+            allocations.append((sir, powers))
+            return powers
+
+        monkeypatch.setattr(experiments, "max_min_allocate", recorded)
+        cfg = small_detect_cfg(
+            detection_rcr_db=(3.0, 6.0), rho_star=0.5, n_detection_trials=20, pfa_target=0.5
+        )
+        result = run_detection_experiment(cfg)
+        assert len(allocations) == 4 and result.failures == []
+        for sir, powers in allocations:
+            achieved = powers.eta_radar * sir.radar_gain / (sir.user_gains @ powers.eta_users)
+            assert achieved == pytest.approx(0.5, rel=1e-9)
+
+    def test_rate_coefficients_once_per_beam(self, monkeypatch):
+        """Three RCRs share each beam's coefficients: two builds, not six."""
+        calls = []
+        original = experiments.build_rate_coefficients
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "build_rate_coefficients", counted)
+        cfg = small_detect_cfg(
+            detection_rcr_db=(0.0, 3.0, 6.0), n_detection_trials=20, pfa_target=0.5
+        )
+        result = run_detection_experiment(cfg)
+        cells = {(r["rcr_db"], r["beam"], r["allocator"]) for r in result.rows}
+        assert len(cells) + len(result.failures) == 12
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("rcr_db", [(3.0,), (3.0, 6.0)])
     def test_one_draw_per_batch_whatever_the_cells(self, monkeypatch, rcr_db):
@@ -344,7 +393,7 @@ class TestSweepPeaks:
         grid = DelayDopplerGrid.natural(real.frame)
         direction = draw_scan_direction(cfg, rng)
         statistics, estimates = draw_estimates(real, rng)
-        _, cells, failures = _detection_cells(cfg, real, direction, statistics, estimates)
+        cells, failures = sweep_cells(cfg, real, direction, statistics, estimates)
         assert not failures and len(cells) == 8
         targets = []
         for r in (250.0, 345.0):
@@ -398,7 +447,7 @@ class TestSweepPeaks:
         grid = DelayDopplerGrid.natural(real.frame)
         direction = draw_scan_direction(cfg, rng)
         statistics, estimates = draw_estimates(real, rng)
-        _, cells, _ = _detection_cells(cfg, real, direction, statistics, estimates)
+        cells, _ = sweep_cells(cfg, real, direction, statistics, estimates)
         n_trials, batch = 14, 10
         block = experiments.PAIR_TABLE_BYTES // (9 * 8 * real.frame.n_symbols
                                                  * real.frame.n_subcarriers * 8)
@@ -502,6 +551,34 @@ class TestCli:
         )
         body = out.read_text().strip().splitlines()[1:]
         assert body and all(",uniform," in line for line in body)
+
+    def test_detect_beam_filter(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(dump_config(small_detect_cfg(pfa_target=0.5)))
+        out = tmp_path / "detect.csv"
+        code = cli_main(
+            ["detect", "--config", str(path), "--beam", "zfr", "--trials", "2", "--out", str(out)]
+        )
+        assert code == 0
+        with open(out, newline="") as fh:
+            beams = [row["beam"] for row in csv.DictReader(fh)]
+        assert beams and set(beams) == {"zfr"}
+
+    @pytest.mark.parametrize(
+        "command, flag, value", [("rates", "--scenarios", "2"), ("detect", "--trials", "40")]
+    )
+    def test_manifest_config_replays_the_run(self, tmp_path, command, flag, value):
+        """A sizing flag lands in the manifest's config, which re-runs to the same CSV."""
+        path = tmp_path / "cfg.json"
+        path.write_text(dump_config(small_detect_cfg(pfa_target=0.25)))
+        first = tmp_path / "first.csv"
+        assert cli_main([command, "--config", str(path), flag, value, "--out", str(first)]) == 0
+        manifest = json.loads(first.with_suffix(".manifest.json").read_text())
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(manifest["config"]))
+        second = tmp_path / "second.csv"
+        assert cli_main([command, "--config", str(replay), "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert cli_main(["rates", "--config", str(tmp_path / "nope.json")]) == 2
@@ -620,10 +697,14 @@ class TestCli:
             ("tau_p", 0),
             ("detection_ranges_m", []),
             ("detection_rcr_db", []),
+            ("n_scenarios", -1),
+            ("tau_c", 2),  # below the default tau_p = n_users = 4
+            ("user_x_range_m", [10.0]),
+            ("scan_azimuth_deg", [60.0, -60.0]),
         ],
     )
     def test_detect_degenerate_config_is_config_error(self, tmp_path, capsys, key, value):
-        data = json.loads(dump_config(desk_preset()))
+        data = json.loads(dump_config(desk_preset().replace(tau_p=None)))
         data[key] = value
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
@@ -634,6 +715,14 @@ class TestCli:
 
     def test_allocate_requires_config(self):
         assert cli_main(["allocate"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--draws", "0"], ["--draws", "2000", "--rtol", "-1"], ["--draws", "2000", "--rtol", "0"]],
+    )
+    def test_validate_bad_draws_or_rtol_is_config_error(self, capsys, flags):
+        assert cli_main(["validate", "--preset", "desk", *flags]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_validate_passes_at_modest_draws(self, capsys):
         code = cli_main(["validate", "--preset", "desk", "--draws", "20000", "--rtol", "0.1"])

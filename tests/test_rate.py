@@ -339,8 +339,10 @@ class TestTable1LineOfSight:
         users' steering vectors; dense traces left imaginary residues up to
         4.9e-6 of tr(C_j Hbar_k) there and the sweep aborted.
         """
-        cfg = table1_preset().replace(channel_model="los", estimator=estimator, radar_beam="zfr")
-        result = run_rate_experiment(cfg, 50)
+        cfg = table1_preset().replace(
+            channel_model="los", estimator=estimator, radar_beam="zfr", n_scenarios=50
+        )
+        result = run_rate_experiment(cfg)
         trials = result.column("trial", allocator="uniform")
         assert sorted(set(trials.tolist())) == list(range(50))
         rates = result.column("rate_bps")

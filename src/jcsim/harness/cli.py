@@ -105,8 +105,7 @@ def _cmd_sweep(args) -> int:
         result, noun, unit = run_detection_experiment(cfg), "detection", "cells"
     # Rate rows carry no beam column: there --beam already picked cfg.radar_beam.
     wanted = {"allocator": args.allocator, "beam": args.beam}
-    wanted = {k: v for k, v in wanted.items() if v is not None and k in result.fields}
-    result.rows = [r for r in result.rows if all(r[k] == v for k, v in wanted.items())]
+    result.keep_rows(**{k: v for k, v in wanted.items() if v is not None and k in result.fields})
     out = _write_result(result, args.out, f"{args.command}.csv")
     print(f"wrote {len(result.rows)} {noun} rows to {out} "
           f"({len(result.failures)} infeasible {unit} skipped)")

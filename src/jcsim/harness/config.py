@@ -7,6 +7,8 @@ experiment bit for bit.
 import dataclasses
 import hashlib
 import json
+import numbers
+import types
 from dataclasses import dataclass
 
 from ..beamform import RadarBeamKind
@@ -26,6 +28,32 @@ __all__ = [
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# What each field annotation accepts: a JSON number for float, a whole one
+# for int, and a list of numbers for tuple.
+_TYPE_CHECKS = {
+    int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    float: ("a number", _is_real),
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    tuple: ("a list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v))),
+}
+
+
+def _check_type(name: str, value, annotation) -> None:
+    """Raise ConfigError unless ``value`` fits the field annotation (``X`` or ``X | None``)."""
+    if isinstance(annotation, types.UnionType):
+        if value is None:
+            return
+        (annotation,) = set(annotation.__args__) - {type(None)}
+    what, fits = _TYPE_CHECKS[annotation]
+    if not fits(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +117,8 @@ class ScenarioConfig:
     n_detection_trials: int = 20_000
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            _check_type(f.name, getattr(self, f.name), f.type)
         pairs = ("user_x_range_m", "user_y_range_m", "scan_azimuth_deg", "scan_elevation_deg")
         for name in (*pairs, "detection_ranges_m", "detection_rcr_db"):
             object.__setattr__(self, name, tuple(getattr(self, name)))

@@ -14,10 +14,37 @@ seconds.  A sweep makes one simulation pass per hypothesis over all its
 streams keyed by (seed, stream, batch index), and every cell runs on those
 same draws through its own beam and powers, so compared cells are paired
 through common random numbers.
+
+Threading model.  A detection call opens one thread pool and joins it
+before it returns.  The pool has a worker per CPU the process may run on
+(``os.sched_getaffinity``), divided by the threads per call of a loaded
+OpenBLAS, whose own threads would otherwise spin on the workers' CPUs.  Its tasks are of two kinds: drawing a batch, which consumes that
+batch's own stream in a fixed order, and computing a block of a drawn
+batch's trials, which writes only those trials' peaks.  The calling thread
+alone submits tasks and waits on them; it draws ahead at most one batch
+more than there are workers, and it re-raises the first worker exception.
+The results do not depend on the number of workers: every batch reads only
+its own stream, and the split of a batch into blocks depends on its size
+alone, so each peak comes out of the same operations on the same numbers
+whichever thread runs them, and in whatever order.  The worker count is
+therefore no part of the experiment, and there is no option for it; CPU
+affinity (``taskset``) and the BLAS thread count bound it.  Threads suffice because numpy releases
+the interpreter lock in the draws, the matmuls and the large ufuncs.
+Workers run only the simulator's draws and trial blocks; scenario
+realization, the cell allocation, the threshold calibration and the whole
+rate driver run on the calling thread, so a wrapper around any of those
+functions sees all its calls there.
 """
 
 import csv
+import ctypes
+import functools
+import itertools
 import json
+import os
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,6 +117,7 @@ class ExperimentResult:
     seed: int
     config_hash: str
     failures: list = field(default_factory=list)
+    row_filter: dict = field(default_factory=dict)  # column -> value every kept row has
 
     def __post_init__(self):
         for row in self.rows:
@@ -105,6 +133,11 @@ class ExperimentResult:
             kind=kind, rows=rows, fields=fields, config=config, seed=cfg.seed,
             config_hash=hash_config(config), failures=failures,
         )
+
+    def keep_rows(self, **wanted) -> None:
+        """Keep only the rows whose columns equal ``wanted``; the manifest records the filter."""
+        self.rows = [row for row in self.rows if all(row[k] == v for k, v in wanted.items())]
+        self.row_filter = {**self.row_filter, **wanted}
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -122,6 +155,8 @@ class ExperimentResult:
             "failures": self.failures,
             "versions": {"numpy": np.__version__},
         }
+        if self.row_filter:
+            manifest["row_filter"] = self.row_filter
         Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     def column(self, name: str, **filters) -> np.ndarray:
@@ -170,10 +205,265 @@ class _TargetParams:
     doppler: float
 
 
-# Trial blocks are sized so that their QPSK pair table stays near this many
-# bytes; at the table1 geometry (55 pairs, 7,168 resource elements) a block
-# is one trial.
+# Trials per batch, the unit of the random streams [seed, stream, batch].
+BATCH = 256
+# A batch splits into even trial blocks of at most this many trials: each
+# block is one task of the sweep's thread pool.
+BLOCK_TRIALS = 64
+# Within a block, the QPSK pair table is built for so many trials at a time
+# that it stays near this many bytes; at the table1 geometry (55 pairs, 7,168
+# resource elements) that is one trial.
 PAIR_TABLE_BYTES = 2 << 20
+
+
+@functools.cache
+def _openblas_threads_getter():
+    """``get_num_threads`` of the OpenBLAS this process has loaded, or None if none is found.
+
+    Looks through the shared objects in ``/proc/self/maps``, so it finds
+    OpenBLAS on Linux only.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line and "/" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                if getter is not None:
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    return getter
+    return None
+
+
+def _workers() -> int:
+    """Threads of a sweep's pool: one per CPU this process may run on that BLAS leaves free.
+
+    Every worker calls BLAS.  An OpenBLAS that runs each call on T threads
+    keeps its own threads spinning between calls, so the pool gets one
+    worker per T CPUs; with BLAS on one thread, one per CPU.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    getter = _openblas_threads_getter()
+    blas_threads = max(1, getter()) if getter is not None else 1
+    return max(1, cpus // blas_threads)
+
+
+@dataclass(eq=False)
+class _Batch:
+    """The stream-ordered draws of one batch of trials, read by its trial blocks."""
+
+    start: int  # index of the batch's first trial in the pass
+    h_hat: np.ndarray  # (nb, K, N_A) channel estimates
+    symbols: np.ndarray  # (nb, K + 1, N M) QPSK indices as int8, radar last
+    normals: np.ndarray  # (nb, N, M) complex noise normals
+    alpha_phase: np.ndarray  # (nb, 1, 1) target phases alpha / |alpha|
+
+
+class _SweepPass:
+    """One hypothesis pass of :func:`simulate_sweep_peaks`, as batch draws and trial blocks.
+
+    :meth:`draw` needs only the deployment, so a pass may draw before its
+    cells are allocated; :meth:`set_cells` must come before :meth:`compute`.
+    Each block writes only its own trials of ``peaks``.
+    """
+
+    def __init__(self, real, cfg, grid, target_direction, targets, n_trials, stream_key,
+                 batch, filters):
+        frame = real.frame
+        self.real, self.seed, self.stream_key = real, cfg.seed, stream_key
+        self.direction, self.filters = target_direction, filters
+        self.a = steering_vector(real.geom, target_direction)
+        self.ramps = [
+            None if t is None else t.alpha_mag * delay_doppler_ramp(frame, t.delay, t.doppler)
+            for t in targets
+        ]
+        self.with_echo = any(r is not None for r in self.ramps)
+        self.phases = _matched_phases(frame, grid)
+        self.grid_shape = (frame.n_symbols, frame.n_subcarriers)
+        self.n_grid = frame.n_symbols * frame.n_subcarriers
+        self.n_beams = real.book.n_users + 1
+        pair_rows = self.n_beams * (self.n_beams - 1)
+        self.table_trials = max(1, PAIR_TABLE_BYTES // (pair_rows * self.n_grid * 8))
+        self.n_trials = n_trials
+        self.batches = [
+            (index, start, min(batch, n_trials - start))
+            for index, start in enumerate(range(0, n_trials, batch))
+        ]
+
+    def set_cells(self, cells) -> None:
+        """Fix the (RadarBeamKind, PowerAllocation) cells and allocate ``peaks``."""
+        self.kinds = list(dict.fromkeys(kind for kind, _ in cells))
+        self.cell_amps = [
+            (kind, np.sqrt(np.concatenate([powers.eta_users, [powers.eta_radar]])))
+            for kind, powers in cells
+        ]
+        self.peaks = np.empty((len(cells), len(self.ramps), self.n_trials))
+
+    def draw(self, index: int, start: int, nb: int) -> _Batch:
+        """Batch ``index``, drawn from stream [seed, stream_key, index] in order:
+        channels and estimates, QPSK indices, noise normals, target phases."""
+        real = self.real
+        rng = np.random.default_rng([self.seed, self.stream_key, index])
+        h = draw_channels(list(real.stats), real.geom, nb, rng)
+        h_hat = estimate(h, real.book, real.noise_var_ul, self.filters, rng).swapaxes(0, 1)
+        symbols = qpsk_indices((nb, self.n_beams, self.n_grid), rng).astype(np.int8)
+        normals = np.empty((nb, *self.grid_shape), dtype=complex)
+        normals.real = rng.standard_normal(normals.shape)
+        normals.imag = rng.standard_normal(normals.shape)
+        alpha_phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=nb))[:, None, None]
+        return _Batch(start, h_hat, symbols, normals, alpha_phase)
+
+    def blocks(self, batch: _Batch) -> list[tuple[int, int]]:
+        """The trial blocks lo:hi of a batch: as even as can be, none above ``BLOCK_TRIALS``."""
+        nb = len(batch.h_hat)
+        n_blocks = -(-nb // BLOCK_TRIALS)
+        edges = [nb * i // n_blocks for i in range(n_blocks + 1)]
+        return list(zip(edges[:-1], edges[1:]))
+
+    def compute(self, batch: _Batch, lo: int, hi: int) -> None:
+        """Peaks of every cell and target on trials lo:hi of ``batch``."""
+        geom, n = self.real.geom, hi - lo
+        h_hat = batch.h_hat[lo:hi]
+        users = h_hat / np.linalg.norm(h_hat, axis=-1, keepdims=True)
+        beam_terms = {}
+        for kind in self.kinds:
+            radar = np.broadcast_to(
+                radar_beam(kind, geom, self.direction, h_hat), (n, geom.n_elements)
+            )
+            beams = np.concatenate([users, radar[:, None, :]], axis=1)  # unit-norm w_p
+            beam_terms[kind] = (beams @ self.a.conj(), beams.conj() @ beams.swapaxes(-1, -2))
+
+        # Each cell's M of ||u||^2 and, in H1 passes, of |a^H u|^2.
+        forms_of = [amp[:, None] * beam_terms[kind][1] * amp for kind, amp in self.cell_amps]
+        if self.with_echo:
+            echo_weights = [beam_terms[kind][0] * amp for kind, amp in self.cell_amps]
+            forms_of += [c.conj()[:, :, None] * c[:, None, :] for c in echo_weights]
+        coef, trace = _pair_form(np.stack(forms_of, axis=1))
+        # Work buffers of the block, reused by every pair-table step, cell and target.
+        table = np.empty((min(self.table_trials, n), coef.shape[-1], self.n_grid))
+        form = np.empty((n, coef.shape[1], self.n_grid))
+        for sub in range(0, n, self.table_trials):
+            end = min(sub + self.table_trials, n)
+            pairs = table[: end - sub]
+            np.copyto(pairs, _qpsk_pair_table(batch.symbols[lo + sub : lo + end]))
+            np.matmul(coef[sub:end], pairs, out=form[sub:end])
+        form += trace[:, :, None]  # ||u||^2 rows, then |a^H u|^2 rows
+        # In place: ||u||^2 becomes the noise scale sqrt(sigma^2 ||u||^2 / 2).
+        n_cells = len(self.cell_amps)
+        scale = form[:, :n_cells]
+        np.clip(scale, 0.0, None, out=scale)
+        scale *= self.real.noise_var_dl / 2.0
+        np.sqrt(scale, out=scale)
+        shape = (n, *self.grid_shape)
+        noise = np.empty(shape, dtype=complex)
+        if self.with_echo:
+            received = np.empty(shape, dtype=complex)
+            echoes = np.empty((len(self.ramps), *shape), dtype=complex)
+            for ti, ramp in enumerate(self.ramps):
+                if ramp is not None:  # alpha / |alpha| times the ramp, scaled per cell by |a^H u|^2
+                    np.multiply(batch.alpha_phase[lo:hi], ramp, out=echoes[ti])
+
+        trials = slice(batch.start + lo, batch.start + hi)
+        for ci in range(n_cells):
+            np.multiply(batch.normals[lo:hi], scale[:, ci].reshape(shape), out=noise)
+            for ti, ramp in enumerate(self.ramps):
+                if ramp is None:
+                    stat = _statistic_map(noise, self.phases)
+                else:
+                    np.multiply(echoes[ti], form[:, n_cells + ci].reshape(shape), out=received)
+                    received += noise
+                    stat = _statistic_map(received, self.phases)
+                self.peaks[ci, ti, trials] = stat.max(axis=(-2, -1))
+
+
+class _Scheduler:
+    """Runs sweep passes on a thread pool: batch draws ahead, then their trial blocks.
+
+    Only the calling thread submits and waits.  At most ``max_batches``
+    batches are alive at once, from the submission of their draw until
+    their last block is done; a batch waiting for that room stays queued.
+    A drawn batch's blocks go to the pool in completion order.  Workers
+    hand batches over through ``_drawn`` by key, so a batch is freed as
+    soon as the caller drops it.  The first worker exception re-raises in
+    :meth:`run`.
+    """
+
+    def __init__(self, pool: ThreadPoolExecutor, max_batches: int):
+        self._pool = pool
+        self._max_batches = max_batches
+        self._queued = deque()  # (pass, index, start, nb) of batches not yet submitted
+        self._futures = {}  # future -> (pass, batch key, whether it is a draw)
+        self._drawn = {}  # batch key -> _Batch, written by the worker that drew it
+        self._blocks_left = {}  # batch key -> blocks not yet done
+        self._keys = itertools.count()
+        self._alive = 0
+
+    def draw(self, sweep: _SweepPass) -> None:
+        """Queue every batch of ``sweep`` and submit draws while there is room."""
+        self._queued.extend((sweep, *spec) for spec in sweep.batches)
+        self._refill()
+
+    def run(self) -> None:
+        """Wait until every queued batch is drawn and computed."""
+        while self._futures:
+            done, _ = wait(self._futures, return_when=FIRST_COMPLETED)
+            for future in done:
+                self._finished(future)
+
+    def _refill(self) -> None:
+        while self._queued and self._alive < self._max_batches:
+            sweep, *spec = self._queued.popleft()
+            key = next(self._keys)
+            self._futures[self._pool.submit(self._draw, sweep, key, *spec)] = (sweep, key, True)
+            self._alive += 1
+
+    def _draw(self, sweep, key, *spec) -> None:
+        self._drawn[key] = sweep.draw(*spec)
+
+    def _block(self, sweep, key, lo, hi) -> None:
+        sweep.compute(self._drawn[key], lo, hi)
+
+    def _finished(self, future) -> None:
+        sweep, key, is_draw = self._futures.pop(future)
+        future.result()  # re-raises the worker's exception
+        if is_draw:
+            spans = sweep.blocks(self._drawn[key])
+            self._blocks_left[key] = len(spans)
+            for lo, hi in spans:
+                self._futures[self._pool.submit(self._block, sweep, key, lo, hi)] = (
+                    sweep, key, False
+                )
+            return
+        self._blocks_left[key] -= 1
+        if not self._blocks_left[key]:
+            del self._blocks_left[key], self._drawn[key]
+            self._alive -= 1
+            self._refill()
+
+
+@contextmanager
+def _scheduler():
+    """A :class:`_Scheduler` on a pool of :func:`_workers` threads, all joined on exit.
+
+    Up to one batch per worker plus one is drawn ahead.  On an exception
+    the queued tasks are cancelled and the running ones finish first.
+    """
+    workers = _workers()
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="jcsim-sweep")
+    try:
+        yield _Scheduler(pool, max_batches=workers + 1)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def simulate_sweep_peaks(
@@ -185,7 +475,7 @@ def simulate_sweep_peaks(
     targets: list,
     n_trials: int,
     stream_key: int,
-    batch: int = 256,
+    batch: int = BATCH,
     filters: IdentityPlusLowRank | None = None,
 ) -> np.ndarray:
     """Peak GLRT statistics of every cell, shape (len(cells), len(targets), n_trials).
@@ -213,109 +503,35 @@ def simulate_sweep_peaks(
     - per batch, in stream order: channels and estimates
       (:func:`jcsim.channel.draw_channels`, :func:`jcsim.estimation.estimate`),
       the QPSK indices of x_p (:func:`jcsim.radar.qpsk_indices`), the complex
-      noise normals and the target phases; then, once per distinct beam
-      kind, the radar beam (the ZFR beam by :func:`jcsim.beamform.zfr_beam`
-      on the stack of estimates), a^H w_p and G;
-    - per trial block, sized so its pair table stays near
-      ``PAIR_TABLE_BYTES``: the real pair table of the block's symbols
+      noise normals and the target phases;
+    - per trial block of at most ``BLOCK_TRIALS`` trials: once per distinct
+      beam kind, the radar beam (the ZFR beam by
+      :func:`jcsim.beamform.zfr_beam` on the stack of estimates), a^H w_p
+      and G; then, in steps whose pair table stays near
+      ``PAIR_TABLE_BYTES``, the real pair table of the symbols
       (:func:`jcsim.radar._qpsk_pair_table`) and one batched matmul by the
       coefficient rows of every cell;
     - per cell: its coefficient rows, the energy row always and the echo row
       in H1 passes, whose results give the noise scale, the echo and the
       maps.
 
-    The N_A-antenna grid and the complex symbols are never formed.
+    Batch draws and trial blocks run on a thread pool (:class:`_Scheduler`);
+    every block depends only on its own batch's draws, so the peaks do not
+    depend on the number of workers.  The N_A-antenna grid and the complex
+    symbols are never formed.
     """
-    geom, frame, book = real.geom, real.frame, real.book
-    a = steering_vector(geom, target_direction)
     if filters is None:
         filters = training_statistics(
-            book, list(real.stats), geom, real.noise_var_ul, real.estimator
+            real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
         ).filters
-    kinds = list(dict.fromkeys(kind for kind, _ in cells))
-    cell_amps = [
-        (kind, np.sqrt(np.concatenate([powers.eta_users, [powers.eta_radar]])))
-        for kind, powers in cells
-    ]
-    ramps = [
-        None if t is None else t.alpha_mag * delay_doppler_ramp(frame, t.delay, t.doppler)
-        for t in targets
-    ]
-    with_echo = any(r is not None for r in ramps)
-    phases = _matched_phases(frame, grid)
-    grid_shape = (frame.n_symbols, frame.n_subcarriers)
-    n_grid = grid_shape[0] * grid_shape[1]
-    n_beams = book.n_users + 1
-    n_cells = len(cells)
-    n_rows = 2 * n_cells if with_echo else n_cells  # energy rows, then echo rows
-    n_pair_rows = n_beams * (n_beams - 1)
-    block = max(1, PAIR_TABLE_BYTES // (n_pair_rows * n_grid * 8))
-    # Work buffers, allocated once and reused by every batch.
-    size = min(batch, n_trials)
-    table = np.empty((min(block, size), n_pair_rows, n_grid))
-    forms = np.empty((size, n_rows, n_grid))  # ||u||^2 rows, then |a^H u|^2 rows
-    normals, noise = (np.empty((size, *grid_shape), dtype=complex) for _ in range(2))
-    if with_echo:
-        corr = np.empty((size, *grid_shape), dtype=complex)
-        echoes = np.empty((len(targets), size, *grid_shape), dtype=complex)
-
-    peaks = np.empty((n_cells, len(targets), n_trials))
-    for batch_idx, start in enumerate(range(0, n_trials, batch)):
-        nb = min(batch, n_trials - start)
-        rng = np.random.default_rng([cfg.seed, stream_key, batch_idx])
-        h = draw_channels(list(real.stats), geom, nb, rng)
-        h_hat = estimate(h, book, real.noise_var_ul, filters, rng).swapaxes(0, 1)
-        symbols = qpsk_indices((nb, n_beams, n_grid), rng).astype(np.int8)  # radar last
-        normal = normals[:nb]
-        normal.real = rng.standard_normal(normal.shape)
-        normal.imag = rng.standard_normal(normal.shape)
-        alpha_phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=nb))[:, None, None]
-
-        users = h_hat / np.linalg.norm(h_hat, axis=-1, keepdims=True)
-        beam_terms = {}
-        for kind in kinds:
-            radar = np.broadcast_to(
-                radar_beam(kind, geom, target_direction, h_hat), (nb, geom.n_elements)
-            )
-            beams = np.concatenate([users, radar[:, None, :]], axis=1)  # unit-norm w_p
-            beam_terms[kind] = (beams @ a.conj(), beams.conj() @ beams.swapaxes(-1, -2))
-
-        # Each cell's M of ||u||^2 and, in H1 passes, of |a^H u|^2.
-        forms_of = [amp[:, None] * beam_terms[kind][1] * amp for kind, amp in cell_amps]
-        if with_echo:
-            echo_weights = [beam_terms[kind][0] * amp for kind, amp in cell_amps]
-            forms_of += [c.conj()[:, :, None] * c[:, None, :] for c in echo_weights]
-        coef, trace = _pair_form(np.stack(forms_of, axis=1))
-        for lo in range(0, nb, block):
-            hi = min(lo + block, nb)
-            pairs = table[: hi - lo]
-            np.copyto(pairs, _qpsk_pair_table(symbols[lo:hi]))
-            np.matmul(coef[lo:hi], pairs, out=forms[lo:hi])
-        form = forms[:nb]
-        form += trace[:, :, None]
-        # In place: ||u||^2 becomes the noise scale sqrt(sigma^2 ||u||^2 / 2).
-        scale = form[:, :n_cells]
-        np.clip(scale, 0.0, None, out=scale)
-        scale *= real.noise_var_dl / 2.0
-        np.sqrt(scale, out=scale)
-        for ti, ramp in enumerate(ramps):
-            if ramp is not None:  # alpha / |alpha| times the ramp, scaled per cell by |a^H u|^2
-                np.multiply(alpha_phase, ramp, out=echoes[ti, :nb])
-
-        for ci in range(n_cells):
-            np.multiply(normal, scale[:, ci].reshape(nb, *grid_shape), out=noise[:nb])
-            for ti, ramp in enumerate(ramps):
-                if ramp is None:
-                    received = noise[:nb]
-                else:
-                    received = np.multiply(
-                        echoes[ti, :nb], form[:, n_cells + ci].reshape(nb, *grid_shape),
-                        out=corr[:nb],
-                    )
-                    received += noise[:nb]
-                stat = _statistic_map(received, phases)
-                peaks[ci, ti, start : start + nb] = stat.max(axis=(-2, -1))
-    return peaks
+    sweep = _SweepPass(
+        real, cfg, grid, target_direction, targets, n_trials, stream_key, batch, filters
+    )
+    sweep.set_cells(cells)
+    with _scheduler() as scheduler:
+        scheduler.draw(sweep)
+        scheduler.run()
+    return sweep.peaks
 
 
 def simulate_peak_statistics(
@@ -328,7 +544,7 @@ def simulate_peak_statistics(
     targets: list,
     n_trials: int,
     stream_key: int,
-    batch: int = 256,
+    batch: int = BATCH,
     filters: IdentityPlusLowRank | None = None,
 ) -> np.ndarray:
     """Peak GLRT statistics of one cell, shape (len(targets), n_trials).
@@ -399,10 +615,11 @@ def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     Every cell's power allocation is computed first on one reference
     realization (:func:`_cells`, both beams at each of
     ``cfg.detection_rcr_db``); an infeasible max-min cell goes into
-    ``failures``.  Two :func:`simulate_sweep_peaks` passes then serve all
-    cells on the same draws: the H0 pass on stream 0xCA1 and the H1 pass on
-    stream 0x9D, both keyed [seed, stream, batch] as a one-cell run would
-    be.  Each cell's threshold is calibrated at the configured false-alarm
+    ``failures``.  Two :func:`simulate_sweep_peaks` passes serve all cells
+    on the same draws: the H0 pass on stream 0xCA1 and the H1 pass on stream
+    0x9D, both keyed [seed, stream, batch] as a one-cell run would be.  Both
+    passes share one scheduler, and their draws start before the cells are
+    allocated, since they need only the deployment.  Each cell's threshold is calibrated at the configured false-alarm
     probability on the shared H0 draws through its own beam and powers; its
     ``cfg.n_detection_trials`` Pd trials per range are the fresh H1 draws.
     """
@@ -428,23 +645,27 @@ def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
 
     # Reference realization for the per-cell power allocation.
     statistics, estimates = draw_estimates(real, rng0)
-
-    allocated, failures = _cells(
-        cfg, real, target_dir, statistics, estimates,
-        [RadarBeamKind.PBR, RadarBeamKind.ZFR], cfg.detection_rcr_db,
-    )
-    cells = [(kind, powers) for (_, kind, _), _, powers in allocated]
     n_calibration = max(n_trials, int(np.ceil(100.0 / cfg.pfa_target)))
-    h0_peaks = simulate_sweep_peaks(
-        real, cfg, grid, target_dir, cells, [None], n_calibration,
-        stream_key=0xCA1, filters=statistics.filters,
-    )[:, 0]
-    h1_peaks = simulate_sweep_peaks(
-        real, cfg, grid, target_dir, cells, targets, n_trials,
-        stream_key=0x9D, filters=statistics.filters,
-    )
+    h0 = _SweepPass(real, cfg, grid, target_dir, [None], n_calibration, 0xCA1, BATCH,
+                    statistics.filters)
+    h1 = _SweepPass(real, cfg, grid, target_dir, targets, n_trials, 0x9D, BATCH,
+                    statistics.filters)
+    with _scheduler() as scheduler:
+        # The draws need only the deployment: they run while the cells allocate.
+        scheduler.draw(h0)
+        scheduler.draw(h1)
+        allocated, failures = _cells(
+            cfg, real, target_dir, statistics, estimates,
+            [RadarBeamKind.PBR, RadarBeamKind.ZFR], cfg.detection_rcr_db,
+        )
+        cells = [(kind, powers) for (_, kind, _), _, powers in allocated]
+        h0.set_cells(cells)
+        h1.set_cells(cells)
+        scheduler.run()
     rows = []
-    for ((rcr_db, kind, allocator), _, _), h0_row, peaks in zip(allocated, h0_peaks, h1_peaks):
+    for ((rcr_db, kind, allocator), _, _), h0_row, peaks in zip(
+        allocated, h0.peaks[:, 0], h1.peaks
+    ):
         threshold = calibrate_threshold(
             lambda _n, _rng: h0_row, cfg.pfa_target, n_calibration, rng0
         )

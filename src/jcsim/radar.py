@@ -131,8 +131,13 @@ class DetectionOutcome:
 
 
 def qpsk_indices(shape, rng: np.random.Generator) -> np.ndarray:
-    """Uniform QPSK symbol indices into :data:`QPSK_POINTS`, one int64 draw."""
-    return rng.integers(0, 4, size=shape)
+    """Uniform QPSK symbol indices into :data:`QPSK_POINTS`, one int32 draw.
+
+    For a range that fits in 32 bits numpy draws int32 and int64 by the same
+    32-bit bounded method, so the indices and the generator state after them
+    equal those of the default int64 draw, in half the memory.
+    """
+    return rng.integers(0, 4, size=shape, dtype=np.int32)
 
 
 def qpsk_grid(shape, rng: np.random.Generator) -> np.ndarray:

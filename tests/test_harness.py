@@ -5,6 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 
 import jcsim
 
-from jcsim.beamform import RadarBeamKind
+from jcsim.beamform import DegenerateDirectionError, RadarBeamKind
 from jcsim.channel import SPEED_OF_LIGHT, target_alpha
 from jcsim.harness import experiments
 from jcsim.harness.cli import main as cli_main
@@ -122,6 +125,26 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             load_config('{"no_such_knob": 1}')
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"user_x_range_m": 10},
+            {"n_users": "4"},
+            {"n_users": 4.0},
+            {"detection_ranges_m": ["150"]},
+            {"target_on_grid": 1},
+            {"rho_star": "0.5"},
+            {"channel_model": 1},
+        ],
+    )
+    def test_wrong_types_rejected(self, data):
+        with pytest.raises(ConfigError, match=f"^{next(iter(data))} must be"):
+            ScenarioConfig.from_dict(data)
+
+    def test_numbers_fit_float_fields_and_none_fits_optional_ones(self):
+        cfg = ScenarioConfig.from_dict({"carrier_hz": 3_000_000_000, "rho_star": None, "tau_p": 2})
+        assert cfg.carrier_hz == 3e9 and cfg.rho_star is None
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -351,13 +374,13 @@ class TestDetectionExperiment:
     @pytest.mark.parametrize("rcr_db", [(3.0,), (3.0, 6.0)])
     def test_one_draw_per_batch_whatever_the_cells(self, monkeypatch, rcr_db):
         """Channels and QPSK symbols are drawn once per batch and stream, not per cell."""
-        calls = {"draw_channels": 0, "qpsk_indices": 0}
+        calls = {"draw_channels": [], "qpsk_indices": []}
 
         def counted(name):
             original = getattr(experiments, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name].append(1)  # draws run on worker threads: append is atomic
                 return original(*args, **kwargs)
 
             return wrapper
@@ -370,7 +393,54 @@ class TestDetectionExperiment:
         assert len(cells) + len(result.failures) == 4 * len(rcr_db)
         # H0 on max(300, 100 / Pfa) = 400 trials and H1 on 300, in batches of 256.
         batches = math.ceil(400 / 256) + math.ceil(300 / 256)
-        assert calls == {"draw_channels": batches, "qpsk_indices": batches}
+        assert {name: len(c) for name, c in calls.items()} == {
+            "draw_channels": batches, "qpsk_indices": batches
+        }
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs",
+    )
+    @pytest.mark.parametrize("blas_threads, workers", [("1", 2), ("2", 1)])
+    def test_workers_leave_blas_its_cpus(self, blas_threads, workers):
+        """On two CPUs, one-thread BLAS gets two workers and two-thread BLAS one."""
+        script = (
+            "import os\n"
+            "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+            "from jcsim.harness import experiments\n"
+            "found = experiments._openblas_threads_getter() is not None\n"
+            "print(experiments._workers() if found else 'no OpenBLAS')\n"
+        )
+        src = str(Path(jcsim.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas_threads},
+        )
+        assert done.returncode == 0, done.stderr
+        if done.stdout.strip() == "no OpenBLAS":
+            pytest.skip("numpy here does not use OpenBLAS")
+        assert int(done.stdout) == workers
+
+    @pytest.mark.parametrize("where", ["block", "draw"])
+    def test_worker_exception_surfaces_and_no_thread_outlives_the_call(self, monkeypatch, where):
+        """A DegenerateDirectionError in a trial block or a draw re-raises in the caller."""
+        caller, raised_on = threading.current_thread(), []
+        name = "radar_beam" if where == "block" else "draw_channels"
+        original = getattr(experiments, name)
+
+        def failing(*args):
+            # Trial blocks take a stack of estimates; the reference allocation takes one set.
+            if where == "draw" or np.ndim(args[3]) == 3:
+                raised_on.append(threading.current_thread())
+                raise DegenerateDirectionError("injected")
+            return original(*args)
+
+        monkeypatch.setattr(experiments, name, failing)
+        baseline = threading.active_count()
+        with pytest.raises(DegenerateDirectionError, match="injected"):
+            run_detection_experiment(small_detect_cfg())
+        assert raised_on and caller not in raised_on
+        assert threading.active_count() == baseline
 
 
 class TestSweepPeaks:
@@ -438,9 +508,9 @@ class TestSweepPeaks:
             )
             np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("hypothesis_name", ["h0", "h1"])
-    def test_many_users_match_antenna_domain_replay(self, hypothesis_name):
-        """K = 8: a batch spans several pair-table blocks and ends in a ragged one."""
+    @staticmethod
+    def many_users_case(hypothesis_name):
+        """K = 8 sweep arguments: 14 trials in batches of 10, pair-table steps of 4 trials."""
         cfg = desk_preset().replace(n_users=8)
         rng = np.random.default_rng([cfg.seed, 0xD0])
         real = realize_scenario(cfg, rng)
@@ -448,10 +518,6 @@ class TestSweepPeaks:
         direction = draw_scan_direction(cfg, rng)
         statistics, estimates = draw_estimates(real, rng)
         cells, _ = sweep_cells(cfg, real, direction, statistics, estimates)
-        n_trials, batch = 14, 10
-        block = experiments.PAIR_TABLE_BYTES // (9 * 8 * real.frame.n_symbols
-                                                 * real.frame.n_subcarriers * 8)
-        assert 1 < block < batch and batch % block != 0
         if hypothesis_name == "h0":
             targets, stream = [None], 0xCA1
         else:
@@ -459,16 +525,85 @@ class TestSweepPeaks:
             doppler = 2.0 * cfg.target_speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
             targets = [_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler)]
             stream = 0x9D
+        return real, cfg, grid, direction, cells, targets, 14, stream, 10, statistics.filters
+
+    @pytest.mark.parametrize("hypothesis_name", ["h0", "h1"])
+    def test_many_users_match_antenna_domain_replay(self, hypothesis_name):
+        """K = 8: a batch spans several pair-table blocks and ends in a ragged one."""
+        case = self.many_users_case(hypothesis_name)
+        real, cfg, grid, direction, cells, targets, n_trials, stream, batch, filters = case
+        block = experiments.PAIR_TABLE_BYTES // (9 * 8 * real.frame.n_symbols
+                                                 * real.frame.n_subcarriers * 8)
+        assert 1 < block < batch and batch % block != 0
         peaks = simulate_sweep_peaks(
             real, cfg, grid, direction, cells, targets, n_trials, stream,
-            batch=batch, filters=statistics.filters,
+            batch=batch, filters=filters,
         )
         for row, (kind, powers) in zip(peaks, cells):
             ref = cell_peaks_oracle(
                 real, cfg, grid, direction, kind, powers, targets, n_trials, stream,
-                batch, statistics.filters,
+                batch, filters,
             )
             np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_peaks_do_not_depend_on_the_worker_count(self, sweep, hypothesis, monkeypatch,
+                                                     workers):
+        cfg, real, grid, direction, filters, cells, _ = sweep
+        targets, stream, peaks = hypothesis
+        monkeypatch.setattr(experiments, "_workers", lambda: workers)
+        again = simulate_sweep_peaks(
+            real, cfg, grid, direction, cells, targets, self.N_TRIALS, stream,
+            batch=self.BATCH, filters=filters,
+        )
+        np.testing.assert_array_equal(again, peaks)
+
+    @pytest.mark.parametrize("hypothesis_name", ["h0", "h1"])
+    def test_many_users_peaks_do_not_depend_on_the_worker_count(self, monkeypatch,
+                                                                hypothesis_name):
+        """K = 8 with trial blocks of at most 3 trials, across the pair-table steps of 4."""
+        case = self.many_users_case(hypothesis_name)
+        reference = simulate_sweep_peaks(*case[:-2], batch=case[-2], filters=case[-1])
+        monkeypatch.setattr(experiments, "BLOCK_TRIALS", 3)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(experiments, "_workers", lambda n=workers: n)
+            runs.append(simulate_sweep_peaks(*case[:-2], batch=case[-2], filters=case[-1]))
+        for peaks in runs[1:]:
+            np.testing.assert_array_equal(peaks, runs[0])
+        np.testing.assert_allclose(runs[0], reference, rtol=1e-12, atol=0)
+
+    def test_drawn_batches_alive_stay_within_the_bound(self, sweep, monkeypatch):
+        """With slow trial blocks the draws run ahead, but at most workers + 1 batches live."""
+        cfg, real, grid, direction, filters, cells, _ = sweep
+        lock, alive, most = threading.Lock(), [0], [0]
+
+        def released():
+            with lock:
+                alive[0] -= 1
+
+        def counted_draw(self, *spec):
+            batch = draw(self, *spec)
+            with lock:
+                alive[0] += 1
+                most[0] = max(most[0], alive[0])
+            weakref.finalize(batch, released)
+            return batch
+
+        def slow_compute(self, *args):
+            time.sleep(0.005)
+            compute(self, *args)
+
+        draw, compute = experiments._SweepPass.draw, experiments._SweepPass.compute
+        monkeypatch.setattr(experiments._SweepPass, "draw", counted_draw)
+        monkeypatch.setattr(experiments._SweepPass, "compute", slow_compute)
+        monkeypatch.setattr(experiments, "_workers", lambda: 2)
+        peaks = simulate_sweep_peaks(
+            real, cfg, grid, direction, cells, [None], 120, 0xCA1, batch=8, filters=filters,
+        )
+        assert np.all(peaks > 0)
+        assert 2 <= most[0] <= 3
+        assert alive[0] == 0
 
     def test_cell_order_does_not_matter(self, sweep, hypothesis):
         cfg, real, grid, direction, filters, cells, _ = sweep
@@ -565,20 +700,66 @@ class TestCli:
         assert beams and set(beams) == {"zfr"}
 
     @pytest.mark.parametrize(
-        "command, flag, value", [("rates", "--scenarios", "2"), ("detect", "--trials", "40")]
+        "command, flag, value",
+        [
+            ("rates", "--scenarios", "2"),
+            ("detect", "--trials", "40"),
+            ("rates", "--allocator", "uniform"),
+            ("detect", "--beam", "zfr"),
+        ],
     )
     def test_manifest_config_replays_the_run(self, tmp_path, command, flag, value):
-        """A sizing flag lands in the manifest's config, which re-runs to the same CSV."""
+        """A sizing flag lands in the manifest's config and a row filter in its
+        ``row_filter``; replayed with both, the run writes the same CSV."""
         path = tmp_path / "cfg.json"
-        path.write_text(dump_config(small_detect_cfg(pfa_target=0.25)))
+        path.write_text(dump_config(small_detect_cfg(pfa_target=0.25, n_scenarios=3)))
         first = tmp_path / "first.csv"
         assert cli_main([command, "--config", str(path), flag, value, "--out", str(first)]) == 0
         manifest = json.loads(first.with_suffix(".manifest.json").read_text())
+        assert manifest["n_rows"] == len(first.read_text().splitlines()) - 1
         replay = tmp_path / "replay.json"
         replay.write_text(json.dumps(manifest["config"]))
+        filters = [arg for key, val in manifest.get("row_filter", {}).items()
+                   for arg in (f"--{key}", val)]
         second = tmp_path / "second.csv"
-        assert cli_main([command, "--config", str(replay), "--out", str(second)]) == 0
+        assert cli_main([command, "--config", str(replay), *filters, "--out", str(second)]) == 0
         assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value", [("user_x_range_m", 10), ("n_users", "4"), ("target_on_grid", "no")]
+    )
+    def test_rates_wrong_config_type_is_config_error(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        out = tmp_path / "rates.csv"
+        assert cli_main(["rates", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_detect_pinned_to_one_cpu_writes_the_same_csv(self, tmp_path):
+        """A one-CPU process runs the sweep on one worker and writes the same bytes."""
+        args = ["detect", "--preset", "desk", "--trials", "20"]
+        free = tmp_path / "free.csv"
+        assert cli_main([*args, "--out", str(free)]) == 0
+        script = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from jcsim.harness import experiments\n"
+            "from jcsim.harness.cli import main\n"
+            "assert experiments._workers() == 1\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        pinned = tmp_path / "pinned.csv"
+        src = str(Path(jcsim.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args, "--out", str(pinned)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert pinned.read_bytes() == free.read_bytes()
+        assert (pinned.with_suffix(".manifest.json").read_bytes()
+                == free.with_suffix(".manifest.json").read_bytes())
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert cli_main(["rates", "--config", str(tmp_path / "nope.json")]) == 2

@@ -80,10 +80,20 @@ class TestSymbolsAndGrid:
 
     def test_qpsk_grid_is_points_at_the_drawn_indices(self):
         indices = qpsk_indices((3, 5), np.random.default_rng(4))
-        assert indices.dtype == np.int64 and set(np.unique(indices)) <= {0, 1, 2, 3}
+        assert indices.dtype == np.int32 and set(np.unique(indices)) <= {0, 1, 2, 3}
         np.testing.assert_array_equal(
             qpsk_grid((3, 5), np.random.default_rng(4)), QPSK_POINTS[indices]
         )
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 5), (7, 11, 896), (7, 11, 7168)])
+    def test_qpsk_int32_draw_equals_the_int64_draw(self, shape):
+        """The int32 indices, and the generator state after them, equal numpy's int64 draw."""
+        for seed in range(6):
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            indices = qpsk_indices(shape, ours)
+            assert indices.dtype == np.int32
+            np.testing.assert_array_equal(indices, reference.integers(0, 4, size=shape))
+            np.testing.assert_array_equal(ours.standard_normal(5), reference.standard_normal(5))
 
     @pytest.mark.parametrize("n_symbols", [2, 11])
     def test_pair_table_quadratic_forms_match_dense(self, n_symbols):

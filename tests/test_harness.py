@@ -510,7 +510,7 @@ class TestSweepPeaks:
 
     @staticmethod
     def many_users_case(hypothesis_name):
-        """K = 8 sweep arguments: 14 trials in batches of 10, pair-table steps of 4 trials."""
+        """K = 8 sweep keyword arguments: 14 trials in batches of 10, pair-table steps of 4."""
         cfg = desk_preset().replace(n_users=8)
         rng = np.random.default_rng([cfg.seed, 0xD0])
         real = realize_scenario(cfg, rng)
@@ -525,24 +525,24 @@ class TestSweepPeaks:
             doppler = 2.0 * cfg.target_speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
             targets = [_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler)]
             stream = 0x9D
-        return real, cfg, grid, direction, cells, targets, 14, stream, 10, statistics.filters
+        return dict(
+            real=real, cfg=cfg, grid=grid, target_direction=direction, cells=cells,
+            targets=targets, n_trials=14, stream_key=stream, batch=10, filters=statistics.filters,
+        )
 
     @pytest.mark.parametrize("hypothesis_name", ["h0", "h1"])
     def test_many_users_match_antenna_domain_replay(self, hypothesis_name):
         """K = 8: a batch spans several pair-table blocks and ends in a ragged one."""
         case = self.many_users_case(hypothesis_name)
-        real, cfg, grid, direction, cells, targets, n_trials, stream, batch, filters = case
+        real, batch = case["real"], case["batch"]
         block = experiments.PAIR_TABLE_BYTES // (9 * 8 * real.frame.n_symbols
                                                  * real.frame.n_subcarriers * 8)
         assert 1 < block < batch and batch % block != 0
-        peaks = simulate_sweep_peaks(
-            real, cfg, grid, direction, cells, targets, n_trials, stream,
-            batch=batch, filters=filters,
-        )
-        for row, (kind, powers) in zip(peaks, cells):
+        peaks = simulate_sweep_peaks(**case)
+        for row, (kind, powers) in zip(peaks, case["cells"]):
             ref = cell_peaks_oracle(
-                real, cfg, grid, direction, kind, powers, targets, n_trials, stream,
-                batch, filters,
+                real, case["cfg"], case["grid"], case["target_direction"], kind, powers,
+                case["targets"], case["n_trials"], case["stream_key"], batch, case["filters"],
             )
             np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0)
 
@@ -563,12 +563,12 @@ class TestSweepPeaks:
                                                                 hypothesis_name):
         """K = 8 with trial blocks of at most 3 trials, across the pair-table steps of 4."""
         case = self.many_users_case(hypothesis_name)
-        reference = simulate_sweep_peaks(*case[:-2], batch=case[-2], filters=case[-1])
+        reference = simulate_sweep_peaks(**case)
         monkeypatch.setattr(experiments, "BLOCK_TRIALS", 3)
         runs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(experiments, "_workers", lambda n=workers: n)
-            runs.append(simulate_sweep_peaks(*case[:-2], batch=case[-2], filters=case[-1]))
+            runs.append(simulate_sweep_peaks(**case))
         for peaks in runs[1:]:
             np.testing.assert_array_equal(peaks, runs[0])
         np.testing.assert_allclose(runs[0], reference, rtol=1e-12, atol=0)

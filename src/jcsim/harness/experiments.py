@@ -17,29 +17,26 @@ through common random numbers.
 
 Threading model.  A detection call opens one thread pool and joins it
 before it returns.  The pool has a worker per CPU the process may run on
-(``os.sched_getaffinity``), divided by the threads per call of a loaded
-OpenBLAS, whose own threads would otherwise spin on the workers' CPUs.  Its tasks are of two kinds: drawing a batch, which consumes that
-batch's own stream in a fixed order, and computing a block of a drawn
-batch's trials, which writes only those trials' peaks.  The calling thread
-alone submits tasks and waits on them; it draws ahead at most one batch
-more than there are workers, and it re-raises the first worker exception.
-The results do not depend on the number of workers: every batch reads only
-its own stream, and the split of a batch into blocks depends on its size
-alone, so each peak comes out of the same operations on the same numbers
-whichever thread runs them, and in whatever order.  The worker count is
-therefore no part of the experiment, and there is no option for it; CPU
-affinity (``taskset``) and the BLAS thread count bound it.  Threads suffice because numpy releases
-the interpreter lock in the draws, the matmuls and the large ufuncs.
-Workers run only the simulator's draws and trial blocks; scenario
-realization, the cell allocation, the threshold calibration and the whole
-rate driver run on the calling thread, so a wrapper around any of those
-functions sees all its calls there.
+(``os.sched_getaffinity``), at most ``MAX_WORKERS``, since each worker
+holds its own work buffers.  Its tasks are of two kinds: drawing a batch,
+which consumes that batch's own stream in a fixed order, and computing a
+block of a drawn batch's trials, which writes only those trials' peaks.
+The calling thread alone submits tasks and waits on them; it keeps at most
+one batch more than there are workers alive, and it re-raises the first
+worker exception.  The results do not depend on the number of workers:
+every batch reads only its own stream, and the split of a batch into
+blocks depends on its size alone, so each peak comes out of the same
+operations on the same numbers whichever thread runs them, and in
+whatever order.  The worker count is therefore no part of the experiment,
+and there is no option for it; CPU affinity (``taskset``) bounds it.
+Threads suffice because numpy releases the interpreter lock in the draws,
+the matmuls and the large ufuncs.  Workers run only the simulator's draws
+and trial blocks; scenario realization, the cell allocation, the threshold
+calibration and the whole rate driver run on the calling thread, so a
+wrapper around any of those functions sees all its calls there.
 """
 
 import csv
-import ctypes
-import functools
-import itertools
 import json
 import os
 from collections import deque
@@ -214,48 +211,20 @@ BLOCK_TRIALS = 64
 # that it stays near this many bytes; at the table1 geometry (55 pairs, 7,168
 # resource elements) that is one trial.
 PAIR_TABLE_BYTES = 2 << 20
-
-
-@functools.cache
-def _openblas_threads_getter():
-    """``get_num_threads`` of the OpenBLAS this process has loaded, or None if none is found.
-
-    Looks through the shared objects in ``/proc/self/maps``, so it finds
-    OpenBLAS on Linux only.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line and "/" in line})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # a mapping whose file is gone
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                if getter is not None:
-                    getter.argtypes, getter.restype = [], ctypes.c_int
-                    return getter
-    return None
+# Most threads in a sweep's pool.  Each worker holds one block's work buffers
+# and each batch drawn ahead its draws, so peak memory grows with the pool: a
+# table1 detection sweep (8 cells, 10 H0 batches) peaks at 258, 352-411,
+# 553-610 and 918 MiB on 1, 2, 4 and 8 workers, against 474 MiB serially.
+MAX_WORKERS = 4
 
 
 def _workers() -> int:
-    """Threads of a sweep's pool: one per CPU this process may run on that BLAS leaves free.
-
-    Every worker calls BLAS.  An OpenBLAS that runs each call on T threads
-    keeps its own threads spinning between calls, so the pool gets one
-    worker per T CPUs; with BLAS on one thread, one per CPU.
-    """
+    """Threads of a sweep's pool: one per CPU this process may run on, at most ``MAX_WORKERS``."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    getter = _openblas_threads_getter()
-    blas_threads = max(1, getter()) if getter is not None else 1
-    return max(1, cpus // blas_threads)
+    return min(cpus, MAX_WORKERS)
 
 
 @dataclass(eq=False)
@@ -389,79 +358,60 @@ class _SweepPass:
 class _Scheduler:
     """Runs sweep passes on a thread pool: batch draws ahead, then their trial blocks.
 
-    Only the calling thread submits and waits.  At most ``max_batches``
-    batches are alive at once, from the submission of their draw until
-    their last block is done; a batch waiting for that room stays queued.
-    A drawn batch's blocks go to the pool in completion order.  Workers
-    hand batches over through ``_drawn`` by key, so a batch is freed as
-    soon as the caller drops it.  The first worker exception re-raises in
-    :meth:`run`.
+    Only the calling thread submits and waits.  Batches go through a window
+    of at most ``ahead`` draws: :meth:`run` takes a finished draw, submits
+    its blocks, waits for the blocks of the batch taken before and refills
+    the window.  So at most ``ahead`` + 1 batches are alive at once, and the
+    next batch's blocks are queued while the last ones finish.  The first
+    worker exception re-raises in :meth:`run`.
     """
 
-    def __init__(self, pool: ThreadPoolExecutor, max_batches: int):
+    def __init__(self, pool: ThreadPoolExecutor, ahead: int):
         self._pool = pool
-        self._max_batches = max_batches
+        self._ahead = ahead
         self._queued = deque()  # (pass, index, start, nb) of batches not yet submitted
-        self._futures = {}  # future -> (pass, batch key, whether it is a draw)
-        self._drawn = {}  # batch key -> _Batch, written by the worker that drew it
-        self._blocks_left = {}  # batch key -> blocks not yet done
-        self._keys = itertools.count()
-        self._alive = 0
+        self._window = {}  # draw future -> pass
 
     def draw(self, sweep: _SweepPass) -> None:
-        """Queue every batch of ``sweep`` and submit draws while there is room."""
+        """Queue every batch of ``sweep`` and submit draws while the window has room."""
         self._queued.extend((sweep, *spec) for spec in sweep.batches)
         self._refill()
 
     def run(self) -> None:
         """Wait until every queued batch is drawn and computed."""
-        while self._futures:
-            done, _ = wait(self._futures, return_when=FIRST_COMPLETED)
-            for future in done:
-                self._finished(future)
+        computing = []  # block futures of the batch taken before
+        while self._window:
+            done, _ = wait(self._window, return_when=FIRST_COMPLETED)
+            drawn = next(iter(done))
+            sweep = self._window.pop(drawn)
+            batch = drawn.result()  # re-raises the worker's exception, as do the blocks'
+            blocks = [
+                self._pool.submit(sweep.compute, batch, lo, hi) for lo, hi in sweep.blocks(batch)
+            ]
+            for future in computing:
+                future.result()
+            computing = blocks
+            self._refill()
+        for future in computing:
+            future.result()
 
     def _refill(self) -> None:
-        while self._queued and self._alive < self._max_batches:
+        while self._queued and len(self._window) < self._ahead:
             sweep, *spec = self._queued.popleft()
-            key = next(self._keys)
-            self._futures[self._pool.submit(self._draw, sweep, key, *spec)] = (sweep, key, True)
-            self._alive += 1
-
-    def _draw(self, sweep, key, *spec) -> None:
-        self._drawn[key] = sweep.draw(*spec)
-
-    def _block(self, sweep, key, lo, hi) -> None:
-        sweep.compute(self._drawn[key], lo, hi)
-
-    def _finished(self, future) -> None:
-        sweep, key, is_draw = self._futures.pop(future)
-        future.result()  # re-raises the worker's exception
-        if is_draw:
-            spans = sweep.blocks(self._drawn[key])
-            self._blocks_left[key] = len(spans)
-            for lo, hi in spans:
-                self._futures[self._pool.submit(self._block, sweep, key, lo, hi)] = (
-                    sweep, key, False
-                )
-            return
-        self._blocks_left[key] -= 1
-        if not self._blocks_left[key]:
-            del self._blocks_left[key], self._drawn[key]
-            self._alive -= 1
-            self._refill()
+            self._window[self._pool.submit(sweep.draw, *spec)] = sweep
 
 
 @contextmanager
 def _scheduler():
     """A :class:`_Scheduler` on a pool of :func:`_workers` threads, all joined on exit.
 
-    Up to one batch per worker plus one is drawn ahead.  On an exception
-    the queued tasks are cancelled and the running ones finish first.
+    One batch per worker is drawn ahead.  On an exception the queued tasks
+    are cancelled and the running ones finish first.
     """
     workers = _workers()
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="jcsim-sweep")
     try:
-        yield _Scheduler(pool, max_batches=workers + 1)
+        yield _Scheduler(pool, ahead=workers)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -619,9 +569,10 @@ def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     on the same draws: the H0 pass on stream 0xCA1 and the H1 pass on stream
     0x9D, both keyed [seed, stream, batch] as a one-cell run would be.  Both
     passes share one scheduler, and their draws start before the cells are
-    allocated, since they need only the deployment.  Each cell's threshold is calibrated at the configured false-alarm
-    probability on the shared H0 draws through its own beam and powers; its
-    ``cfg.n_detection_trials`` Pd trials per range are the fresh H1 draws.
+    allocated, since they need only the deployment.  Each cell's threshold
+    is calibrated at the configured false-alarm probability on the shared
+    H0 draws through its own beam and powers; its ``cfg.n_detection_trials``
+    Pd trials per range are the fresh H1 draws.
     """
     n_trials = cfg.n_detection_trials
     rng0 = np.random.default_rng([cfg.seed, 0xD0])

@@ -397,29 +397,11 @@ class TestDetectionExperiment:
             "draw_channels": batches, "qpsk_indices": batches
         }
 
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-        reason="needs two CPUs",
-    )
-    @pytest.mark.parametrize("blas_threads, workers", [("1", 2), ("2", 1)])
-    def test_workers_leave_blas_its_cpus(self, blas_threads, workers):
-        """On two CPUs, one-thread BLAS gets two workers and two-thread BLAS one."""
-        script = (
-            "import os\n"
-            "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
-            "from jcsim.harness import experiments\n"
-            "found = experiments._openblas_threads_getter() is not None\n"
-            "print(experiments._workers() if found else 'no OpenBLAS')\n"
-        )
-        src = str(Path(jcsim.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas_threads},
-        )
-        assert done.returncode == 0, done.stderr
-        if done.stdout.strip() == "no OpenBLAS":
-            pytest.skip("numpy here does not use OpenBLAS")
-        assert int(done.stdout) == workers
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 3), (64, experiments.MAX_WORKERS)])
+    def test_one_worker_per_usable_cpu_up_to_the_cap(self, monkeypatch, cpus, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert experiments._workers() == workers
 
     @pytest.mark.parametrize("where", ["block", "draw"])
     def test_worker_exception_surfaces_and_no_thread_outlives_the_call(self, monkeypatch, where):

@@ -15,7 +15,6 @@ from .channel import (
     ChannelModelKind,
     ChannelStats,
     LogDistancePathLoss,
-    TargetChannel,
     draw_channels,
     hbar_matrix,
     k_factor_from_los_probability,
@@ -40,11 +39,7 @@ from .radar import (
     DetectionOutcome,
     OfdmFrameConfig,
     calibrate_threshold,
-    detection_probability,
     glrt_statistic,
-    qpsk_grid,
-    synthesize_tx_grid,
-    target_echo,
 )
 from .rate import (
     NumericalConsistencyError,
@@ -70,7 +65,6 @@ __all__ = [
     "ChannelModelKind",
     "ChannelStats",
     "LogDistancePathLoss",
-    "TargetChannel",
     "draw_channels",
     "hbar_matrix",
     "k_factor_from_los_probability",
@@ -89,11 +83,7 @@ __all__ = [
     "DetectionOutcome",
     "OfdmFrameConfig",
     "calibrate_threshold",
-    "detection_probability",
     "glrt_statistic",
-    "qpsk_grid",
-    "synthesize_tx_grid",
-    "target_echo",
     "NumericalConsistencyError",
     "RateCoefficients",
     "build_rate_coefficients",

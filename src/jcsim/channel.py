@@ -3,12 +3,12 @@
 Per-user channels come in three flavours: Rayleigh, pure line-of-sight with
 a uniform random phase, and Rice (a K-factor mixture of the two).  Each
 flavour has a closed-form correlation matrix used by the LMMSE estimator
-and the rate bounds.  The target channel is a rank-1 two-way reflection
-with a delay/Doppler signature.
+and the rate bounds.  A point target enters through :func:`target_alpha`,
+the magnitude and round-trip delay of its two-way reflection.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .array import ArrayGeometry, Direction, steering_vector
 __all__ = [
     "ChannelModelKind",
     "ChannelStats",
-    "TargetChannel",
     "LogDistancePathLoss",
     "los_probability",
     "k_factor_from_los_probability",
@@ -58,39 +57,6 @@ class ChannelStats:
 
 
 @dataclass(frozen=True)
-class TargetChannel:
-    """Two-way BS -> target -> BS channel.
-
-    ``two_way_matrix`` is the rank-1 matrix ``alpha * a a^H`` with ``a`` the
-    steering vector toward the target.
-    """
-
-    alpha: complex
-    direction: Direction
-    delay: float
-    doppler: float
-    two_way_matrix: np.ndarray = field(repr=False, default=None)
-
-    @classmethod
-    def from_geometry(
-        cls,
-        geom: ArrayGeometry,
-        alpha: complex,
-        direction: Direction,
-        delay: float,
-        doppler: float,
-    ) -> "TargetChannel":
-        a = steering_vector(geom, direction)
-        return cls(
-            alpha=alpha,
-            direction=direction,
-            delay=delay,
-            doppler=doppler,
-            two_way_matrix=alpha * np.outer(a, a.conj()),
-        )
-
-
-@dataclass(frozen=True)
 class LogDistancePathLoss:
     """Log-distance large-scale model with optional log-normal shadowing.
 
@@ -103,10 +69,6 @@ class LogDistancePathLoss:
     exponent: float = 3.5
     ref_distance: float = 1.0
     shadowing_db: float = 8.0
-
-    @classmethod
-    def nlos(cls) -> "LogDistancePathLoss":
-        return cls(pl0_db=30.0, exponent=3.5, ref_distance=1.0, shadowing_db=8.0)
 
     @classmethod
     def los(cls) -> "LogDistancePathLoss":
@@ -207,15 +169,14 @@ def target_alpha(
     geom: ArrayGeometry,
     rcs: float = 0.1253,
     carrier: float = 3e9,
-    rng: np.random.Generator | None = None,
 ) -> tuple[complex, float]:
     """Reflection-plus-path-loss coefficient and round-trip delay.
 
     The two-way free-space loss follows the radar range equation,
     L = (4 pi)^3 / lambda^2 * range^4, and the array contributes its linear
-    broadside gain N_A.  The phase is uniform when an rng is supplied
-    (Swerling-0 with random phase), otherwise zero.  The default RCS is
-    that of a small UAV.
+    broadside gain N_A.  The phase is zero; a Swerling-0 target with random
+    phase multiplies it by a uniform unit phase.  The default RCS is that
+    of a small UAV.
     """
     if range_m <= 0:
         raise ValueError("range must be positive")
@@ -225,5 +186,4 @@ def target_alpha(
     tau = 2.0 * range_m / SPEED_OF_LIGHT
     loss = (4.0 * np.pi) ** 3 / wavelength**2 * range_m**4
     magnitude = geom.n_elements * np.sqrt(rcs / loss)
-    phase = float(rng.uniform(0.0, 2.0 * np.pi)) if rng is not None else 0.0
-    return complex(magnitude * np.exp(1j * phase)), float(tau)
+    return complex(magnitude), float(tau)

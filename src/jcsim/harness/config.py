@@ -130,20 +130,27 @@ class ScenarioConfig:
                            ("radar_beam", RadarBeamKind)):
             if getattr(self, name) not in {k.value for k in kind}:
                 raise ConfigError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}")
-        if self.n_users < 1 or self.n_y < 1 or self.n_z < 1:
-            raise ConfigError("counts must be positive")
+        for name in ("n_users", "n_y", "n_z", "n_subcarriers", "n_symbols"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name, low, high in (("scan_azimuth_deg", -180.0, 180.0),
+                                ("scan_elevation_deg", 0.0, 180.0)):
+            first, last = getattr(self, name)
+            if first < low or last > high:
+                raise ConfigError(f"{name} must lie within [{low:g}, {high:g}]")
         if not 1 <= self.effective_tau_p <= self.tau_c:
             raise ConfigError("tau_p (default: n_users) must lie in [1, tau_c]")
         if self.n_scenarios < 0 or self.n_detection_trials < 1:
             raise ConfigError("n_scenarios must be >= 0 and n_detection_trials >= 1")
         if not self.detection_ranges_m or not self.detection_rcr_db:
             raise ConfigError("detection_ranges_m and detection_rcr_db must not be empty")
+        if min(self.detection_ranges_m) <= 0:
+            raise ConfigError("detection_ranges_m must be positive")
         if not 0 < self.pfa_target <= 1:
             raise ConfigError("pfa_target must lie in (0, 1]")
-        for value, name in ((self.p_dl_w, "p_dl_w"), (self.pilot_power_w, "pilot_power_w"),
-                            (self.carrier_hz, "carrier_hz"),
-                            (self.subcarrier_spacing_hz, "subcarrier_spacing_hz")):
-            if value <= 0:
+        for name in ("p_dl_w", "pilot_power_w", "carrier_hz", "subcarrier_spacing_hz",
+                     "cp_fraction", "target_rcs_m2"):
+            if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
 
     @property

@@ -97,9 +97,9 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
     return values, probs
 
 
-def binomial_ci(p_hat: float, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Normal-approximation confidence interval for a proportion."""
-    half = z * np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+def binomial_ci(p_hat: float, n: int) -> tuple[float, float]:
+    """Normal-approximation 95% confidence interval for a proportion."""
+    half = 1.96 * np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
     return max(0.0, p_hat - half), min(1.0, p_hat + half)
 
 
@@ -247,7 +247,7 @@ class _SweepPass:
     """
 
     def __init__(self, real, cfg, grid, target_direction, targets, n_trials, stream_key,
-                 batch, filters):
+                 filters):
         frame = real.frame
         self.real, self.seed, self.stream_key = real, cfg.seed, stream_key
         self.direction, self.filters = target_direction, filters
@@ -265,8 +265,8 @@ class _SweepPass:
         self.table_trials = max(1, PAIR_TABLE_BYTES // (pair_rows * self.n_grid * 8))
         self.n_trials = n_trials
         self.batches = [
-            (index, start, min(batch, n_trials - start))
-            for index, start in enumerate(range(0, n_trials, batch))
+            (index, start, min(BATCH, n_trials - start))
+            for index, start in enumerate(range(0, n_trials, BATCH))
         ]
 
     def set_cells(self, cells) -> None:
@@ -425,7 +425,6 @@ def simulate_sweep_peaks(
     targets: list,
     n_trials: int,
     stream_key: int,
-    batch: int = BATCH,
     filters: IdentityPlusLowRank | None = None,
 ) -> np.ndarray:
     """Peak GLRT statistics of every cell, shape (len(cells), len(targets), n_trials).
@@ -474,9 +473,7 @@ def simulate_sweep_peaks(
         filters = training_statistics(
             real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
         ).filters
-    sweep = _SweepPass(
-        real, cfg, grid, target_direction, targets, n_trials, stream_key, batch, filters
-    )
+    sweep = _SweepPass(real, cfg, grid, target_direction, targets, n_trials, stream_key, filters)
     sweep.set_cells(cells)
     with _scheduler() as scheduler:
         scheduler.draw(sweep)
@@ -494,7 +491,6 @@ def simulate_peak_statistics(
     targets: list,
     n_trials: int,
     stream_key: int,
-    batch: int = BATCH,
     filters: IdentityPlusLowRank | None = None,
 ) -> np.ndarray:
     """Peak GLRT statistics of one cell, shape (len(targets), n_trials).
@@ -504,7 +500,7 @@ def simulate_peak_statistics(
     """
     return simulate_sweep_peaks(
         real, cfg, grid, target_direction, [(beam_kind, powers)], targets, n_trials,
-        stream_key, batch=batch, filters=filters,
+        stream_key, filters=filters,
     )[0]
 
 
@@ -597,10 +593,8 @@ def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     # Reference realization for the per-cell power allocation.
     statistics, estimates = draw_estimates(real, rng0)
     n_calibration = max(n_trials, int(np.ceil(100.0 / cfg.pfa_target)))
-    h0 = _SweepPass(real, cfg, grid, target_dir, [None], n_calibration, 0xCA1, BATCH,
-                    statistics.filters)
-    h1 = _SweepPass(real, cfg, grid, target_dir, targets, n_trials, 0x9D, BATCH,
-                    statistics.filters)
+    h0 = _SweepPass(real, cfg, grid, target_dir, [None], n_calibration, 0xCA1, statistics.filters)
+    h1 = _SweepPass(real, cfg, grid, target_dir, targets, n_trials, 0x9D, statistics.filters)
     with _scheduler() as scheduler:
         # The draws need only the deployment: they run while the cells allocate.
         scheduler.draw(h0)

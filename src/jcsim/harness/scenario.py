@@ -1,7 +1,7 @@
 """Turn a config into concrete geometry, user statistics and noise levels,
 and draw a deployment's channel estimates."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,14 +73,9 @@ def realize_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioR
         cp_duration=cfg.cp_fraction / cfg.subcarrier_spacing_hz,
     )
     kind = ChannelModelKind(cfg.channel_model)
-    pathloss = LogDistancePathLoss.los() if kind is ChannelModelKind.LOS else LogDistancePathLoss.nlos()
+    pathloss = LogDistancePathLoss.los() if kind is ChannelModelKind.LOS else LogDistancePathLoss()
     if cfg.shadowing_db is not None:
-        pathloss = LogDistancePathLoss(
-            pl0_db=pathloss.pl0_db,
-            exponent=pathloss.exponent,
-            ref_distance=pathloss.ref_distance,
-            shadowing_db=cfg.shadowing_db,
-        )
+        pathloss = replace(pathloss, shadowing_db=cfg.shadowing_db)
 
     positions = np.empty((cfg.n_users, 2))
     stats = []

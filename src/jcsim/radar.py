@@ -1,10 +1,12 @@
-"""OFDM grid synthesis, target echoes and the delay-Doppler GLRT.
+"""OFDM frame, delay-Doppler search grid and the GLRT detector.
 
-Everything lives on the N x M symbol grid: the transmitted vector per
-resource element, the echo with its delay/Doppler phase ramp, and the
-detector, which matches the received grid against the transmitted one,
-steers the correlation over a uniform delay-Doppler grid and thresholds the
-peak of the resulting energy map.
+The detector works on the N x M symbol grid: it correlates the received
+grid with the transmitted one per resource element (u^H y), steers that
+correlation over a uniform delay-Doppler grid and thresholds the peak of
+the resulting energy map.  The QPSK symbol indices and their pair-product
+table feed the scalar simulator of :mod:`jcsim.harness.experiments`.  The
+module needs numpy alone; the antenna-domain chain that synthesizes the
+transmit grid and its target echo is a test oracle (``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
@@ -12,23 +14,15 @@ from functools import cache
 
 import numpy as np
 
-from .beamform import BeamformerSet
-from .channel import TargetChannel
-from .poweralloc import PowerAllocation
-
 __all__ = [
     "OfdmFrameConfig",
     "DelayDopplerGrid",
     "DetectionOutcome",
     "QPSK_POINTS",
     "qpsk_indices",
-    "qpsk_grid",
-    "synthesize_tx_grid",
-    "target_echo",
     "statistic_map_from_correlation",
     "glrt_statistic",
     "calibrate_threshold",
-    "detection_probability",
 ]
 
 DEFAULT_CP_FRACTION = 0.07
@@ -74,10 +68,6 @@ class OfdmFrameConfig:
     @property
     def bandwidth(self) -> float:
         return self.n_subcarriers * self.subcarrier_spacing
-
-    @property
-    def frame_duration(self) -> float:
-        return self.n_symbols * self.symbol_duration
 
 
 @dataclass(frozen=True)
@@ -140,11 +130,6 @@ def qpsk_indices(shape, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 4, size=shape, dtype=np.int32)
 
 
-def qpsk_grid(shape, rng: np.random.Generator) -> np.ndarray:
-    """Unit-modulus QPSK symbols: a uniform index into the four points."""
-    return QPSK_POINTS[qpsk_indices(shape, rng)]
-
-
 @cache
 def _symbol_pairs(n_symbols: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices p and q of the pairs p < q of n symbols, ``np.triu_indices`` order, read-only."""
@@ -187,33 +172,6 @@ def _pair_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.trace(m, axis1=-2, axis2=-1).real
 
 
-def synthesize_tx_grid(
-    beams: BeamformerSet,
-    powers: PowerAllocation,
-    data_grids: np.ndarray,
-    radar_grid: np.ndarray,
-) -> np.ndarray:
-    """Transmit vector per resource element, (N_A, N, M).
-
-    Sum of each user's scaled symbol grid through its beam plus the radar
-    grid through the radar beam.
-    """
-    data_grids = np.asarray(data_grids, dtype=complex)
-    radar_grid = np.asarray(radar_grid, dtype=complex)
-    if data_grids.shape[0] != beams.n_users:
-        raise ValueError("one data grid per user required")
-    if data_grids.shape[0] and data_grids.shape[1:] != radar_grid.shape:
-        raise ValueError("data and radar grids must share the (N, M) shape")
-    u = np.einsum(
-        "k,ka,knm->anm",
-        np.sqrt(powers.eta_users),
-        beams.user_beams,
-        data_grids,
-        optimize=True,
-    ) if beams.n_users else 0.0
-    return u + np.sqrt(powers.eta_radar) * beams.radar_beam[:, None, None] * radar_grid
-
-
 def _phase_axes(config: OfdmFrameConfig, delays, dopplers) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis phases of a delay-Doppler shift on the grid.
 
@@ -233,34 +191,6 @@ def delay_doppler_ramp(
     """Phase ramp exp(j 2 pi nu n T0) exp(-j 2 pi m df tau) on the grid."""
     doppler_phase, delay_phase = _phase_axes(config, [delay], [doppler])
     return np.outer(doppler_phase[0], delay_phase[:, 0])
-
-
-def target_echo(
-    u: np.ndarray,
-    target: TargetChannel | None,
-    config: OfdmFrameConfig,
-    noise_var: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Received grid: rank-1 echo with its phase ramp, plus noise.
-
-    ``target=None`` generates the H0 (noise only) hypothesis.  The target
-    delay must stay inside the cyclic prefix, otherwise the per-subcarrier
-    phase model does not hold.
-    """
-    n_a = u.shape[0]
-    noise = np.sqrt(noise_var / 2.0) * (
-        rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
-    )
-    if target is None:
-        return noise
-    if target.delay > config.cp_duration:
-        raise ValueError(
-            f"target delay {target.delay:.3e}s exceeds the CP {config.cp_duration:.3e}s"
-        )
-    ramp = delay_doppler_ramp(config, target.delay, target.doppler)
-    echo = np.einsum("ab,bnm->anm", target.two_way_matrix, u) * ramp[None, :, :]
-    return echo + noise
 
 
 def _matched_phases(
@@ -336,13 +266,3 @@ def calibrate_threshold(
     peaks = np.asarray(peak_sampler(n_trials, rng), dtype=float)
     return float(np.quantile(peaks, 1.0 - pfa_target, method="higher"))
 
-
-def detection_probability(
-    peak_sampler,
-    threshold: float,
-    n_trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Fraction of H1 trials whose peak statistic exceeds the threshold."""
-    peaks = np.asarray(peak_sampler(n_trials, rng), dtype=float)
-    return float(np.mean(peaks > threshold))

@@ -155,16 +155,18 @@ def mean_gain_and_energy(
     return gains, energy
 
 
-def interference_matrix(book: PilotBook, statistics: TrainingStatistics) -> np.ndarray:
+def interference_matrix(
+    book: PilotBook, statistics: TrainingStatistics, useful: np.ndarray, energy: np.ndarray
+) -> np.ndarray:
     """K x K interference coefficients xi_kj.
 
     Row k, column j is the variance (per unit power) that user j's stream
     contributes to user k's effective noise; the diagonal subtracts the
-    mean gain, leaving only the gain fluctuation.  Tiny negative values
-    from that cancellation are clamped at zero; larger ones raise.
+    useful signal gain^2 / energy, leaving only the gain fluctuation.
+    ``useful`` and ``energy`` come from :func:`mean_gain_and_energy`.  Tiny
+    negative values from that cancellation are clamped at zero; larger
+    ones raise.
     """
-    gains, energy = mean_gain_and_energy(statistics, book.powers)
-    useful = gains**2 / energy
     cross = np.abs(book.gram()) ** 2
     covs = statistics.covariances
     quad = np.diagonal(covs.in_basis(), axis1=-2, axis2=-1).T  # (k, j): a_k^H C_j a_k
@@ -242,9 +244,10 @@ def build_rate_coefficients(
     if e_matrices is not None:
         _check_filters(e_matrices, statistics.filters)
     gains, energy = mean_gain_and_energy(statistics, book.powers)
+    useful = gains**2 / energy
     return RateCoefficients(
-        signal_gain=gains**2 / energy,
-        interference=interference_matrix(book, statistics),
+        signal_gain=useful,
+        interference=interference_matrix(book, statistics, useful, energy),
         radar_leakage=radar_leakage(statistics.hbar, radar_beam),
         noise_var=noise_var_dl,
         bandwidth=bandwidth,

@@ -29,6 +29,10 @@ from .rate import RateCoefficients
 
 __all__ = ["MonteCarloRateTerms", "monte_carlo_rate_terms", "compare_terms"]
 
+# Draws per batch.  Channels and estimates are drawn batch by batch, so this
+# value fixes the order of the random stream and with it every estimate.
+BATCH = 20_000
+
 
 @dataclass(frozen=True)
 class MonteCarloRateTerms:
@@ -49,7 +53,6 @@ def monte_carlo_rate_terms(
     noise_var_ul: float,
     n_draws: int,
     rng: np.random.Generator,
-    batch: int = 20_000,
 ) -> MonteCarloRateTerms:
     """Estimate the SINR coefficients by simulating the training chain.
 
@@ -71,7 +74,7 @@ def monte_carlo_rate_terms(
     sum_r2 = np.zeros(n_users)
     done = 0
     while done < n_draws:
-        n = min(batch, n_draws - done)
+        n = min(BATCH, n_draws - done)
         h = draw_channels(all_stats, geom, n, rng)
         h_hat = estimate(h, book, noise_var_ul, filters, rng)
         z = np.einsum("kna,jna->kjn", h.conj(), h_hat)

@@ -3,12 +3,22 @@
 Everything here is deliberately naive -- explicit loops, Gram-Schmidt by
 hand, dense grid searches -- so that agreement with the package is a real
 cross-check and not a tautology.
+
+The antenna-domain detection chain lives here too: QPSK symbol grids
+(:func:`qpsk_grid`), the N_A-antenna transmit vector per resource element
+(:func:`synthesize_tx_grid`), the two-way echo of a point target
+(:class:`TargetChannel`, :func:`target_echo`) and the GLRT of
+:func:`jcsim.radar.glrt_statistic` on the full grids.  The package's
+detection driver never forms those grids; it simulates the scalar u^H y per
+resource element, and the tests hold it to this chain.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from jcsim.array import steering_vector
+from jcsim.array import ArrayGeometry, Direction, steering_vector
 from jcsim.beamform import (
     BeamformerSet,
     RadarBeamKind,
@@ -17,15 +27,16 @@ from jcsim.beamform import (
     radar_beam,
     zfr_beam,
 )
-from jcsim.channel import ChannelModelKind, TargetChannel, draw_channels, hbar_matrix
+from jcsim.channel import ChannelModelKind, draw_channels, hbar_matrix
 from jcsim.estimation import Estimator, estimate
 from jcsim.harness.scenario import draw_estimates
+from jcsim.poweralloc import PowerAllocation
 from jcsim.radar import (
+    QPSK_POINTS,
+    OfdmFrameConfig,
     delay_doppler_ramp,
     glrt_statistic,
-    qpsk_grid,
-    synthesize_tx_grid,
-    target_echo,
+    qpsk_indices,
 )
 
 
@@ -95,6 +106,109 @@ def statistic_map_oracle(corr, grid, config):
     )  # (M, n_delays)
     amplitude = np.einsum("un,...nm,mt->...tu", doppler_steer, corr, delay_steer)
     return np.abs(amplitude) ** 2
+
+
+@dataclass(frozen=True)
+class TargetChannel:
+    """Two-way BS -> target -> BS channel.
+
+    ``two_way_matrix`` is the rank-1 matrix ``alpha * a a^H`` with ``a`` the
+    steering vector toward the target.
+    """
+
+    alpha: complex
+    direction: Direction
+    delay: float
+    doppler: float
+    two_way_matrix: np.ndarray = field(repr=False, default=None)
+
+    @classmethod
+    def from_geometry(
+        cls,
+        geom: ArrayGeometry,
+        alpha: complex,
+        direction: Direction,
+        delay: float,
+        doppler: float,
+    ) -> "TargetChannel":
+        a = steering_vector(geom, direction)
+        return cls(
+            alpha=alpha,
+            direction=direction,
+            delay=delay,
+            doppler=doppler,
+            two_way_matrix=alpha * np.outer(a, a.conj()),
+        )
+
+
+def qpsk_grid(shape, rng: np.random.Generator) -> np.ndarray:
+    """Unit-modulus QPSK symbols: a uniform index into the four points."""
+    return QPSK_POINTS[qpsk_indices(shape, rng)]
+
+
+def synthesize_tx_grid(
+    beams: BeamformerSet,
+    powers: PowerAllocation,
+    data_grids: np.ndarray,
+    radar_grid: np.ndarray,
+) -> np.ndarray:
+    """Transmit vector per resource element, (N_A, N, M).
+
+    Sum of each user's scaled symbol grid through its beam plus the radar
+    grid through the radar beam.
+    """
+    data_grids = np.asarray(data_grids, dtype=complex)
+    radar_grid = np.asarray(radar_grid, dtype=complex)
+    if data_grids.shape[0] != beams.n_users:
+        raise ValueError("one data grid per user required")
+    if data_grids.shape[0] and data_grids.shape[1:] != radar_grid.shape:
+        raise ValueError("data and radar grids must share the (N, M) shape")
+    u = np.einsum(
+        "k,ka,knm->anm",
+        np.sqrt(powers.eta_users),
+        beams.user_beams,
+        data_grids,
+        optimize=True,
+    ) if beams.n_users else 0.0
+    return u + np.sqrt(powers.eta_radar) * beams.radar_beam[:, None, None] * radar_grid
+
+
+def target_echo(
+    u: np.ndarray,
+    target: TargetChannel | None,
+    config: OfdmFrameConfig,
+    noise_var: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Received grid: rank-1 echo with its phase ramp, plus noise.
+
+    ``target=None`` generates the H0 (noise only) hypothesis.  The target
+    delay must stay inside the cyclic prefix, otherwise the per-subcarrier
+    phase model does not hold.
+    """
+    noise = np.sqrt(noise_var / 2.0) * (
+        rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+    )
+    if target is None:
+        return noise
+    if target.delay > config.cp_duration:
+        raise ValueError(
+            f"target delay {target.delay:.3e}s exceeds the CP {config.cp_duration:.3e}s"
+        )
+    ramp = delay_doppler_ramp(config, target.delay, target.doppler)
+    echo = np.einsum("ab,bnm->anm", target.two_way_matrix, u) * ramp[None, :, :]
+    return echo + noise
+
+
+def detection_probability(
+    peak_sampler,
+    threshold: float,
+    n_trials: int,
+    rng: np.random.Generator,
+) -> float:
+    """Fraction of H1 trials whose peak statistic exceeds the threshold."""
+    peaks = np.asarray(peak_sampler(n_trials, rng), dtype=float)
+    return float(np.mean(peaks > threshold))
 
 
 def antenna_domain_peaks(real, grid, direction, beam_kind, powers, target, n, rng):

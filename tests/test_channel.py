@@ -7,13 +7,13 @@ from jcsim.channel import (
     ChannelModelKind,
     ChannelStats,
     LogDistancePathLoss,
-    TargetChannel,
     draw_channels,
     hbar_matrix,
     k_factor_from_los_probability,
     los_probability,
     target_alpha,
 )
+from oracles import TargetChannel
 
 GEOM = ArrayGeometry.half_wavelength(2, 2, 0.1)
 DIR = Direction(azimuth=0.6, elevation=1.2)
@@ -149,7 +149,8 @@ class TestTarget:
 
     def test_two_way_matrix_is_rank_one(self):
         rng = np.random.default_rng(17)
-        alpha, tau = target_alpha(150.0, GEOM, rng=rng)
+        alpha, tau = target_alpha(150.0, GEOM)
+        alpha *= np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         tc = TargetChannel.from_geometry(GEOM, alpha, DIR, tau, doppler=600.0)
         s = np.linalg.svd(tc.two_way_matrix, compute_uv=False)
         assert s[1] < 1e-10 * s[0]

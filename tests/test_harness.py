@@ -436,6 +436,14 @@ class TestSweepPeaks:
 
     N_TRIALS = 150
     BATCH = 96
+    MANY_USERS_BATCH = 10
+
+    @pytest.fixture(scope="class", autouse=True)
+    def small_batches(self):
+        """Batches of ``BATCH`` trials for the whole class, so a pass spans two."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "BATCH", self.BATCH)
+            yield
 
     @pytest.fixture(scope="class")
     def sweep(self):
@@ -459,8 +467,7 @@ class TestSweepPeaks:
         cfg, real, grid, direction, filters, cells, targets = sweep
         targets, stream = ([None], 0xCA1) if request.param == "h0" else (targets, 0x9D)
         peaks = simulate_sweep_peaks(
-            real, cfg, grid, direction, cells, targets, self.N_TRIALS, stream,
-            batch=self.BATCH, filters=filters,
+            real, cfg, grid, direction, cells, targets, self.N_TRIALS, stream, filters=filters,
         )
         return targets, stream, peaks
 
@@ -476,7 +483,7 @@ class TestSweepPeaks:
         for row, (kind, powers) in zip(peaks, cells):
             single = simulate_peak_statistics(
                 real, cfg, grid, direction, kind, powers, targets, self.N_TRIALS, stream,
-                batch=self.BATCH, filters=filters,
+                filters=filters,
             )
             np.testing.assert_allclose(row, single, rtol=1e-12, atol=0)
 
@@ -492,7 +499,10 @@ class TestSweepPeaks:
 
     @staticmethod
     def many_users_case(hypothesis_name):
-        """K = 8 sweep keyword arguments: 14 trials in batches of 10, pair-table steps of 4."""
+        """K = 8 sweep keyword arguments: 14 trials, pair-table steps of 4.
+
+        In batches of ``MANY_USERS_BATCH``, which the caller sets.
+        """
         cfg = desk_preset().replace(n_users=8)
         rng = np.random.default_rng([cfg.seed, 0xD0])
         real = realize_scenario(cfg, rng)
@@ -509,14 +519,15 @@ class TestSweepPeaks:
             stream = 0x9D
         return dict(
             real=real, cfg=cfg, grid=grid, target_direction=direction, cells=cells,
-            targets=targets, n_trials=14, stream_key=stream, batch=10, filters=statistics.filters,
+            targets=targets, n_trials=14, stream_key=stream, filters=statistics.filters,
         )
 
     @pytest.mark.parametrize("hypothesis_name", ["h0", "h1"])
-    def test_many_users_match_antenna_domain_replay(self, hypothesis_name):
+    def test_many_users_match_antenna_domain_replay(self, monkeypatch, hypothesis_name):
         """K = 8: a batch spans several pair-table blocks and ends in a ragged one."""
         case = self.many_users_case(hypothesis_name)
-        real, batch = case["real"], case["batch"]
+        real, batch = case["real"], self.MANY_USERS_BATCH
+        monkeypatch.setattr(experiments, "BATCH", batch)
         block = experiments.PAIR_TABLE_BYTES // (9 * 8 * real.frame.n_symbols
                                                  * real.frame.n_subcarriers * 8)
         assert 1 < block < batch and batch % block != 0
@@ -535,8 +546,7 @@ class TestSweepPeaks:
         targets, stream, peaks = hypothesis
         monkeypatch.setattr(experiments, "_workers", lambda: workers)
         again = simulate_sweep_peaks(
-            real, cfg, grid, direction, cells, targets, self.N_TRIALS, stream,
-            batch=self.BATCH, filters=filters,
+            real, cfg, grid, direction, cells, targets, self.N_TRIALS, stream, filters=filters,
         )
         np.testing.assert_array_equal(again, peaks)
 
@@ -545,6 +555,7 @@ class TestSweepPeaks:
                                                                 hypothesis_name):
         """K = 8 with trial blocks of at most 3 trials, across the pair-table steps of 4."""
         case = self.many_users_case(hypothesis_name)
+        monkeypatch.setattr(experiments, "BATCH", self.MANY_USERS_BATCH)
         reference = simulate_sweep_peaks(**case)
         monkeypatch.setattr(experiments, "BLOCK_TRIALS", 3)
         runs = []
@@ -580,8 +591,9 @@ class TestSweepPeaks:
         monkeypatch.setattr(experiments._SweepPass, "draw", counted_draw)
         monkeypatch.setattr(experiments._SweepPass, "compute", slow_compute)
         monkeypatch.setattr(experiments, "_workers", lambda: 2)
+        monkeypatch.setattr(experiments, "BATCH", 8)
         peaks = simulate_sweep_peaks(
-            real, cfg, grid, direction, cells, [None], 120, 0xCA1, batch=8, filters=filters,
+            real, cfg, grid, direction, cells, [None], 120, 0xCA1, filters=filters,
         )
         assert np.all(peaks > 0)
         assert 2 <= most[0] <= 3
@@ -592,7 +604,7 @@ class TestSweepPeaks:
         targets, stream, peaks = hypothesis
         reverse = simulate_sweep_peaks(
             real, cfg, grid, direction, cells[::-1], targets, self.N_TRIALS, stream,
-            batch=self.BATCH, filters=filters,
+            filters=filters,
         )
         np.testing.assert_allclose(reverse[::-1], peaks, rtol=1e-12, atol=0)
 
@@ -864,6 +876,13 @@ class TestCli:
             ("tau_c", 2),  # below the default tau_p = n_users = 4
             ("user_x_range_m", [10.0]),
             ("scan_azimuth_deg", [60.0, -60.0]),
+            ("n_subcarriers", 0),
+            ("n_symbols", 0),
+            ("cp_fraction", 0),
+            ("scan_elevation_deg", [190, 200]),
+            ("scan_azimuth_deg", [-200, -190]),
+            ("target_rcs_m2", 0),
+            ("detection_ranges_m", [-5]),
         ],
     )
     def test_detect_degenerate_config_is_config_error(self, tmp_path, capsys, key, value):
@@ -873,6 +892,16 @@ class TestCli:
         path.write_text(json.dumps(data))
         out = tmp_path / "detect.csv"
         assert cli_main(["detect", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rates_degenerate_config_is_config_error(self, tmp_path, capsys):
+        data = json.loads(dump_config(desk_preset()))
+        data["cp_fraction"] = 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "rates.csv"
+        assert cli_main(["rates", "--config", str(path), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 

@@ -3,7 +3,6 @@ import pytest
 
 from jcsim.array import ArrayGeometry, Direction, steering_vector
 from jcsim.beamform import BeamformerSet, RadarBeamKind, matched_beam, pbr_beam
-from jcsim.channel import TargetChannel
 from jcsim.poweralloc import PowerAllocation
 from jcsim.radar import (
     QPSK_POINTS,
@@ -11,17 +10,21 @@ from jcsim.radar import (
     DetectionOutcome,
     OfdmFrameConfig,
     calibrate_threshold,
-    detection_probability,
     _pair_form,
     _qpsk_pair_table,
     glrt_statistic,
-    qpsk_grid,
     qpsk_indices,
     statistic_map_from_correlation,
+)
+from oracles import (
+    TargetChannel,
+    detection_probability,
+    glrt_map_oracle,
+    qpsk_grid,
+    statistic_map_oracle,
     synthesize_tx_grid,
     target_echo,
 )
-from oracles import glrt_map_oracle, statistic_map_oracle
 
 GEOM = ArrayGeometry.half_wavelength(2, 2, 0.1)
 DIR = Direction(azimuth=0.4, elevation=1.3)

@@ -3,14 +3,7 @@ OFDM radar: channel estimation, beamforming, achievable-rate bounds,
 max-min power allocation under a radar constraint, and GLRT detection."""
 
 from .array import ArrayGeometry, Direction, steering_vector
-from .beamform import (
-    BeamformerSet,
-    RadarBeamKind,
-    matched_beam,
-    pbr_beam,
-    radar_beam,
-    zfr_beam,
-)
+from .beamform import RadarBeamKind, beam_set, pbr_beam, radar_beam, zfr_beam
 from .channel import (
     ChannelModelKind,
     ChannelStats,
@@ -56,9 +49,8 @@ __all__ = [
     "ArrayGeometry",
     "Direction",
     "steering_vector",
-    "BeamformerSet",
     "RadarBeamKind",
-    "matched_beam",
+    "beam_set",
     "pbr_beam",
     "radar_beam",
     "zfr_beam",

@@ -3,10 +3,10 @@
 Channel-matched beams for the users, and two radar beams: a plain phased
 beam toward the surveillance direction (PBR) and its projection onto the
 orthogonal complement of the estimated user-channel subspace (ZFR).
+:func:`beam_set` builds a deployment's whole set from its estimates.
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,9 +14,8 @@ from .array import ArrayGeometry, Direction, steering_vector
 
 __all__ = [
     "RadarBeamKind",
-    "BeamformerSet",
     "DegenerateDirectionError",
-    "matched_beam",
+    "beam_set",
     "pbr_beam",
     "zfr_beam",
     "radar_beam",
@@ -35,33 +34,13 @@ class DegenerateDirectionError(ValueError):
     """The surveillance direction lies in the estimated channel span."""
 
 
-@dataclass(frozen=True)
-class BeamformerSet:
-    """Unit-norm user beams (K, N_A) plus the radar beam."""
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, kept as an axis of length one.
 
-    user_beams: np.ndarray
-    radar_beam: np.ndarray
-    radar_kind: RadarBeamKind
-    radar_direction: Direction
-
-    def __post_init__(self):
-        norms = np.linalg.norm(self.user_beams, axis=-1) if self.user_beams.size else np.array([])
-        if norms.size and not np.allclose(norms, 1.0, atol=1e-12):
-            raise ValueError("user beams must be unit norm")
-        if not np.isclose(np.linalg.norm(self.radar_beam), 1.0, atol=1e-12):
-            raise ValueError("radar beam must be unit norm")
-
-    @property
-    def n_users(self) -> int:
-        return self.user_beams.shape[0]
-
-
-def matched_beam(h_hat: np.ndarray) -> np.ndarray:
-    """Channel-matched beam: the estimate normalized to unit norm."""
-    norm = np.linalg.norm(h_hat)
-    if norm == 0:
-        raise ValueError("cannot match a zero channel estimate")
-    return h_hat / norm
+    Summed as np.linalg.norm sums one vector, which it equals bit for bit.
+    """
+    re, im = vectors.real[..., None, :], vectors.imag[..., None, :]
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
 
 
 def pbr_beam(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
@@ -107,9 +86,7 @@ def zfr_beam(
         basis = np.ascontiguousarray(u[sel][..., :rank].swapaxes(-1, -2)).swapaxes(-1, -2)
         coords = basis.conj().swapaxes(-1, -2) @ a
         projected[sel] = a - (basis @ coords[..., None])[..., 0]
-    # Summed as np.linalg.norm sums one vector, which it equals bit for bit.
-    re, im = projected.real[..., None, :], projected.imag[..., None, :]
-    norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    norm = _norms(projected)
     if np.any(norm < PROJECTION_TOL * np.sqrt(geom.n_elements)):
         raise DegenerateDirectionError(
             "surveillance direction lies in the span of the estimated channels"
@@ -131,3 +108,25 @@ def radar_beam(
     if kind is RadarBeamKind.PBR:
         return pbr_beam(geom, direction)
     return zfr_beam(geom, direction, estimated_channels)
+
+
+def beam_set(
+    kind: RadarBeamKind,
+    geom: ArrayGeometry,
+    direction: Direction,
+    estimates: np.ndarray,
+) -> np.ndarray:
+    """Every beam of a deployment, (..., K+1, N_A): the users', then the radar beam.
+
+    User k's beam is its estimate scaled to unit norm (channel matching);
+    the radar beam is the ``kind`` beam toward ``direction``.  Takes (K, N_A)
+    estimates or a stack (..., K, N_A), one set per instance.  Raises
+    ValueError on a zero estimate.
+    """
+    estimates = np.asarray(estimates, dtype=complex)
+    norms = _norms(estimates)
+    if np.any(norms == 0):
+        raise ValueError("cannot match a zero channel estimate")
+    radar = radar_beam(kind, geom, direction, estimates)[..., None, :]
+    radar = np.broadcast_to(radar, estimates.shape[:-2] + radar.shape[-2:])
+    return np.concatenate([estimates / norms, radar], axis=-2)

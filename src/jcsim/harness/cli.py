@@ -183,15 +183,13 @@ def _cmd_validate(args) -> int:
     direction = draw_scan_direction(cfg, rng)
     beam_kind = RadarBeamKind(cfg.radar_beam)
     # Only the ZFR beam needs estimates; for PBR none are drawn.
-    statistics, estimates = (
-        draw_estimates(real, rng) if beam_kind is RadarBeamKind.ZFR else (None, None)
-    )
+    estimates = draw_estimates(real, rng) if beam_kind is RadarBeamKind.ZFR else None
     w_radar = radar_beam(beam_kind, real.geom, direction, estimates)
 
     coeffs = build_rate_coefficients(
         list(real.stats), real.geom, real.book, real.estimator, w_radar,
         real.noise_var_ul, real.noise_var_dl,
-        bandwidth=real.frame.bandwidth, tau_c=cfg.tau_c, statistics=statistics,
+        bandwidth=real.frame.bandwidth, tau_c=cfg.tau_c, statistics=real.statistics,
     )
     mc = monte_carlo_rate_terms(
         list(real.stats), real.geom, real.book, real.estimator, w_radar,

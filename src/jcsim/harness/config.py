@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from ..beamform import RadarBeamKind
 from ..channel import ChannelModelKind
 from ..estimation import Estimator
+from ..radar import DEFAULT_CP_FRACTION
 
 __all__ = [
     "ScenarioConfig",
@@ -76,7 +77,7 @@ class ScenarioConfig:
     n_subcarriers: int = 64
     n_symbols: int = 14
     subcarrier_spacing_hz: float = 30e3
-    cp_fraction: float = 0.07
+    cp_fraction: float = DEFAULT_CP_FRACTION
 
     # users and links
     n_users: int = 4
@@ -152,6 +153,17 @@ class ScenarioConfig:
                      "cp_fraction", "target_rcs_m2"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        rice = self.channel_model == ChannelModelKind.RICE.value
+        if rice and not 0 <= self.p_los_cap < 1:
+            raise ConfigError("p_los_cap must lie in [0, 1) for rice: its K-factor is p / (1 - p)")
+        if self.user_x_range_m == self.user_y_range_m == (0, 0) and (
+            rice or self.bs_height_m == self.user_height_m
+        ):
+            raise ConfigError(
+                "users at the foot of the array need distinct heights and no rice model"
+            )
+        if self.radar_beam == RadarBeamKind.ZFR.value and self.n_y * self.n_z <= self.n_users:
+            raise ConfigError("the zfr beam needs more antennas (n_y * n_z) than users")
 
     @property
     def rcr_linear(self) -> float:

@@ -48,10 +48,9 @@ from pathlib import Path
 import numpy as np
 
 from ..array import steering_vector
-from ..beamform import BeamformerSet, RadarBeamKind, matched_beam, radar_beam
+from ..beamform import RadarBeamKind, beam_set
 from ..channel import SPEED_OF_LIGHT, draw_channels, target_alpha
-from ..estimation import estimate, training_statistics
-from ..lowrank import IdentityPlusLowRank
+from ..estimation import estimate
 from ..poweralloc import (
     AllocationInfeasibleError,
     PowerAllocation,
@@ -172,11 +171,10 @@ def run_rate_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     for trial in range(cfg.n_scenarios):
         rng = np.random.default_rng([cfg.seed, trial])
         real = realize_scenario(cfg, rng)
-        statistics, estimates = draw_estimates(real, rng)
+        estimates = draw_estimates(real, rng)
         radar_dir = draw_scan_direction(cfg, rng)
         cells, cell_failures = _cells(
-            cfg, real, radar_dir, statistics, estimates,
-            [RadarBeamKind(cfg.radar_beam)], [cfg.rcr_db],
+            cfg, real, radar_dir, estimates, [RadarBeamKind(cfg.radar_beam)], [cfg.rcr_db]
         )
         failures += [{"trial": trial, "error": f["error"]} for f in cell_failures]
         for (_, _, allocator), coeffs, powers in cells:
@@ -246,11 +244,11 @@ class _SweepPass:
     Each block writes only its own trials of ``peaks``.
     """
 
-    def __init__(self, real, cfg, grid, target_direction, targets, n_trials, stream_key,
-                 filters):
+    def __init__(self, real, cfg, grid, target_direction, targets, n_trials, stream_key):
         frame = real.frame
         self.real, self.seed, self.stream_key = real, cfg.seed, stream_key
-        self.direction, self.filters = target_direction, filters
+        # Read here, on the calling thread, so no worker builds the statistics.
+        self.direction, self.filters = target_direction, real.statistics.filters
         self.a = steering_vector(real.geom, target_direction)
         self.ramps = [
             None if t is None else t.alpha_mag * delay_doppler_ramp(frame, t.delay, t.doppler)
@@ -301,15 +299,10 @@ class _SweepPass:
 
     def compute(self, batch: _Batch, lo: int, hi: int) -> None:
         """Peaks of every cell and target on trials lo:hi of ``batch``."""
-        geom, n = self.real.geom, hi - lo
-        h_hat = batch.h_hat[lo:hi]
-        users = h_hat / np.linalg.norm(h_hat, axis=-1, keepdims=True)
+        n, h_hat = hi - lo, batch.h_hat[lo:hi]
         beam_terms = {}
         for kind in self.kinds:
-            radar = np.broadcast_to(
-                radar_beam(kind, geom, self.direction, h_hat), (n, geom.n_elements)
-            )
-            beams = np.concatenate([users, radar[:, None, :]], axis=1)  # unit-norm w_p
+            beams = beam_set(kind, self.real.geom, self.direction, h_hat)  # unit-norm w_p
             beam_terms[kind] = (beams @ self.a.conj(), beams.conj() @ beams.swapaxes(-1, -2))
 
         # Each cell's M of ||u||^2 and, in H1 passes, of |a^H u|^2.
@@ -425,19 +418,16 @@ def simulate_sweep_peaks(
     targets: list,
     n_trials: int,
     stream_key: int,
-    filters: IdentityPlusLowRank | None = None,
 ) -> np.ndarray:
     """Peak GLRT statistics of every cell, shape (len(cells), len(targets), n_trials).
 
     ``cells`` is a sequence of (RadarBeamKind, PowerAllocation) pairs and
-    entries of ``targets`` are _TargetParams or None (H0).  ``filters`` are
-    the per-user estimation filters A_k in their structured form
-    (``TrainingStatistics.filters``), built from the scenario statistics
-    when omitted.  Works on the scalar correlation u^H y: the echo
-    contributes alpha |a^H u|^2 times the delay/Doppler ramp and the noise
-    contributes a complex Gaussian of variance sigma^2 ||u||^2 per resource
-    element, which together are distributed exactly as in the antenna-domain
-    model.
+    entries of ``targets`` are _TargetParams or None (H0).  The estimates
+    go through the deployment's filters (``real.statistics``).  Works on the
+    scalar correlation u^H y: the echo contributes alpha |a^H u|^2 times the
+    delay/Doppler ramp and the noise contributes a complex Gaussian of
+    variance sigma^2 ||u||^2 per resource element, which together are
+    distributed exactly as in the antenna-domain model.
 
     Both ||u||^2 and |a^H u|^2 are quadratic forms x^H M x in the unit-modulus
     QPSK symbols x_p of one resource element, with M = diag(sqrt(eta)) G
@@ -454,9 +444,8 @@ def simulate_sweep_peaks(
       the QPSK indices of x_p (:func:`jcsim.radar.qpsk_indices`), the complex
       noise normals and the target phases;
     - per trial block of at most ``BLOCK_TRIALS`` trials: once per distinct
-      beam kind, the radar beam (the ZFR beam by
-      :func:`jcsim.beamform.zfr_beam` on the stack of estimates), a^H w_p
-      and G; then, in steps whose pair table stays near
+      beam kind, the beams (:func:`jcsim.beamform.beam_set` on the stack of
+      estimates), a^H w_p and G; then, in steps whose pair table stays near
       ``PAIR_TABLE_BYTES``, the real pair table of the symbols
       (:func:`jcsim.radar._qpsk_pair_table`) and one batched matmul by the
       coefficient rows of every cell;
@@ -469,11 +458,7 @@ def simulate_sweep_peaks(
     depend on the number of workers.  The N_A-antenna grid and the complex
     symbols are never formed.
     """
-    if filters is None:
-        filters = training_statistics(
-            real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
-        ).filters
-    sweep = _SweepPass(real, cfg, grid, target_direction, targets, n_trials, stream_key, filters)
+    sweep = _SweepPass(real, cfg, grid, target_direction, targets, n_trials, stream_key)
     sweep.set_cells(cells)
     with _scheduler() as scheduler:
         scheduler.draw(sweep)
@@ -491,7 +476,6 @@ def simulate_peak_statistics(
     targets: list,
     n_trials: int,
     stream_key: int,
-    filters: IdentityPlusLowRank | None = None,
 ) -> np.ndarray:
     """Peak GLRT statistics of one cell, shape (len(targets), n_trials).
 
@@ -499,8 +483,7 @@ def simulate_peak_statistics(
     what it draws inside any sweep on the same ``stream_key``.
     """
     return simulate_sweep_peaks(
-        real, cfg, grid, target_direction, [(beam_kind, powers)], targets, n_trials,
-        stream_key, filters=filters,
+        real, cfg, grid, target_direction, [(beam_kind, powers)], targets, n_trials, stream_key
     )[0]
 
 
@@ -508,23 +491,21 @@ def _snap(value: float, axis: np.ndarray) -> float:
     return float(axis[np.argmin(np.abs(axis - value))])
 
 
-def _cells(cfg, real, direction, statistics, estimates, beam_kinds, rcrs_db):
+def _cells(cfg, real, direction, estimates, beam_kinds, rcrs_db):
     """Every (RCR, beam, allocator) cell of one deployment, allocated in row order.
 
     Per beam kind, the beams, the closed-form rate coefficients and the
-    radar SIR gains are built once.  Per RCR, each beam gets the uniform
-    split and the max-min powers at rho* = ``cfg.rho_star``, else the
-    cell's linear RCR.  Returns ((rcr_db, RadarBeamKind, allocator),
-    RateCoefficients, PowerAllocation) triples, RCRs outermost, and one
-    failure record per infeasible max-min cell, which gets no triple.
+    radar SIR gains N_A |a^H w|^2 are built once.  Per RCR, each beam gets
+    the uniform split and the max-min powers at rho* = ``cfg.rho_star``,
+    else the cell's linear RCR.  Returns ((rcr_db, RadarBeamKind,
+    allocator), RateCoefficients, PowerAllocation) triples, RCRs outermost,
+    and one failure record per infeasible max-min cell, which gets no triple.
     """
-    user_beams = np.stack([matched_beam(h) for h in estimates])
+    a, n_a = steering_vector(real.geom, direction), real.geom.n_elements
     per_beam = []
     for kind in beam_kinds:
-        w_radar = radar_beam(kind, real.geom, direction, estimates)
-        beams = BeamformerSet(
-            user_beams=user_beams, radar_beam=w_radar, radar_kind=kind, radar_direction=direction
-        )
+        beams = beam_set(kind, real.geom, direction, estimates)
+        w_radar = beams[-1]
         coeffs = build_rate_coefficients(
             list(real.stats),
             real.geom,
@@ -535,9 +516,12 @@ def _cells(cfg, real, direction, statistics, estimates, beam_kinds, rcrs_db):
             real.noise_var_dl,
             bandwidth=real.frame.bandwidth,
             tau_c=cfg.tau_c,
-            statistics=statistics,
+            statistics=real.statistics,
         )
-        sir = RadarSirCoefficients.from_beams(real.geom, direction, beams)
+        sir = RadarSirCoefficients(
+            radar_gain=float(n_a * abs(a.conj() @ w_radar) ** 2),
+            user_gains=n_a * np.abs(beams[:-1] @ a.conj()) ** 2,
+        )
         per_beam.append((kind, coeffs, sir))
     cells, failures = [], []
     for rcr_db in rcrs_db:
@@ -576,6 +560,8 @@ def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     grid = DelayDopplerGrid.natural(real.frame)
     target_dir = draw_scan_direction(cfg, rng0)
     wavelength = SPEED_OF_LIGHT / cfg.carrier_hz
+    if real.geom.n_elements <= cfg.n_users:
+        raise ConfigError("the sweep's zfr cells need more antennas (n_y * n_z) than users")
 
     targets = []
     for r in cfg.detection_ranges_m:
@@ -591,16 +577,16 @@ def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
         targets.append(_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler))
 
     # Reference realization for the per-cell power allocation.
-    statistics, estimates = draw_estimates(real, rng0)
+    estimates = draw_estimates(real, rng0)
     n_calibration = max(n_trials, int(np.ceil(100.0 / cfg.pfa_target)))
-    h0 = _SweepPass(real, cfg, grid, target_dir, [None], n_calibration, 0xCA1, statistics.filters)
-    h1 = _SweepPass(real, cfg, grid, target_dir, targets, n_trials, 0x9D, statistics.filters)
+    h0 = _SweepPass(real, cfg, grid, target_dir, [None], n_calibration, 0xCA1)
+    h1 = _SweepPass(real, cfg, grid, target_dir, targets, n_trials, 0x9D)
     with _scheduler() as scheduler:
         # The draws need only the deployment: they run while the cells allocate.
         scheduler.draw(h0)
         scheduler.draw(h1)
         allocated, failures = _cells(
-            cfg, real, target_dir, statistics, estimates,
+            cfg, real, target_dir, estimates,
             [RadarBeamKind.PBR, RadarBeamKind.ZFR], cfg.detection_rcr_db,
         )
         cells = [(kind, powers) for (_, kind, _), _, powers in allocated]

@@ -2,6 +2,7 @@
 and draw a deployment's channel estimates."""
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScenarioRealization:
-    """One deployment: fixed user positions and large-scale statistics."""
+    """One deployment: its users' large-scale statistics, pilots and noise levels."""
 
     geom: ArrayGeometry
     frame: OfdmFrameConfig
@@ -37,8 +38,18 @@ class ScenarioRealization:
     book: PilotBook
     noise_var_ul: float
     noise_var_dl: float
-    positions: np.ndarray  # (K, 2) ground-plane coordinates
     estimator: Estimator
+
+    @cached_property
+    def statistics(self) -> TrainingStatistics:
+        """Second-order statistics and filters of the deployment's training.
+
+        Built on first read; a detection sweep reads it on the calling
+        thread before any worker does.
+        """
+        return training_statistics(
+            self.book, list(self.stats), self.geom, self.noise_var_ul, self.estimator
+        )
 
 
 def noise_variance(bandwidth: float, noise_figure_db: float, psd_dbm_hz: float = -174.0) -> float:
@@ -77,13 +88,11 @@ def realize_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioR
     if cfg.shadowing_db is not None:
         pathloss = replace(pathloss, shadowing_db=cfg.shadowing_db)
 
-    positions = np.empty((cfg.n_users, 2))
     stats = []
     for k in range(cfg.n_users):
         x = rng.uniform(*cfg.user_x_range_m)
         y_mag = rng.uniform(*cfg.user_y_range_m)
         y = y_mag if rng.uniform() < 0.5 else -y_mag
-        positions[k] = (x, y)
         direction, d_2d, d_3d = _user_direction(cfg, x, y)
         beta = pathloss.sample_beta(d_3d, rng)
         k_factor = 0.0
@@ -103,26 +112,19 @@ def realize_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioR
         book=book,
         noise_var_ul=sigma2,
         noise_var_dl=sigma2,
-        positions=positions,
         estimator=Estimator(cfg.estimator),
     )
 
 
-def draw_estimates(
-    real: ScenarioRealization, rng: np.random.Generator
-) -> tuple[TrainingStatistics, np.ndarray]:
-    """Training statistics of the deployment and one drawn estimate per user, (K, N_A).
+def draw_estimates(real: ScenarioRealization, rng: np.random.Generator) -> np.ndarray:
+    """One drawn estimate per user, (K, N_A), through the deployment's filters.
 
     A batch of one of :func:`jcsim.channel.draw_channels` and
     :func:`jcsim.estimation.estimate`.
     """
-    stats = list(real.stats)
-    statistics = training_statistics(
-        real.book, stats, real.geom, real.noise_var_ul, real.estimator
-    )
-    channels = draw_channels(stats, real.geom, 1, rng)
-    estimates = estimate(channels, real.book, real.noise_var_ul, statistics.filters, rng)
-    return statistics, estimates[:, 0]
+    filters = real.statistics.filters
+    channels = draw_channels(list(real.stats), real.geom, 1, rng)
+    return estimate(channels, real.book, real.noise_var_ul, filters, rng)[:, 0]
 
 
 def draw_scan_direction(cfg: ScenarioConfig, rng: np.random.Generator) -> Direction:

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array import ArrayGeometry, Direction, steering_vector
-from .beamform import BeamformerSet
 from .rate import RateCoefficients, sinr
 
 __all__ = [
@@ -79,14 +77,6 @@ class RadarSirCoefficients:
         object.__setattr__(self, "user_gains", gains)
         if self.radar_gain < 0 or np.any(gains < 0):
             raise ValueError("SIR gains must be nonnegative")
-
-    @classmethod
-    def from_beams(cls, geom: ArrayGeometry, direction: Direction, beams: BeamformerSet):
-        a = steering_vector(geom, direction)
-        n_a = geom.n_elements
-        radar_gain = n_a * abs(a.conj() @ beams.radar_beam) ** 2
-        user_gains = n_a * np.abs(beams.user_beams @ a.conj()) ** 2
-        return cls(radar_gain=float(radar_gain), user_gains=user_gains)
 
 
 def check_problem(

@@ -228,12 +228,13 @@ def build_rate_coefficients(
     """Assemble every coefficient of the rate bound for one scenario.
 
     ``statistics`` are the structured correlations and filters of the
-    estimate, as :func:`jcsim.harness.scenario.draw_estimates` returns them;
-    when omitted they are built for ``estimator`` from the channel
-    statistics.  ``e_matrices``, dense per-user filters A_k as
-    :func:`jcsim.estimation.lmmse_matrices` returns them, are only checked: they must match the structured filters to a relative
-    1e-9 per user, else ValueError.  The coefficients always come from
-    the structured form.
+    estimate, as a deployment holds them
+    (:attr:`jcsim.harness.scenario.ScenarioRealization.statistics`); when
+    omitted they are built for ``estimator`` from the channel statistics.
+    ``e_matrices``, dense per-user filters A_k as
+    :func:`jcsim.estimation.lmmse_matrices` returns them, are only checked:
+    they must match the structured filters to a relative 1e-9 per user,
+    else ValueError.  The coefficients always come from the structured form.
     """
     if statistics is None:
         statistics = training_statistics(book, all_stats, geom, noise_var_ul, estimator)

@@ -105,18 +105,11 @@ def compare_terms(
 
     Returns (term name, relative error, within tolerance) triples.
     """
-    report = []
     k = coeffs.n_users
-    for i in range(k):
-        err = abs(coeffs.signal_gain[i] - mc.signal_gain[i]) / abs(mc.signal_gain[i])
-        report.append((f"signal_gain[{i}]", float(err), err <= rtol))
-    for i in range(k):
-        for j in range(k):
-            ref = mc.interference[i, j]
-            err = abs(coeffs.interference[i, j] - ref) / abs(ref)
-            report.append((f"interference[{i},{j}]", float(err), err <= rtol))
-    for i in range(k):
-        ref = mc.radar_leakage[i]
-        err = abs(coeffs.radar_leakage[i] - ref) / abs(ref)
-        report.append((f"radar_leakage[{i}]", float(err), err <= rtol))
-    return report
+    pairs = [(f"signal_gain[{i}]", coeffs.signal_gain[i], mc.signal_gain[i]) for i in range(k)]
+    pairs += [(f"interference[{i},{j}]", coeffs.interference[i, j], mc.interference[i, j])
+              for i in range(k) for j in range(k)]
+    pairs += [(f"radar_leakage[{i}]", coeffs.radar_leakage[i], mc.radar_leakage[i])
+              for i in range(k)]
+    errors = [(name, float(abs(value - ref) / abs(ref))) for name, value, ref in pairs]
+    return [(name, err, err <= rtol) for name, err in errors]

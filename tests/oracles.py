@@ -19,14 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from jcsim.array import ArrayGeometry, Direction, steering_vector
-from jcsim.beamform import (
-    BeamformerSet,
-    RadarBeamKind,
-    matched_beam,
-    pbr_beam,
-    radar_beam,
-    zfr_beam,
-)
+from jcsim.beamform import radar_beam
 from jcsim.channel import ChannelModelKind, draw_channels, hbar_matrix
 from jcsim.estimation import Estimator, estimate
 from jcsim.harness.scenario import draw_estimates
@@ -147,30 +140,26 @@ def qpsk_grid(shape, rng: np.random.Generator) -> np.ndarray:
 
 
 def synthesize_tx_grid(
-    beams: BeamformerSet,
+    beams: np.ndarray,
     powers: PowerAllocation,
     data_grids: np.ndarray,
     radar_grid: np.ndarray,
 ) -> np.ndarray:
     """Transmit vector per resource element, (N_A, N, M).
 
-    Sum of each user's scaled symbol grid through its beam plus the radar
-    grid through the radar beam.
+    ``beams`` is (K+1, N_A): the K user beams, then the radar beam.  Sum of
+    each user's scaled (K, N, M) symbol grid through its beam plus the
+    (N, M) radar grid through the radar beam.
     """
     data_grids = np.asarray(data_grids, dtype=complex)
     radar_grid = np.asarray(radar_grid, dtype=complex)
-    if data_grids.shape[0] != beams.n_users:
+    if data_grids.shape[0] != len(beams) - 1:
         raise ValueError("one data grid per user required")
-    if data_grids.shape[0] and data_grids.shape[1:] != radar_grid.shape:
+    if data_grids.shape[1:] != radar_grid.shape:
         raise ValueError("data and radar grids must share the (N, M) shape")
-    u = np.einsum(
-        "k,ka,knm->anm",
-        np.sqrt(powers.eta_users),
-        beams.user_beams,
-        data_grids,
-        optimize=True,
-    ) if beams.n_users else 0.0
-    return u + np.sqrt(powers.eta_radar) * beams.radar_beam[:, None, None] * radar_grid
+    amplitudes = np.sqrt(np.append(powers.eta_users, powers.eta_radar))
+    grids = np.concatenate([data_grids, radar_grid[None]])
+    return np.einsum("k,ka,knm->anm", amplitudes, beams, grids, optimize=True)
 
 
 def target_echo(
@@ -221,17 +210,8 @@ def antenna_domain_peaks(real, grid, direction, beam_kind, powers, target, n, rn
     shape = (real.frame.n_symbols, real.frame.n_subcarriers)
     peaks = np.empty(n)
     for i in range(n):
-        _, estimates = draw_estimates(real, rng)
-        if beam_kind is RadarBeamKind.PBR:
-            radar = pbr_beam(real.geom, direction)
-        else:
-            radar = zfr_beam(real.geom, direction, estimates)
-        beams = BeamformerSet(
-            user_beams=np.stack([matched_beam(h) for h in estimates]),
-            radar_beam=radar,
-            radar_kind=beam_kind,
-            radar_direction=direction,
-        )
+        estimates = draw_estimates(real, rng)
+        beams = matched_beams_and_radar(real.geom, direction, beam_kind, estimates)
         u = synthesize_tx_grid(
             beams, powers, qpsk_grid((real.book.n_users,) + shape, rng), qpsk_grid(shape, rng)
         )
@@ -246,8 +226,14 @@ def antenna_domain_peaks(real, grid, direction, beam_kind, powers, target, n, rn
     return peaks
 
 
+def matched_beams_and_radar(geom, direction, beam_kind, estimates):
+    """(K+1, N_A): each estimate over its own norm, one by one, then the radar beam."""
+    users = [h / np.linalg.norm(h) for h in estimates]
+    return np.stack(users + [radar_beam(beam_kind, geom, direction, estimates)])
+
+
 def cell_peaks_oracle(
-    real, cfg, grid, direction, beam_kind, powers, targets, n_trials, stream_key, batch, filters
+    real, cfg, grid, direction, beam_kind, powers, targets, n_trials, stream_key, batch
 ):
     """One cell's scalar-simulator peaks with u formed on the antennas, trial by trial.
 
@@ -266,15 +252,13 @@ def cell_peaks_oracle(
         nb = min(batch, n_trials - start)
         rng = np.random.default_rng([cfg.seed, stream_key, batch_idx])
         h = draw_channels(list(real.stats), geom, nb, rng)
-        h_hat = estimate(h, book, real.noise_var_ul, filters, rng).swapaxes(0, 1)
+        h_hat = estimate(h, book, real.noise_var_ul, real.statistics.filters, rng)
+        h_hat = h_hat.swapaxes(0, 1)
         xs = qpsk_grid((nb, book.n_users + 1, shape[0] * shape[1]), rng)
         normals = rng.standard_normal((nb, *shape)) + 1j * rng.standard_normal((nb, *shape))
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=nb))
         for b in range(nb):
-            beams = np.stack(
-                [matched_beam(e) for e in h_hat[b]]
-                + [radar_beam(beam_kind, geom, direction, h_hat[b])]
-            )
+            beams = matched_beams_and_radar(geom, direction, beam_kind, h_hat[b])
             u = (amp[:, None] * beams).T @ xs[b]  # (N_A, N M)
             v = (a.conj() @ u).reshape(shape)
             energy = np.sum(np.abs(u) ** 2, axis=0).reshape(shape)

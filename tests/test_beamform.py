@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from jcsim.array import ArrayGeometry, Direction, steering_vector
-from jcsim.beamform import (
-    BeamformerSet,
-    DegenerateDirectionError,
-    RadarBeamKind,
-    matched_beam,
-    pbr_beam,
-    zfr_beam,
-)
+from jcsim.beamform import DegenerateDirectionError, RadarBeamKind, beam_set, pbr_beam, zfr_beam
 from jcsim.channel import draw_channels
-from jcsim.estimation import estimate, training_statistics
+from jcsim.estimation import estimate
 from jcsim.harness.config import desk_preset
 from jcsim.harness.scenario import draw_scan_direction, realize_scenario
 from oracles import gram_schmidt_zfr
@@ -25,29 +18,36 @@ def random_channels(rng, k, n_a=None):
     return rng.standard_normal((k, n_a)) + 1j * rng.standard_normal((k, n_a))
 
 
+def matched_beams(estimates):
+    """The user rows of ``beam_set``: each estimate matched by a unit-norm beam."""
+    return beam_set(RadarBeamKind.PBR, GEOM, DIR, estimates)[..., :-1, :]
+
+
 class TestMatchedBeam:
     def test_canonical_vector(self):
-        e1 = np.zeros(4, dtype=complex)
-        e1[0] = 3.0
-        np.testing.assert_allclose(matched_beam(e1), np.eye(4)[0])
+        e1 = np.zeros((1, GEOM.n_elements), dtype=complex)
+        e1[0, 0] = 3.0
+        np.testing.assert_allclose(matched_beams(e1), np.eye(GEOM.n_elements)[:1])
 
     def test_unit_norm(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            w = matched_beam(random_channels(rng, 1)[0])
+            w = matched_beams(random_channels(rng, 1))[0]
             assert np.isclose(np.linalg.norm(w), 1.0, atol=1e-12)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(1)
-        h = random_channels(rng, 1)[0]
+        h = random_channels(rng, 1)
         alpha = 2.0 * np.exp(1j * 0.7)
         np.testing.assert_allclose(
-            matched_beam(alpha * h), np.exp(1j * 0.7) * matched_beam(h), atol=1e-12
+            matched_beams(alpha * h), np.exp(1j * 0.7) * matched_beams(h), atol=1e-12
         )
 
     def test_zero_estimate_rejected(self):
+        estimates = random_channels(np.random.default_rng(10), 3)
+        estimates[1] = 0.0
         with pytest.raises(ValueError):
-            matched_beam(np.zeros(4, dtype=complex))
+            matched_beams(estimates)
 
 
 class TestPbrBeam:
@@ -114,27 +114,46 @@ class TestZfrBeam:
         w = zfr_beam(GEOM, DIR, estimates)
         assert np.max(np.abs(estimates.conj() @ w)) <= 1e-9
 
-    @pytest.mark.parametrize("estimator", ["pm", "lmmse"])
-    def test_stack_matches_single_calls_under_pilot_reuse(self, estimator):
+    @pytest.mark.parametrize(
+        "estimator, builder",
+        [
+            pytest.param("pm", "zfr_beam", id="pm"),
+            pytest.param("lmmse", "zfr_beam", id="lmmse"),
+            pytest.param("pm", "beam_set", id="pm-beam_set"),
+            pytest.param("lmmse", "beam_set", id="lmmse-beam_set"),
+        ],
+    )
+    def test_stack_matches_single_calls_under_pilot_reuse(self, estimator, builder):
+        """A stack of 64 estimate sets gives, bit for bit, the beams of 64 single calls.
+
+        ``zfr_beam`` gives the radar beam alone; ``beam_set`` gives the user
+        beams with the ZFR beam last.  Either way every beam has unit norm and
+        the radar beam nulls every estimate.
+        """
         cfg = desk_preset().replace(estimator=estimator)
         rng = np.random.default_rng([cfg.seed, 0x2F])
         real = realize_scenario(cfg, rng)
         direction = draw_scan_direction(cfg, rng)
-        filters = training_statistics(
-            real.book, list(real.stats), real.geom, real.noise_var_ul, real.estimator
-        ).filters
         h = draw_channels(list(real.stats), real.geom, 64, rng)
-        stack = estimate(h, real.book, real.noise_var_ul, filters, rng).swapaxes(0, 1)
+        stack = estimate(h, real.book, real.noise_var_ul, real.statistics.filters, rng)
+        stack = stack.swapaxes(0, 1)
         assert real.book.tau_p < real.book.n_users
         sv = np.linalg.svd(stack, compute_uv=False)
         ranks = np.sum(sv > 1e-10 * sv[:, :1], axis=-1)
         if estimator == "pm":
             assert np.all(ranks == real.book.tau_p)
-        w = zfr_beam(real.geom, direction, stack)
-        assert w.shape == (64, real.geom.n_elements)
+
+        def build(estimates):  # (..., beams, N_A), the radar beam last
+            if builder == "zfr_beam":
+                return zfr_beam(real.geom, direction, estimates)[..., None, :]
+            return beam_set(RadarBeamKind.ZFR, real.geom, direction, estimates)
+
+        w = build(stack)
+        n_beams = 1 if builder == "zfr_beam" else real.book.n_users + 1
+        assert w.shape == (64, n_beams, real.geom.n_elements)
         for est, w_one in zip(stack, w):
-            np.testing.assert_allclose(w_one, zfr_beam(real.geom, direction, est), rtol=0, atol=1e-12)
-            leakage = np.abs(est.conj() @ w_one) / np.linalg.norm(est, axis=-1)
+            np.testing.assert_array_equal(w_one, build(est))
+            leakage = np.abs(est.conj() @ w_one[-1]) / np.linalg.norm(est, axis=-1)
             assert leakage.max() <= 1e-10
         np.testing.assert_allclose(np.linalg.norm(w, axis=-1), 1.0, atol=1e-12)
 
@@ -149,29 +168,3 @@ class TestZfrBeam:
         estimates = np.vstack([a[None, :], random_channels(rng, 2)])
         with pytest.raises(DegenerateDirectionError):
             zfr_beam(GEOM, DIR, estimates)
-
-
-class TestBeamformerSet:
-    def test_invariants_enforced(self):
-        rng = np.random.default_rng(9)
-        good = np.stack([matched_beam(h) for h in random_channels(rng, 2)])
-        BeamformerSet(
-            user_beams=good,
-            radar_beam=pbr_beam(GEOM, DIR),
-            radar_kind=RadarBeamKind.PBR,
-            radar_direction=DIR,
-        )
-        with pytest.raises(ValueError):
-            BeamformerSet(
-                user_beams=2.0 * good,
-                radar_beam=pbr_beam(GEOM, DIR),
-                radar_kind=RadarBeamKind.PBR,
-                radar_direction=DIR,
-            )
-        with pytest.raises(ValueError):
-            BeamformerSet(
-                user_beams=good,
-                radar_beam=0.5 * pbr_beam(GEOM, DIR),
-                radar_kind=RadarBeamKind.PBR,
-                radar_direction=DIR,
-            )

@@ -17,7 +17,7 @@ import jcsim
 
 from jcsim.beamform import DegenerateDirectionError, RadarBeamKind
 from jcsim.channel import SPEED_OF_LIGHT, target_alpha
-from jcsim.harness import experiments
+from jcsim.harness import experiments, scenario
 from jcsim.harness.cli import main as cli_main
 from jcsim.harness.config import (
     ConfigError,
@@ -53,13 +53,35 @@ def small_rate_cfg(**overrides):
     return desk_preset().replace(n_scenarios=3, **overrides)
 
 
-def sweep_cells(cfg, real, direction, statistics, estimates):
+def sweep_cells(cfg, real, direction, estimates):
     """The detection sweep's (RadarBeamKind, PowerAllocation) cells and failures."""
     allocated, failures = _cells(
-        cfg, real, direction, statistics, estimates,
+        cfg, real, direction, estimates,
         [RadarBeamKind.PBR, RadarBeamKind.ZFR], cfg.detection_rcr_db,
     )
     return [(kind, powers) for (_, kind, _), _, powers in allocated], failures
+
+
+# Deployments every run rejects: a certain LoS under rice (no finite
+# K-factor), a user at the array itself, or at its foot under rice (no LoS
+# probability at zero distance), and a ZFR beam with no more antennas than
+# users.  Each is a dict of changes to a preset.
+DEGENERATE_DEPLOYMENTS = [
+    pytest.param(
+        {"channel_model": "rice", "p_los_cap": 1.0,
+         "user_x_range_m": [1.0, 10.0], "user_y_range_m": [1.0, 10.0]},
+        id="rice_certain_los",
+    ),
+    pytest.param(
+        {"user_x_range_m": [0, 0], "user_y_range_m": [0, 0], "user_height_m": 15.0},
+        id="user_at_the_array",
+    ),
+    pytest.param(
+        {"user_x_range_m": [0, 0], "user_y_range_m": [0, 0], "channel_model": "rice"},
+        id="rice_user_at_the_foot",
+    ),
+    pytest.param({"n_y": 2, "n_z": 2, "radar_beam": "zfr"}, id="zfr_few_antennas"),
+]
 
 
 def small_detect_cfg(**overrides):
@@ -216,8 +238,8 @@ class TestScenarioRealization:
         cfg = desk_preset().replace(channel_model=model, estimator=estimator)
         real = realize_scenario(cfg, np.random.default_rng([cfg.seed, 0x51]))
         rng, twin = np.random.default_rng(52), np.random.default_rng(52)
-        statistics, estimates = draw_estimates(real, rng)
-        ref = single_shot_estimates_oracle(real, statistics.filters.dense(), twin)
+        estimates = draw_estimates(real, rng)
+        ref = single_shot_estimates_oracle(real, real.statistics.filters.dense(), twin)
         assert estimates.shape == (cfg.n_users, real.geom.n_elements)
         np.testing.assert_allclose(estimates, ref, rtol=1e-12, atol=0)
         assert rng.uniform() == twin.uniform()  # both streams consumed alike
@@ -299,6 +321,32 @@ class TestRateExperiment:
         manifest = json.loads((tmp_path / "rates.manifest.json").read_text())
         assert manifest["config_hash"] == result.config_hash
         assert manifest["n_rows"] == len(result.rows)
+
+
+@pytest.mark.parametrize(
+    "driver, cfg, builds",
+    [
+        (run_detection_experiment, small_detect_cfg(), 1),
+        (run_rate_experiment, small_rate_cfg(), 3),
+    ],
+    ids=["detect", "rates"],
+)
+def test_training_statistics_built_once_per_deployment_on_the_calling_thread(
+    monkeypatch, driver, cfg, builds
+):
+    """The estimates, the cells and the sweep's workers all read ``real.statistics``."""
+    threads = []
+    original = scenario.training_statistics
+
+    def counted(*args):
+        threads.append(threading.current_thread())
+        return original(*args)
+
+    monkeypatch.setattr(scenario, "training_statistics", counted)
+    # jcsim.rate is the package's rate function; the module is in sys.modules.
+    monkeypatch.setattr(sys.modules["jcsim.rate"], "training_statistics", counted)
+    driver(cfg)
+    assert threads == [threading.current_thread()] * builds
 
 
 class TestDetectionExperiment:
@@ -407,7 +455,7 @@ class TestDetectionExperiment:
     def test_worker_exception_surfaces_and_no_thread_outlives_the_call(self, monkeypatch, where):
         """A DegenerateDirectionError in a trial block or a draw re-raises in the caller."""
         caller, raised_on = threading.current_thread(), []
-        name = "radar_beam" if where == "block" else "draw_channels"
+        name = "beam_set" if where == "block" else "draw_channels"
         original = getattr(experiments, name)
 
         def failing(*args):
@@ -452,48 +500,46 @@ class TestSweepPeaks:
         real = realize_scenario(cfg, rng)
         grid = DelayDopplerGrid.natural(real.frame)
         direction = draw_scan_direction(cfg, rng)
-        statistics, estimates = draw_estimates(real, rng)
-        cells, failures = sweep_cells(cfg, real, direction, statistics, estimates)
+        cells, failures = sweep_cells(cfg, real, direction, draw_estimates(real, rng))
         assert not failures and len(cells) == 8
         targets = []
         for r in (250.0, 345.0):
             alpha, delay = target_alpha(r, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
             doppler = 2.0 * cfg.target_speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
             targets.append(_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler))
-        return cfg, real, grid, direction, statistics.filters, cells, targets
+        return cfg, real, grid, direction, cells, targets
 
     @pytest.fixture(scope="class", params=["h0", "h1"])
     def hypothesis(self, request, sweep):
-        cfg, real, grid, direction, filters, cells, targets = sweep
+        cfg, real, grid, direction, cells, targets = sweep
         targets, stream = ([None], 0xCA1) if request.param == "h0" else (targets, 0x9D)
         peaks = simulate_sweep_peaks(
-            real, cfg, grid, direction, cells, targets, self.N_TRIALS, stream, filters=filters,
+            real, cfg, grid, direction, cells, targets, self.N_TRIALS, stream
         )
         return targets, stream, peaks
 
     def test_shape_and_positive(self, sweep, hypothesis):
-        cells = sweep[5]
+        cells = sweep[4]
         targets, _, peaks = hypothesis
         assert peaks.shape == (len(cells), len(targets), self.N_TRIALS)
         assert np.all(np.isfinite(peaks)) and np.all(peaks > 0)
 
     def test_rows_match_one_cell_passes(self, sweep, hypothesis):
-        cfg, real, grid, direction, filters, cells, _ = sweep
+        cfg, real, grid, direction, cells, _ = sweep
         targets, stream, peaks = hypothesis
         for row, (kind, powers) in zip(peaks, cells):
             single = simulate_peak_statistics(
-                real, cfg, grid, direction, kind, powers, targets, self.N_TRIALS, stream,
-                filters=filters,
+                real, cfg, grid, direction, kind, powers, targets, self.N_TRIALS, stream
             )
             np.testing.assert_allclose(row, single, rtol=1e-12, atol=0)
 
     def test_rows_match_antenna_domain_replay(self, sweep, hypothesis):
-        cfg, real, grid, direction, filters, cells, _ = sweep
+        cfg, real, grid, direction, cells, _ = sweep
         targets, stream, peaks = hypothesis
         for row, (kind, powers) in zip(peaks, cells):
             ref = cell_peaks_oracle(
                 real, cfg, grid, direction, kind, powers, targets, self.N_TRIALS, stream,
-                self.BATCH, filters,
+                self.BATCH,
             )
             np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0)
 
@@ -508,8 +554,7 @@ class TestSweepPeaks:
         real = realize_scenario(cfg, rng)
         grid = DelayDopplerGrid.natural(real.frame)
         direction = draw_scan_direction(cfg, rng)
-        statistics, estimates = draw_estimates(real, rng)
-        cells, _ = sweep_cells(cfg, real, direction, statistics, estimates)
+        cells, _ = sweep_cells(cfg, real, direction, draw_estimates(real, rng))
         if hypothesis_name == "h0":
             targets, stream = [None], 0xCA1
         else:
@@ -519,7 +564,7 @@ class TestSweepPeaks:
             stream = 0x9D
         return dict(
             real=real, cfg=cfg, grid=grid, target_direction=direction, cells=cells,
-            targets=targets, n_trials=14, stream_key=stream, filters=statistics.filters,
+            targets=targets, n_trials=14, stream_key=stream,
         )
 
     @pytest.mark.parametrize("hypothesis_name", ["h0", "h1"])
@@ -535,18 +580,18 @@ class TestSweepPeaks:
         for row, (kind, powers) in zip(peaks, case["cells"]):
             ref = cell_peaks_oracle(
                 real, case["cfg"], case["grid"], case["target_direction"], kind, powers,
-                case["targets"], case["n_trials"], case["stream_key"], batch, case["filters"],
+                case["targets"], case["n_trials"], case["stream_key"], batch,
             )
             np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_peaks_do_not_depend_on_the_worker_count(self, sweep, hypothesis, monkeypatch,
                                                      workers):
-        cfg, real, grid, direction, filters, cells, _ = sweep
+        cfg, real, grid, direction, cells, _ = sweep
         targets, stream, peaks = hypothesis
         monkeypatch.setattr(experiments, "_workers", lambda: workers)
         again = simulate_sweep_peaks(
-            real, cfg, grid, direction, cells, targets, self.N_TRIALS, stream, filters=filters,
+            real, cfg, grid, direction, cells, targets, self.N_TRIALS, stream
         )
         np.testing.assert_array_equal(again, peaks)
 
@@ -568,7 +613,7 @@ class TestSweepPeaks:
 
     def test_drawn_batches_alive_stay_within_the_bound(self, sweep, monkeypatch):
         """With slow trial blocks the draws run ahead, but at most workers + 1 batches live."""
-        cfg, real, grid, direction, filters, cells, _ = sweep
+        cfg, real, grid, direction, cells, _ = sweep
         lock, alive, most = threading.Lock(), [0], [0]
 
         def released():
@@ -592,19 +637,16 @@ class TestSweepPeaks:
         monkeypatch.setattr(experiments._SweepPass, "compute", slow_compute)
         monkeypatch.setattr(experiments, "_workers", lambda: 2)
         monkeypatch.setattr(experiments, "BATCH", 8)
-        peaks = simulate_sweep_peaks(
-            real, cfg, grid, direction, cells, [None], 120, 0xCA1, filters=filters,
-        )
+        peaks = simulate_sweep_peaks(real, cfg, grid, direction, cells, [None], 120, 0xCA1)
         assert np.all(peaks > 0)
         assert 2 <= most[0] <= 3
         assert alive[0] == 0
 
     def test_cell_order_does_not_matter(self, sweep, hypothesis):
-        cfg, real, grid, direction, filters, cells, _ = sweep
+        cfg, real, grid, direction, cells, _ = sweep
         targets, stream, peaks = hypothesis
         reverse = simulate_sweep_peaks(
-            real, cfg, grid, direction, cells[::-1], targets, self.N_TRIALS, stream,
-            filters=filters,
+            real, cfg, grid, direction, cells[::-1], targets, self.N_TRIALS, stream
         )
         np.testing.assert_allclose(reverse[::-1], peaks, rtol=1e-12, atol=0)
 
@@ -866,28 +908,32 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key, value",
+        "changes",
         [
-            ("n_detection_trials", 0),
-            ("tau_p", 0),
-            ("detection_ranges_m", []),
-            ("detection_rcr_db", []),
-            ("n_scenarios", -1),
-            ("tau_c", 2),  # below the default tau_p = n_users = 4
-            ("user_x_range_m", [10.0]),
-            ("scan_azimuth_deg", [60.0, -60.0]),
-            ("n_subcarriers", 0),
-            ("n_symbols", 0),
-            ("cp_fraction", 0),
-            ("scan_elevation_deg", [190, 200]),
-            ("scan_azimuth_deg", [-200, -190]),
-            ("target_rcs_m2", 0),
-            ("detection_ranges_m", [-5]),
+            pytest.param({"n_detection_trials": 0}, id="n_detection_trials-0"),
+            pytest.param({"tau_p": 0}, id="tau_p-0"),
+            pytest.param({"detection_ranges_m": []}, id="detection_ranges_m-value2"),
+            pytest.param({"detection_rcr_db": []}, id="detection_rcr_db-value3"),
+            pytest.param({"n_scenarios": -1}, id="n_scenarios--1"),
+            # below the default tau_p = n_users = 4
+            pytest.param({"tau_c": 2}, id="tau_c-2"),
+            pytest.param({"user_x_range_m": [10.0]}, id="user_x_range_m-value6"),
+            pytest.param({"scan_azimuth_deg": [60.0, -60.0]}, id="scan_azimuth_deg-value7"),
+            pytest.param({"n_subcarriers": 0}, id="n_subcarriers-0"),
+            pytest.param({"n_symbols": 0}, id="n_symbols-0"),
+            pytest.param({"cp_fraction": 0}, id="cp_fraction-0"),
+            pytest.param({"scan_elevation_deg": [190, 200]}, id="scan_elevation_deg-value11"),
+            pytest.param({"scan_azimuth_deg": [-200, -190]}, id="scan_azimuth_deg-value12"),
+            pytest.param({"target_rcs_m2": 0}, id="target_rcs_m2-0"),
+            pytest.param({"detection_ranges_m": [-5]}, id="detection_ranges_m-value14"),
+            *DEGENERATE_DEPLOYMENTS,
+            # The sweep runs ZFR cells whatever radar_beam says.
+            pytest.param({"n_y": 2, "n_z": 2, "radar_beam": "pbr"}, id="sweep_zfr_few_antennas"),
         ],
     )
-    def test_detect_degenerate_config_is_config_error(self, tmp_path, capsys, key, value):
+    def test_detect_degenerate_config_is_config_error(self, tmp_path, capsys, changes):
         data = json.loads(dump_config(desk_preset().replace(tau_p=None)))
-        data[key] = value
+        data.update(changes)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "detect.csv"
@@ -895,9 +941,12 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_rates_degenerate_config_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "changes", [pytest.param({"cp_fraction": 0}, id="cp_fraction-0"), *DEGENERATE_DEPLOYMENTS]
+    )
+    def test_rates_degenerate_config_is_config_error(self, tmp_path, capsys, changes):
         data = json.loads(dump_config(desk_preset()))
-        data["cp_fraction"] = 0
+        data.update(changes)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "rates.csv"
@@ -915,6 +964,16 @@ class TestCli:
     def test_validate_bad_draws_or_rtol_is_config_error(self, capsys, flags):
         assert cli_main(["validate", "--preset", "desk", *flags]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_validate_writes_its_report(self, tmp_path, capsys):
+        out = tmp_path / "validate.json"
+        code = cli_main(
+            ["validate", "--preset", "desk", "--draws", "2000", "--rtol", "10", "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert len(report) == 4 + 4 * 4 + 4  # K gains, K x K interference terms, K leakages
+        assert all(entry["ok"] is True and entry["rel_err"] >= 0 for entry in report)
 
     def test_validate_passes_at_modest_draws(self, capsys):
         code = cli_main(["validate", "--preset", "desk", "--draws", "20000", "--rtol", "0.1"])

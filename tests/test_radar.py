@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jcsim.array import ArrayGeometry, Direction, steering_vector
-from jcsim.beamform import BeamformerSet, RadarBeamKind, matched_beam, pbr_beam
+from jcsim.beamform import pbr_beam
 from jcsim.poweralloc import PowerAllocation
 from jcsim.radar import (
     QPSK_POINTS,
@@ -32,18 +32,10 @@ FRAME = OfdmFrameConfig(n_symbols=4, n_subcarriers=64, subcarrier_spacing=30e3)
 
 
 def make_beams(rng, n_users):
-    user_beams = np.stack(
-        [
-            matched_beam(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-            for _ in range(n_users)
-        ]
-    ) if n_users else np.zeros((0, 4), dtype=complex)
-    return BeamformerSet(
-        user_beams=user_beams,
-        radar_beam=pbr_beam(GEOM, DIR),
-        radar_kind=RadarBeamKind.PBR,
-        radar_direction=DIR,
-    )
+    """(K+1, 4): random unit-norm user beams, then the PBR beam."""
+    users = rng.standard_normal((n_users, 4)) + 1j * rng.standard_normal((n_users, 4))
+    users /= np.linalg.norm(users, axis=-1, keepdims=True)
+    return np.vstack([users, pbr_beam(GEOM, DIR)])
 
 
 def make_tx(rng, n_users=2, eta_users=None, eta_radar=0.5):
@@ -152,7 +144,7 @@ class TestSynthesize:
         u, beams, powers, _, radar = make_tx(rng, n_users=0, eta_radar=0.7)
         np.testing.assert_allclose(
             u,
-            np.sqrt(0.7) * beams.radar_beam[:, None, None] * radar,
+            np.sqrt(0.7) * beams[-1][:, None, None] * radar,
             atol=1e-14,
         )
         np.testing.assert_allclose(
@@ -167,21 +159,14 @@ class TestSynthesize:
     def test_matches_direct_expansion(self):
         rng = np.random.default_rng(3)
         u, beams, powers, data, radar = make_tx(rng, n_users=3, eta_users=[0.1, 0.2, 0.3])
-        ref = np.sqrt(powers.eta_radar) * beams.radar_beam[:, None, None] * radar
+        ref = np.sqrt(powers.eta_radar) * beams[-1][:, None, None] * radar
         for k in range(3):
-            ref = ref + (
-                np.sqrt(powers.eta_users[k]) * beams.user_beams[k][:, None, None] * data[k]
-            )
+            ref = ref + np.sqrt(powers.eta_users[k]) * beams[k][:, None, None] * data[k]
         np.testing.assert_allclose(u, ref, atol=1e-13)
 
     def test_mean_power_with_orthonormal_beams(self):
         rng = np.random.default_rng(4)
-        beams = BeamformerSet(
-            user_beams=np.eye(4, dtype=complex)[:2],
-            radar_beam=np.eye(4, dtype=complex)[3],
-            radar_kind=RadarBeamKind.PBR,
-            radar_direction=DIR,
-        )
+        beams = np.eye(4, dtype=complex)[[0, 1, 3]]  # two users, then the radar
         powers = PowerAllocation(
             eta_users=np.array([0.2, 0.3]), eta_radar=0.4, budget=1.0
         )

@@ -228,7 +228,7 @@ class TestDenseOracle:
             rng = np.random.default_rng([cfg.seed, 0x0AC, seed])
             real = realize_scenario(cfg, rng)
             stats = list(real.stats)
-            statistics, estimates = draw_estimates(real, rng)
+            estimates = draw_estimates(real, rng)
             direction = draw_scan_direction(cfg, rng)
             if beam == "pbr":
                 radar_beam = pbr_beam(real.geom, direction)
@@ -237,7 +237,7 @@ class TestDenseOracle:
             got = build_rate_coefficients(
                 stats, real.geom, real.book, real.estimator, radar_beam,
                 real.noise_var_ul, real.noise_var_dl, bandwidth=1e6, tau_c=cfg.tau_c,
-                e_matrices=statistics.filters.dense(),
+                e_matrices=real.statistics.filters.dense(),
             )
             useful, xi, leakage = dense_rate_coefficients(
                 stats, real.geom, real.book, real.estimator, real.noise_var_ul, radar_beam

@@ -38,7 +38,6 @@ from .rate import (
     NumericalConsistencyError,
     RateCoefficients,
     build_rate_coefficients,
-    rate,
     sinr,
 )
 from .validation import compare_terms, monte_carlo_rate_terms
@@ -79,7 +78,6 @@ __all__ = [
     "NumericalConsistencyError",
     "RateCoefficients",
     "build_rate_coefficients",
-    "rate",
     "sinr",
     "compare_terms",
     "monte_carlo_rate_terms",

@@ -29,7 +29,7 @@ from ..poweralloc import (
     uniform_allocate,
 )
 from ..rate import NumericalConsistencyError, RateCoefficients, rate, sinr
-from .config import PRESETS, ConfigError, ScenarioConfig, dump_config, load_config
+from .config import PRESETS, ConfigError, ScenarioConfig, load_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

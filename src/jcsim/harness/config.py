@@ -170,10 +170,6 @@ class ScenarioConfig:
         return 10.0 ** (self.rcr_db / 10.0)
 
     @property
-    def effective_rho_star(self) -> float:
-        return self.rcr_linear if self.rho_star is None else self.rho_star
-
-    @property
     def effective_tau_p(self) -> int:
         return self.n_users if self.tau_p is None else self.tau_p
 

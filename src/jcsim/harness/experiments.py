@@ -15,20 +15,22 @@ streams keyed by (seed, stream, batch index), and every cell runs on those
 same draws through its own beam and powers, so compared cells are paired
 through common random numbers.
 
-Threading model.  A detection call opens one thread pool and joins it
-before it returns.  The pool has a worker per CPU the process may run on
-(``os.sched_getaffinity``), at most ``MAX_WORKERS``, since each worker
-holds its own work buffers.  Its tasks are of two kinds: drawing a batch,
-which consumes that batch's own stream in a fixed order, and computing a
-block of a drawn batch's trials, which writes only those trials' peaks.
-The calling thread alone submits tasks and waits on them; it keeps at most
-one batch more than there are workers alive, and it re-raises the first
-worker exception.  The results do not depend on the number of workers:
-every batch reads only its own stream, and the split of a batch into
-blocks depends on its size alone, so each peak comes out of the same
-operations on the same numbers whichever thread runs them, and in
-whatever order.  The worker count is therefore no part of the experiment,
-and there is no option for it; CPU affinity (``taskset``) bounds it.
+Threading model.  A detection call first allocates its cells on the
+calling thread, then runs its passes with :func:`_run`, which opens one
+thread pool and joins it before it returns.  The pool has a worker per CPU
+the process may run on (``os.sched_getaffinity``), at most
+``MAX_WORKERS``, since each worker holds its own work buffers.  Its tasks
+are of two kinds: drawing a batch, which consumes that batch's own stream
+in a fixed order, and computing a block of a drawn batch's trials, which
+writes only those trials' peaks.  :func:`_run` alone submits tasks and
+waits on them; it keeps at most one batch more than there are workers
+alive, and it re-raises the first worker exception.  The results do not
+depend on the number of workers: every batch reads only its own stream,
+and the split of a batch into blocks depends on its size alone, so each
+peak comes out of the same operations on the same numbers whichever
+thread runs them, and in whatever order.  The worker count is therefore
+no part of the experiment, and there is no option for it; CPU affinity
+(``taskset``) bounds it.
 Threads suffice because numpy releases the interpreter lock in the draws,
 the matmuls and the large ufuncs.  Workers run only the simulator's draws
 and trial blocks; scenario realization, the cell allocation, the threshold
@@ -38,10 +40,10 @@ wrapper around any of those functions sees all its calls there.
 
 import csv
 import json
+import math
 import os
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,9 +99,18 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def binomial_ci(p_hat: float, n: int) -> tuple[float, float]:
-    """Normal-approximation 95% confidence interval for a proportion."""
-    half = 1.96 * np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
-    return max(0.0, p_hat - half), min(1.0, p_hat + half)
+    """Wilson score 95% confidence interval for a proportion.
+
+    Brown, Cai & DasGupta, Statist. Sci. 16(2), 2001.  Unlike the normal
+    approximation it has a nonzero width at p_hat = 0 and 1.  Each end is
+    p_hat plus an offset whose sign rounding cannot flip (root >= |skew|),
+    so the interval contains p_hat, and at p_hat = 0 or 1 its near end is
+    exactly p_hat.
+    """
+    p_hat, z2 = float(p_hat), 1.96**2 / n
+    skew = z2 * (0.5 - p_hat)
+    root = math.sqrt(z2 * p_hat * (1.0 - p_hat) + z2 * z2 / 4.0)
+    return p_hat + (skew - root) / (1.0 + z2), p_hat + (skew + root) / (1.0 + z2)
 
 
 @dataclass
@@ -239,12 +250,11 @@ class _Batch:
 class _SweepPass:
     """One hypothesis pass of :func:`simulate_sweep_peaks`, as batch draws and trial blocks.
 
-    :meth:`draw` needs only the deployment, so a pass may draw before its
-    cells are allocated; :meth:`set_cells` must come before :meth:`compute`.
-    Each block writes only its own trials of ``peaks``.
+    :func:`_run` calls :meth:`draw` per batch and :meth:`compute` per block
+    of a drawn batch.  Each block writes only its own trials of ``peaks``.
     """
 
-    def __init__(self, real, cfg, grid, target_direction, targets, n_trials, stream_key):
+    def __init__(self, real, cfg, grid, target_direction, cells, targets, n_trials, stream_key):
         frame = real.frame
         self.real, self.seed, self.stream_key = real, cfg.seed, stream_key
         # Read here, on the calling thread, so no worker builds the statistics.
@@ -261,20 +271,16 @@ class _SweepPass:
         self.n_beams = real.book.n_users + 1
         pair_rows = self.n_beams * (self.n_beams - 1)
         self.table_trials = max(1, PAIR_TABLE_BYTES // (pair_rows * self.n_grid * 8))
-        self.n_trials = n_trials
         self.batches = [
             (index, start, min(BATCH, n_trials - start))
             for index, start in enumerate(range(0, n_trials, BATCH))
         ]
-
-    def set_cells(self, cells) -> None:
-        """Fix the (RadarBeamKind, PowerAllocation) cells and allocate ``peaks``."""
         self.kinds = list(dict.fromkeys(kind for kind, _ in cells))
         self.cell_amps = [
             (kind, np.sqrt(np.concatenate([powers.eta_users, [powers.eta_radar]])))
             for kind, powers in cells
         ]
-        self.peaks = np.empty((len(cells), len(self.ramps), self.n_trials))
+        self.peaks = np.empty((len(cells), len(targets), n_trials))
 
     def draw(self, index: int, start: int, nb: int) -> _Batch:
         """Batch ``index``, drawn from stream [seed, stream_key, index] in order:
@@ -348,63 +354,36 @@ class _SweepPass:
                 self.peaks[ci, ti, trials] = stat.max(axis=(-2, -1))
 
 
-class _Scheduler:
-    """Runs sweep passes on a thread pool: batch draws ahead, then their trial blocks.
+def _run(passes) -> None:
+    """Draw and compute every batch of ``passes`` on a pool of :func:`_workers` threads.
 
     Only the calling thread submits and waits.  Batches go through a window
-    of at most ``ahead`` draws: :meth:`run` takes a finished draw, submits
+    of at most one draw per worker: the loop takes a finished draw, submits
     its blocks, waits for the blocks of the batch taken before and refills
-    the window.  So at most ``ahead`` + 1 batches are alive at once, and the
+    the window.  So at most workers + 1 batches are alive at once, and the
     next batch's blocks are queued while the last ones finish.  The first
-    worker exception re-raises in :meth:`run`.
+    worker exception re-raises here; the queued tasks are then cancelled
+    and the running ones finish before the call returns.
     """
-
-    def __init__(self, pool: ThreadPoolExecutor, ahead: int):
-        self._pool = pool
-        self._ahead = ahead
-        self._queued = deque()  # (pass, index, start, nb) of batches not yet submitted
-        self._window = {}  # draw future -> pass
-
-    def draw(self, sweep: _SweepPass) -> None:
-        """Queue every batch of ``sweep`` and submit draws while the window has room."""
-        self._queued.extend((sweep, *spec) for spec in sweep.batches)
-        self._refill()
-
-    def run(self) -> None:
-        """Wait until every queued batch is drawn and computed."""
-        computing = []  # block futures of the batch taken before
-        while self._window:
-            done, _ = wait(self._window, return_when=FIRST_COMPLETED)
+    workers = _workers()
+    queued = deque((sweep, *spec) for sweep in passes for spec in sweep.batches)
+    window, computing = {}, []  # draw future -> pass; block futures of the batch taken before
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="jcsim-sweep")
+    try:
+        while queued or window:
+            while queued and len(window) < workers:
+                sweep, *spec = queued.popleft()
+                window[pool.submit(sweep.draw, *spec)] = sweep
+            done, _ = wait(window, return_when=FIRST_COMPLETED)
             drawn = next(iter(done))
-            sweep = self._window.pop(drawn)
+            sweep = window.pop(drawn)
             batch = drawn.result()  # re-raises the worker's exception, as do the blocks'
-            blocks = [
-                self._pool.submit(sweep.compute, batch, lo, hi) for lo, hi in sweep.blocks(batch)
-            ]
+            blocks = [pool.submit(sweep.compute, batch, lo, hi) for lo, hi in sweep.blocks(batch)]
             for future in computing:
                 future.result()
             computing = blocks
-            self._refill()
         for future in computing:
             future.result()
-
-    def _refill(self) -> None:
-        while self._queued and len(self._window) < self._ahead:
-            sweep, *spec = self._queued.popleft()
-            self._window[self._pool.submit(sweep.draw, *spec)] = sweep
-
-
-@contextmanager
-def _scheduler():
-    """A :class:`_Scheduler` on a pool of :func:`_workers` threads, all joined on exit.
-
-    One batch per worker is drawn ahead.  On an exception the queued tasks
-    are cancelled and the running ones finish first.
-    """
-    workers = _workers()
-    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="jcsim-sweep")
-    try:
-        yield _Scheduler(pool, ahead=workers)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -453,16 +432,13 @@ def simulate_sweep_peaks(
       in H1 passes, whose results give the noise scale, the echo and the
       maps.
 
-    Batch draws and trial blocks run on a thread pool (:class:`_Scheduler`);
-    every block depends only on its own batch's draws, so the peaks do not
-    depend on the number of workers.  The N_A-antenna grid and the complex
-    symbols are never formed.
+    Batch draws and trial blocks run on a thread pool (:func:`_run`); every
+    block depends only on its own batch's draws, so the peaks do not depend
+    on the number of workers.  The N_A-antenna grid and the complex symbols
+    are never formed.
     """
-    sweep = _SweepPass(real, cfg, grid, target_direction, targets, n_trials, stream_key)
-    sweep.set_cells(cells)
-    with _scheduler() as scheduler:
-        scheduler.draw(sweep)
-        scheduler.run()
+    sweep = _SweepPass(real, cfg, grid, target_direction, cells, targets, n_trials, stream_key)
+    _run([sweep])
     return sweep.peaks
 
 
@@ -547,9 +523,9 @@ def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     ``cfg.detection_rcr_db``); an infeasible max-min cell goes into
     ``failures``.  Two :func:`simulate_sweep_peaks` passes serve all cells
     on the same draws: the H0 pass on stream 0xCA1 and the H1 pass on stream
-    0x9D, both keyed [seed, stream, batch] as a one-cell run would be.  Both
-    passes share one scheduler, and their draws start before the cells are
-    allocated, since they need only the deployment.  Each cell's threshold
+    0x9D, both keyed [seed, stream, batch] as a one-cell run would be.  The
+    cells are allocated on the calling thread, and then both passes run on
+    one pool (:func:`_run`).  Each cell's threshold
     is calibrated at the configured false-alarm probability on the shared
     H0 draws through its own beam and powers; its ``cfg.n_detection_trials``
     Pd trials per range are the fresh H1 draws.
@@ -578,21 +554,15 @@ def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
 
     # Reference realization for the per-cell power allocation.
     estimates = draw_estimates(real, rng0)
+    allocated, failures = _cells(
+        cfg, real, target_dir, estimates,
+        [RadarBeamKind.PBR, RadarBeamKind.ZFR], cfg.detection_rcr_db,
+    )
+    cells = [(kind, powers) for (_, kind, _), _, powers in allocated]
     n_calibration = max(n_trials, int(np.ceil(100.0 / cfg.pfa_target)))
-    h0 = _SweepPass(real, cfg, grid, target_dir, [None], n_calibration, 0xCA1)
-    h1 = _SweepPass(real, cfg, grid, target_dir, targets, n_trials, 0x9D)
-    with _scheduler() as scheduler:
-        # The draws need only the deployment: they run while the cells allocate.
-        scheduler.draw(h0)
-        scheduler.draw(h1)
-        allocated, failures = _cells(
-            cfg, real, target_dir, estimates,
-            [RadarBeamKind.PBR, RadarBeamKind.ZFR], cfg.detection_rcr_db,
-        )
-        cells = [(kind, powers) for (_, kind, _), _, powers in allocated]
-        h0.set_cells(cells)
-        h1.set_cells(cells)
-        scheduler.run()
+    h0 = _SweepPass(real, cfg, grid, target_dir, cells, [None], n_calibration, 0xCA1)
+    h1 = _SweepPass(real, cfg, grid, target_dir, cells, targets, n_trials, 0x9D)
+    _run([h0, h1])
     rows = []
     for ((rcr_db, kind, allocator), _, _), h0_row, peaks in zip(
         allocated, h0.peaks[:, 0], h1.peaks

@@ -133,9 +133,14 @@ class TestEmpiricalCdf:
         with pytest.raises(ValueError):
             empirical_cdf([])
 
-    def test_binomial_ci_brackets_estimate(self):
-        lo, hi = binomial_ci(0.3, 1000)
-        assert 0.0 <= lo < 0.3 < hi <= 1.0
+    @pytest.mark.parametrize("p_hat, n", [(0.3, 1000), (0.0, 200), (1.0, 200), (0.3, 10)])
+    def test_binomial_ci_brackets_estimate(self, p_hat, n):
+        """The Wilson interval contains p_hat and has width even at p_hat = 0 and 1."""
+        lo, hi = binomial_ci(p_hat, n)
+        assert type(lo) is float and type(hi) is float
+        assert 0.0 <= lo <= p_hat <= hi <= 1.0 and hi > lo
+        if (p_hat, n) == (0.3, 10):  # 3 successes in 10: the Wilson interval [0.1078, 0.6032]
+            assert (lo, hi) == pytest.approx((0.10778928748621, 0.60322678002043), rel=1e-12)
 
 
 class TestConfig:
@@ -201,11 +206,6 @@ class TestConfig:
         assert desk.n_users == 4 and table.n_users == 10
         assert table.n_subcarriers == 512
         assert desk.config_hash() != table.config_hash()
-
-    def test_rho_star_defaults_to_linear_rcr(self):
-        cfg = ScenarioConfig(rcr_db=3.0)
-        assert np.isclose(cfg.effective_rho_star, 10.0**0.3)
-        assert ScenarioConfig(rho_star=0.5).effective_rho_star == 0.5
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ConfigError):
@@ -343,8 +343,7 @@ def test_training_statistics_built_once_per_deployment_on_the_calling_thread(
         return original(*args)
 
     monkeypatch.setattr(scenario, "training_statistics", counted)
-    # jcsim.rate is the package's rate function; the module is in sys.modules.
-    monkeypatch.setattr(sys.modules["jcsim.rate"], "training_statistics", counted)
+    monkeypatch.setattr(jcsim.rate, "training_statistics", counted)
     driver(cfg)
     assert threads == [threading.current_thread()] * builds
 
@@ -381,8 +380,15 @@ class TestDetectionExperiment:
         with pytest.raises(ConfigError):
             run_detection_experiment(small_detect_cfg().replace(detection_ranges_m=()))
 
-    def test_rho_star_is_every_max_min_sir(self, monkeypatch):
-        """With cfg.rho_star set, each max-min cell's radar SIR is tight at it, not at its RCR."""
+    @pytest.mark.parametrize(
+        "rho_star, tight",
+        [
+            pytest.param(0.5, [0.5] * 4, id="0.5"),
+            pytest.param(None, [10**0.3] * 2 + [10**0.6] * 2, id="None"),
+        ],
+    )
+    def test_rho_star_is_every_max_min_sir(self, monkeypatch, rho_star, tight):
+        """Each max-min cell's radar SIR is tight at cfg.rho_star, else at the cell's own RCR."""
         allocations = []
         original = experiments.max_min_allocate
 
@@ -393,13 +399,14 @@ class TestDetectionExperiment:
 
         monkeypatch.setattr(experiments, "max_min_allocate", recorded)
         cfg = small_detect_cfg(
-            detection_rcr_db=(3.0, 6.0), rho_star=0.5, n_detection_trials=20, pfa_target=0.5
+            detection_rcr_db=(3.0, 6.0), rho_star=rho_star, n_detection_trials=20, pfa_target=0.5
         )
         result = run_detection_experiment(cfg)
         assert len(allocations) == 4 and result.failures == []
-        for sir, powers in allocations:
+        # RCRs outermost, then the PBR and ZFR beams.
+        for (sir, powers), rho in zip(allocations, tight):
             achieved = powers.eta_radar * sir.radar_gain / (sir.user_gains @ powers.eta_users)
-            assert achieved == pytest.approx(0.5, rel=1e-9)
+            assert achieved == pytest.approx(rho, rel=1e-9)
 
     def test_rate_coefficients_once_per_beam(self, monkeypatch):
         """Three RCRs share each beam's coefficients: two builds, not six."""

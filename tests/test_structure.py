@@ -50,3 +50,45 @@ def jcsim_imports(name: str) -> set[str]:
 def test_module_imports_only_its_allowed_jcsim_modules(name):
     extra = jcsim_imports(name) - ALLOWED_IMPORTS[name]
     assert not extra, f"{name} imports {sorted(extra)}"
+
+
+def test_submodule_attributes_are_the_submodules():
+    """No package re-exports a name that shadows one of its own submodules."""
+    names = [info.name for info in pkgutil.walk_packages(jcsim.__path__, "jcsim.")]
+    shadowed = []
+    for name in names:
+        module = importlib.import_module(name)
+        parent, attr = name.rsplit(".", 1)
+        if getattr(importlib.import_module(parent), attr) is not module:
+            shadowed.append(name)
+    assert not shadowed, f"package attributes that are not their submodule: {shadowed}"
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names that the module at ``path`` imports but neither reads nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    return imported - used - exported
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """An unused-import check with the stdlib alone; package ``__init__`` files re-export."""
+    root = Path(jcsim.__file__).parent
+    unused = {
+        str(path.relative_to(root)): names
+        for path in sorted(root.rglob("*.py"))
+        if path.name != "__init__.py" and (names := unused_imports(path))
+    }
+    assert not unused, f"unused imports: {unused}"

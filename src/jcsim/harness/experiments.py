@@ -24,13 +24,16 @@ are of two kinds: drawing a batch, which consumes that batch's own stream
 in a fixed order, and computing a block of a drawn batch's trials, which
 writes only those trials' peaks.  :func:`_run` alone submits tasks and
 waits on them; it keeps at most one batch more than there are workers
-alive, and it re-raises the first worker exception.  The results do not
-depend on the number of workers: every batch reads only its own stream,
-and the split of a batch into blocks depends on its size alone, so each
-peak comes out of the same operations on the same numbers whichever
-thread runs them, and in whatever order.  The worker count is therefore
-no part of the experiment, and there is no option for it; CPU affinity
-(``taskset``) bounds it.
+alive, and it re-raises the first worker exception.  Each task takes its
+work buffers from a module-level free list and gives them back, a batch's
+draws once its last block has finished, so a sweep allocates no large
+array in steady state.  Up to ``KEEP_BYTES`` of buffers outlive the call;
+no thread does.  The results do not depend on the number of workers:
+every batch reads only its own stream, and the split of a batch into
+blocks depends on its size alone, so each peak comes out of the same
+operations on the same numbers whichever thread runs them, and in
+whatever order.  The worker count is therefore no part of the experiment,
+and there is no option for it; CPU affinity (``taskset``) bounds it.
 Threads suffice because numpy releases the interpreter lock in the draws,
 the matmuls and the large ufuncs.  Workers run only the simulator's draws
 and trial blocks; scenario realization, the cell allocation, the threshold
@@ -42,6 +45,7 @@ import csv
 import json
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -222,9 +226,40 @@ BLOCK_TRIALS = 64
 PAIR_TABLE_BYTES = 2 << 20
 # Most threads in a sweep's pool.  Each worker holds one block's work buffers
 # and each batch drawn ahead its draws, so peak memory grows with the pool: a
-# table1 detection sweep (8 cells, 10 H0 batches) peaks at 258, 352-411,
-# 553-610 and 918 MiB on 1, 2, 4 and 8 workers, against 474 MiB serially.
+# table1 detection sweep (8 cells, 10 H0 batches) peaks at about 218, 317-369
+# and 527-646 MiB on 1, 2 and 4 workers.
 MAX_WORKERS = 4
+# Most bytes of work buffers kept between tasks and calls: a desk sweep keeps
+# 14-31 MiB on two workers; a table1 block's or batch's alone is over it.
+KEEP_BYTES = 32 << 20
+
+
+class _Workspace(dict):
+    """Named flat work buffers of a block or a batch, grown only when a larger one is asked for."""
+
+    def buffer(self, name: str, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        if name not in self or self[name].size < size:
+            self[name] = np.empty(size, dtype)
+        return self[name][:size].reshape(shape)
+
+
+# Free workspaces of trial blocks and of batch draws; every task writes a buffer before it reads it.
+_kept = {"block": [], "batch": []}
+_kept_lock = threading.Lock()
+
+
+def _take(kind: str) -> _Workspace:
+    with _kept_lock:
+        return _kept[kind].pop() if _kept[kind] else _Workspace()
+
+
+def _give_back(kind: str, ws: _Workspace) -> None:
+    """Keep ``ws`` for the next task of its kind if all kept stay within ``KEEP_BYTES``."""
+    with _kept_lock:
+        kept = [ws, *(w for free in _kept.values() for w in free)]
+        if sum(b.nbytes for w in kept for b in w.values()) <= KEEP_BYTES:
+            _kept[kind].append(ws)
 
 
 def _workers() -> int:
@@ -243,8 +278,9 @@ class _Batch:
     start: int  # index of the batch's first trial in the pass
     h_hat: np.ndarray  # (nb, K, N_A) channel estimates
     symbols: np.ndarray  # (nb, K + 1, N M) QPSK indices as int8, radar last
-    normals: np.ndarray  # (nb, N, M) complex noise normals
+    normals: np.ndarray  # (2, nb, N, M) real, then imaginary noise normals
     alpha_phase: np.ndarray  # (nb, 1, 1) target phases alpha / |alpha|
+    workspace: _Workspace  # holds symbols and normals until _run gives it back
 
 
 class _SweepPass:
@@ -289,12 +325,14 @@ class _SweepPass:
         rng = np.random.default_rng([self.seed, self.stream_key, index])
         h = draw_channels(list(real.stats), real.geom, nb, rng)
         h_hat = estimate(h, real.book, real.noise_var_ul, self.filters, rng).swapaxes(0, 1)
-        symbols = qpsk_indices((nb, self.n_beams, self.n_grid), rng).astype(np.int8)
-        normals = np.empty((nb, *self.grid_shape), dtype=complex)
-        normals.real = rng.standard_normal(normals.shape)
-        normals.imag = rng.standard_normal(normals.shape)
+        ws = _take("batch")
+        shape = (nb, self.n_beams, self.n_grid)
+        symbols = qpsk_indices(shape, rng, out=ws.buffer("symbols", shape, np.int8))
+        normals = ws.buffer("normals", (2, nb, *self.grid_shape))
+        for part in normals:
+            rng.standard_normal(out=part)
         alpha_phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=nb))[:, None, None]
-        return _Batch(start, h_hat, symbols, normals, alpha_phase)
+        return _Batch(start, h_hat, symbols, normals, alpha_phase, ws)
 
     def blocks(self, batch: _Batch) -> list[tuple[int, int]]:
         """The trial blocks lo:hi of a batch: as even as can be, none above ``BLOCK_TRIALS``."""
@@ -318,8 +356,9 @@ class _SweepPass:
             forms_of += [c.conj()[:, :, None] * c[:, None, :] for c in echo_weights]
         coef, trace = _pair_form(np.stack(forms_of, axis=1))
         # Work buffers of the block, reused by every pair-table step, cell and target.
-        table = np.empty((min(self.table_trials, n), coef.shape[-1], self.n_grid))
-        form = np.empty((n, coef.shape[1], self.n_grid))
+        ws = _take("block")
+        table = ws.buffer("table", (min(self.table_trials, n), coef.shape[-1], self.n_grid))
+        form = ws.buffer("form", (n, coef.shape[1], self.n_grid))
         for sub in range(0, n, self.table_trials):
             end = min(sub + self.table_trials, n)
             pairs = table[: end - sub]
@@ -333,25 +372,23 @@ class _SweepPass:
         scale *= self.real.noise_var_dl / 2.0
         np.sqrt(scale, out=scale)
         shape = (n, *self.grid_shape)
-        noise = np.empty(shape, dtype=complex)
-        if self.with_echo:
-            received = np.empty(shape, dtype=complex)
-            echoes = np.empty((len(self.ramps), *shape), dtype=complex)
-            for ti, ramp in enumerate(self.ramps):
-                if ramp is not None:  # alpha / |alpha| times the ramp, scaled per cell by |a^H u|^2
-                    np.multiply(batch.alpha_phase[lo:hi], ramp, out=echoes[ti])
+        noise = ws.buffer("noise", shape, complex)
+        received = ws.buffer("received", shape, complex) if self.with_echo else None
 
         trials = slice(batch.start + lo, batch.start + hi)
         for ci in range(n_cells):
-            np.multiply(batch.normals[lo:hi], scale[:, ci].reshape(shape), out=noise)
+            for normals, part in zip(batch.normals[:, lo:hi], (noise.real, noise.imag)):
+                np.multiply(normals, scale[:, ci].reshape(shape), out=part)
             for ti, ramp in enumerate(self.ramps):
                 if ramp is None:
                     stat = _statistic_map(noise, self.phases)
-                else:
-                    np.multiply(echoes[ti], form[:, n_cells + ci].reshape(shape), out=received)
+                else:  # alpha / |alpha| times the ramp, scaled by the cell's |a^H u|^2
+                    np.multiply(batch.alpha_phase[lo:hi], ramp, out=received)
+                    received *= form[:, n_cells + ci].reshape(shape)
                     received += noise
                     stat = _statistic_map(received, self.phases)
                 self.peaks[ci, ti, trials] = stat.max(axis=(-2, -1))
+        _give_back("block", ws)
 
 
 def _run(passes) -> None:
@@ -359,15 +396,23 @@ def _run(passes) -> None:
 
     Only the calling thread submits and waits.  Batches go through a window
     of at most one draw per worker: the loop takes a finished draw, submits
-    its blocks, waits for the blocks of the batch taken before and refills
-    the window.  So at most workers + 1 batches are alive at once, and the
-    next batch's blocks are queued while the last ones finish.  The first
-    worker exception re-raises here; the queued tasks are then cancelled
-    and the running ones finish before the call returns.
+    its blocks, waits for the blocks of the batch taken before, gives back
+    that batch's workspace and refills the window.  So at most workers + 1
+    batches are alive at once, and the next batch's blocks are queued while
+    the last ones finish.  The first worker exception re-raises here; the
+    queued tasks are then cancelled and the running ones finish before the
+    call returns.
     """
     workers = _workers()
     queued = deque((sweep, *spec) for sweep in passes for spec in sweep.batches)
-    window, computing = {}, []  # draw future -> pass; block futures of the batch taken before
+    window, computing = {}, []  # draw future -> pass; (batch, block futures) taken before
+
+    def finish():
+        for batch, blocks in computing:
+            for future in blocks:
+                future.result()
+            _give_back("batch", batch.workspace)  # no block of the batch reads it any more
+
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="jcsim-sweep")
     try:
         while queued or window:
@@ -379,11 +424,9 @@ def _run(passes) -> None:
             sweep = window.pop(drawn)
             batch = drawn.result()  # re-raises the worker's exception, as do the blocks'
             blocks = [pool.submit(sweep.compute, batch, lo, hi) for lo, hi in sweep.blocks(batch)]
-            for future in computing:
-                future.result()
-            computing = blocks
-        for future in computing:
-            future.result()
+            finish()
+            computing = [(batch, blocks)]
+        finish()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

@@ -120,14 +120,22 @@ class DetectionOutcome:
         return self.peak_value > threshold
 
 
-def qpsk_indices(shape, rng: np.random.Generator) -> np.ndarray:
-    """Uniform QPSK symbol indices into :data:`QPSK_POINTS`, one int32 draw.
+def qpsk_indices(shape, rng: np.random.Generator, out=None) -> np.ndarray:
+    """Uniform QPSK symbol indices into :data:`QPSK_POINTS`, drawn as int32.
 
     For a range that fits in 32 bits numpy draws int32 and int64 by the same
     32-bit bounded method, so the indices and the generator state after them
-    equal those of the default int64 draw, in half the memory.
+    equal those of the default int64 draw, in half the memory.  The method
+    takes the stream one index at a time, so with ``out``, an integer array
+    of ``shape``, the draw goes into it in slices of its first axis of about
+    2^16 indices (a 256 KiB int32 temporary), with the same indices and state.
     """
-    return rng.integers(0, 4, size=shape, dtype=np.int32)
+    if out is None:
+        return rng.integers(0, 4, size=shape, dtype=np.int32)
+    step = max(1, (1 << 16) // max(1, out[:1].size))
+    for lo in range(0, len(out), step):
+        out[lo : lo + step] = rng.integers(0, 4, size=out[lo : lo + step].shape, dtype=np.int32)
+    return out
 
 
 @cache

@@ -480,6 +480,121 @@ class TestDetectionExperiment:
         assert threading.active_count() == baseline
 
 
+@pytest.mark.parametrize("shape", [(1,), (3, 5), (7, 14, 64)])
+def test_normals_drawn_into_a_buffer_equal_the_plain_draws(shape):
+    """standard_normal(out=) on each half of one float64 buffer, as a batch draws its noise,
+    gives the values and the generator state of two plain draws."""
+    for seed in range(6):
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = np.full((2, *shape), np.nan)
+        for part in out:
+            ours.standard_normal(out=part)
+        np.testing.assert_array_equal(out[0], reference.standard_normal(shape))
+        np.testing.assert_array_equal(out[1], reference.standard_normal(shape))
+        np.testing.assert_array_equal(ours.uniform(size=5), reference.uniform(size=5))
+
+
+class TestKeptWorkspaces:
+    """Work buffers that blocks and batches keep between sweep calls (``experiments._kept``)."""
+
+    @staticmethod
+    def kept():
+        return [ws for free in experiments._kept.values() for ws in free]
+
+    @staticmethod
+    def nbytes(workspaces):
+        return sum(buf.nbytes for ws in workspaces for buf in ws.values())
+
+    def test_poisoned_buffers_give_the_results_of_a_cold_call(self, monkeypatch):
+        """After kept buffers are filled with NaN, a call's peaks and rows equal a cold call's.
+
+        On two workers, with one-block batches of 16 trials and blocks slowed
+        down, the next draws run while a batch's blocks wait: if the batch's
+        buffers went back before its blocks finished, a draw would overwrite them.
+        """
+        cfg = small_detect_cfg(n_detection_trials=60, pfa_target=0.5)
+        real = realize_scenario(cfg, np.random.default_rng(11))
+        grid = DelayDopplerGrid.natural(real.frame)
+        direction = draw_scan_direction(cfg, np.random.default_rng(12))
+        estimates = draw_estimates(real, np.random.default_rng(13))
+        cells, _ = sweep_cells(cfg, real, direction, estimates)
+        alpha, delay = target_alpha(250.0, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
+        targets = [None, _TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=300.0)]
+
+        def run():
+            peaks = simulate_sweep_peaks(real, cfg, grid, direction, cells, targets, 70, 0x9D)
+            return peaks, run_detection_experiment(cfg).rows
+
+        def slow_compute(self, *args):
+            time.sleep(0.005)
+            compute(self, *args)
+
+        compute = experiments._SweepPass.compute
+        monkeypatch.setattr(experiments._SweepPass, "compute", slow_compute)
+        monkeypatch.setattr(experiments, "_workers", lambda: 2)
+        monkeypatch.setattr(experiments, "BATCH", 16)
+        monkeypatch.setattr(experiments, "_kept", {"block": [], "batch": []})
+        with monkeypatch.context() as cold:
+            cold.setattr(experiments, "KEEP_BYTES", 0)
+            cold_peaks, cold_rows = run()
+            assert self.kept() == []
+        run()
+        assert self.kept()
+        for ws in self.kept():
+            for buf in ws.values():
+                buf.fill(np.nan if buf.dtype.kind in "fc" else 99)
+        peaks, rows = run()
+        np.testing.assert_array_equal(peaks, cold_peaks)
+        assert rows == cold_rows
+
+    def test_many_workers_never_share_a_workspace(self, monkeypatch):
+        """Six workers on small blocks, switching threads often: every task gets its own
+        workspace, so the peaks equal a call that keeps nothing and none is kept twice."""
+        cfg = small_detect_cfg(n_detection_trials=40, pfa_target=0.5)
+        monkeypatch.setattr(experiments, "_workers", lambda: 6)
+        monkeypatch.setattr(experiments, "BATCH", 8)
+        monkeypatch.setattr(experiments, "BLOCK_TRIALS", 2)
+        monkeypatch.setattr(experiments, "_kept", {"block": [], "batch": []})
+        with monkeypatch.context() as cold:
+            cold.setattr(experiments, "KEEP_BYTES", 0)
+            reference = run_detection_experiment(cfg).rows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [run_detection_experiment(cfg).rows for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [reference] * 3
+        kept = self.kept()
+        assert len({id(ws) for ws in kept}) == len(kept)
+        assert self.nbytes(kept) <= experiments.KEEP_BYTES
+
+    def test_kept_bytes_stay_within_the_bound(self, monkeypatch):
+        """A desk sweep keeps at most KEEP_BYTES; below one workspace it keeps nothing."""
+        monkeypatch.setattr(experiments, "_workers", lambda: experiments.MAX_WORKERS)
+        monkeypatch.setattr(experiments, "_kept", {"block": [], "batch": []})
+        baseline = threading.active_count()
+        run_detection_experiment(small_detect_cfg())
+        kept = self.kept()
+        assert kept and self.nbytes(kept) <= experiments.KEEP_BYTES
+        assert threading.active_count() == baseline
+        # Keeping nothing, every task's workspace is fresh: the smallest is the smallest there is.
+        sizes, give_back = [], experiments._give_back
+
+        def recorded(kind, ws):
+            sizes.append(self.nbytes([ws]))
+            give_back(kind, ws)
+
+        monkeypatch.setattr(experiments, "_give_back", recorded)
+        monkeypatch.setattr(experiments, "KEEP_BYTES", 0)
+        monkeypatch.setattr(experiments, "_kept", {"block": [], "batch": []})
+        run_detection_experiment(small_detect_cfg())
+        monkeypatch.setattr(experiments, "KEEP_BYTES", min(sizes) - 1)
+        run_detection_experiment(small_detect_cfg())
+        assert self.kept() == []
+        assert threading.active_count() == baseline
+
+
 class TestSweepPeaks:
     """simulate_sweep_peaks: every cell of a desk sweep on the same draws.
 

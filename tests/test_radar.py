@@ -90,6 +90,19 @@ class TestSymbolsAndGrid:
             np.testing.assert_array_equal(indices, reference.integers(0, 4, size=shape))
             np.testing.assert_array_equal(ours.standard_normal(5), reference.standard_normal(5))
 
+    @pytest.mark.parametrize("shape", [(1,), (3, 5), (40, 5, 896), (3, 11, 7168)])
+    def test_qpsk_chunked_int8_draw_equals_the_int64_draw(self, shape):
+        """Drawn into int8 slice by slice, the indices and the generator state equal the int64 draw.
+
+        (40, 5, 896) is a desk batch: slices of 14, 14 and 12 trials; a table1 trial is one slice.
+        """
+        for seed in range(6):
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = np.full(shape, 99, dtype=np.int8)
+            assert qpsk_indices(shape, ours, out=out) is out
+            np.testing.assert_array_equal(out, reference.integers(0, 4, size=shape))
+            np.testing.assert_array_equal(ours.standard_normal(5), reference.standard_normal(5))
+
     @pytest.mark.parametrize("n_symbols", [2, 11])
     def test_pair_table_quadratic_forms_match_dense(self, n_symbols):
         """tr M + rows @ table equals x^H M x for random Hermitian M, per element."""

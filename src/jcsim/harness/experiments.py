@@ -15,30 +15,26 @@ streams keyed by (seed, stream, batch index), and every cell runs on those
 same draws through its own beam and powers, so compared cells are paired
 through common random numbers.
 
-Threading model.  A detection call first allocates its cells on the
-calling thread, then runs its passes with :func:`_run`, which opens one
-thread pool and joins it before it returns.  The pool has a worker per CPU
-the process may run on (``os.sched_getaffinity``), at most
-``MAX_WORKERS``, since each worker holds its own work buffers.  Its tasks
-are of two kinds: drawing a batch, which consumes that batch's own stream
-in a fixed order, and computing a block of a drawn batch's trials, which
-writes only those trials' peaks.  :func:`_run` alone submits tasks and
-waits on them; it keeps at most one batch more than there are workers
-alive, and it re-raises the first worker exception.  Each task takes its
-work buffers from a module-level free list and gives them back, a batch's
-draws once its last block has finished, so a sweep allocates no large
-array in steady state.  Up to ``KEEP_BYTES`` of buffers outlive the call;
-no thread does.  The results do not depend on the number of workers:
-every batch reads only its own stream, and the split of a batch into
-blocks depends on its size alone, so each peak comes out of the same
-operations on the same numbers whichever thread runs them, and in
-whatever order.  The worker count is therefore no part of the experiment,
-and there is no option for it; CPU affinity (``taskset``) bounds it.
-Threads suffice because numpy releases the interpreter lock in the draws,
-the matmuls and the large ufuncs.  Workers run only the simulator's draws
-and trial blocks; scenario realization, the cell allocation, the threshold
-calibration and the whole rate driver run on the calling thread, so a
-wrapper around any of those functions sees all its calls there.
+Threading model.  A detection call allocates its cells on the calling
+thread, then runs its passes with :func:`_run`, which opens one pool of
+:func:`_workers` threads and joins it before it returns.  A task either
+draws a batch, consuming that batch's own stream in a fixed order, or
+computes a block of a drawn batch's trials, writing only those trials'
+peaks.  Tasks take their work buffers from a module-level free list and
+give them back, so a sweep allocates no large array in steady state; up
+to ``KEEP_BYTES`` of buffers outlive the call, no thread does.  Every
+batch reads only its own stream and its split into blocks depends on its
+size alone, so each peak comes out of the same operations on the same
+numbers whichever thread runs them, in whatever order, and no option sets
+the worker count.  Threads gain only in long native calls: on two vCPUs
+with BLAS on one thread, two threads run a 240k-element normals fill or a
+400 x 400 matmul about 2x as fast as one, a 45-trial desk block 1.2-2x,
+and a 40k-element ``np.multiply`` 0.5x, as short ufuncs contend for the
+interpreter lock (two processes keep about 0.9x each).  Workers run only
+the simulator's draws and trial blocks; scenario realization, the cell
+allocation, the threshold calibration and the whole rate driver run on
+the calling thread, so a wrapper around any of those functions sees all
+its calls there.
 """
 
 import csv
@@ -463,8 +459,8 @@ def simulate_sweep_peaks(
 
     - per batch, in stream order: channels and estimates
       (:func:`jcsim.channel.draw_channels`, :func:`jcsim.estimation.estimate`),
-      the QPSK indices of x_p (:func:`jcsim.radar.qpsk_indices`), the complex
-      noise normals and the target phases;
+      the QPSK indices of x_p, two raw bits each (:func:`jcsim.radar.qpsk_indices`),
+      the complex noise normals and the target phases;
     - per trial block of at most ``BLOCK_TRIALS`` trials: once per distinct
       beam kind, the beams (:func:`jcsim.beamform.beam_set` on the stack of
       estimates), a^H w_p and G; then, in steps whose pair table stays near
@@ -475,10 +471,8 @@ def simulate_sweep_peaks(
       in H1 passes, whose results give the noise scale, the echo and the
       maps.
 
-    Batch draws and trial blocks run on a thread pool (:func:`_run`); every
-    block depends only on its own batch's draws, so the peaks do not depend
-    on the number of workers.  The N_A-antenna grid and the complex symbols
-    are never formed.
+    Draws and blocks run on the pool of :func:`_run`.  The N_A-antenna grid
+    and the complex symbols are never formed.
     """
     sweep = _SweepPass(real, cfg, grid, target_direction, cells, targets, n_trials, stream_key)
     _run([sweep])
@@ -561,17 +555,16 @@ def _cells(cfg, real, direction, estimates, beam_kinds, rcrs_db):
 def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     """Detection probability vs range per (RCR, beam, allocator) cell.
 
-    Every cell's power allocation is computed first on one reference
-    realization (:func:`_cells`, both beams at each of
+    Every cell's power allocation is computed first, on the calling thread,
+    on one reference realization (:func:`_cells`, both beams at each of
     ``cfg.detection_rcr_db``); an infeasible max-min cell goes into
-    ``failures``.  Two :func:`simulate_sweep_peaks` passes serve all cells
-    on the same draws: the H0 pass on stream 0xCA1 and the H1 pass on stream
-    0x9D, both keyed [seed, stream, batch] as a one-cell run would be.  The
-    cells are allocated on the calling thread, and then both passes run on
-    one pool (:func:`_run`).  Each cell's threshold
-    is calibrated at the configured false-alarm probability on the shared
-    H0 draws through its own beam and powers; its ``cfg.n_detection_trials``
-    Pd trials per range are the fresh H1 draws.
+    ``failures``.  Then two :func:`simulate_sweep_peaks` passes serve all
+    cells on the same draws, on one pool (:func:`_run`): the H0 pass on
+    stream 0xCA1 and the H1 pass on stream 0x9D, both keyed [seed, stream,
+    batch] as a one-cell run would be.  Each cell's threshold is calibrated
+    at the configured false-alarm probability on the shared H0 draws through
+    its own beam and powers; its ``cfg.n_detection_trials`` Pd trials per
+    range are the fresh H1 draws.
     """
     n_trials = cfg.n_detection_trials
     rng0 = np.random.default_rng([cfg.seed, 0xD0])

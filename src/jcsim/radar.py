@@ -29,6 +29,8 @@ DEFAULT_CP_FRACTION = 0.07
 
 # The four unit-modulus QPSK points exp(j (pi/4 + i pi/2)), i = 0..3.
 QPSK_POINTS = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * np.arange(4)))
+# Row b holds the four 2-bit fields of the byte value b, low bits first.
+_BYTE_FIELDS = ((np.arange(256)[:, None] >> np.arange(0, 8, 2)) & 3).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -121,20 +123,26 @@ class DetectionOutcome:
 
 
 def qpsk_indices(shape, rng: np.random.Generator, out=None) -> np.ndarray:
-    """Uniform QPSK symbol indices into :data:`QPSK_POINTS`, drawn as int32.
+    """Uniform QPSK symbol indices into :data:`QPSK_POINTS`, int8, two raw bits each.
 
-    For a range that fits in 32 bits numpy draws int32 and int64 by the same
-    32-bit bounded method, so the indices and the generator state after them
-    equal those of the default int64 draw, in half the memory.  The method
-    takes the stream one index at a time, so with ``out``, an integer array
-    of ``shape``, the draw goes into it in slices of its first axis of about
-    2^16 indices (a 256 KiB int32 temporary), with the same indices and state.
+    Index j of the flat draw is ``(w[j // 32] >> 2 * (j % 32)) & 3`` for the words
+    ``w = rng.bit_generator.random_raw(ceil(size / 32))``, a stream numpy keeps stable
+    across releases (NEP 19).  The little-endian bytes of each 1,024 words, which follow
+    the word values on any platform, index the table of their 2-bit fields straight into
+    ``out``, a C-contiguous int8 array of ``shape``, through a 64 KiB intp temporary.
     """
-    if out is None:
-        return rng.integers(0, 4, size=shape, dtype=np.int32)
-    step = max(1, (1 << 16) // max(1, out[:1].size))
-    for lo in range(0, len(out), step):
-        out[lo : lo + step] = rng.integers(0, 4, size=out[lo : lo + step].shape, dtype=np.int32)
+    out = np.empty(shape, np.int8) if out is None else out
+    if out.dtype != np.int8 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous int8 array")
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, 32 * 1024):  # 32 indices a word, 1,024 words a slice
+        part = flat[lo : lo + 32 * 1024]
+        words = rng.bit_generator.random_raw(-(-part.size // 32))
+        fields = words.astype("<u8", copy=False).view(np.uint8)
+        n = part.size // 4  # the bytes whose four fields all land in part
+        # mode="wrap" never wraps a byte; the default "raise" would buffer out.
+        np.take(_BYTE_FIELDS, fields[:n], axis=0, out=part[: 4 * n].reshape(n, 4), mode="wrap")
+        part[4 * n :] = _BYTE_FIELDS[fields[n : n + 1]].reshape(-1)[: part.size % 4]
     return out
 
 
@@ -157,8 +165,7 @@ def _qpsk_pair_table(indices: np.ndarray) -> np.ndarray:
     built in bytes, far cheaper than in floats; the caller casts them once.
     """
     p, q = _symbol_pairs(indices.shape[-2])
-    d = (indices[..., q, :] - indices[..., p, :]).astype(np.int8, copy=False)
-    d &= 3
+    d = (indices[..., q, :] - indices[..., p, :]) & 3
     odd = d & 1
     table = np.empty(d.shape[:-2] + (2 * p.size, d.shape[-1]), dtype=np.int8)
     # Re z = (1 - d)(1 - odd) and Im z = (2 - d) odd for d in 0..3.

@@ -348,7 +348,56 @@ def test_training_statistics_built_once_per_deployment_on_the_calling_thread(
     assert threads == [threading.current_thread()] * builds
 
 
+# run_detection_experiment(desk_preset().replace(n_detection_trials=200)), 200 trials a
+# range: each cell in row order with its threshold and its Pd at 150, 250, 300 and 345 m.
+PINNED_DESK_CELLS = [
+    ((3.0, "pbr", "uniform"), 5.088103174686316e-14, (1.0, 1.0, 1.0, 1.0)),
+    ((3.0, "pbr", "maxmin"), 5.0486391518677214e-14, (1.0, 0.585, 0.29, 0.065)),
+    ((3.0, "zfr", "uniform"), 5.0567624028777884e-14, (1.0, 1.0, 1.0, 1.0)),
+    ((3.0, "zfr", "maxmin"), 5.064524420242105e-14, (1.0, 0.545, 0.24, 0.05)),
+    ((6.0, "pbr", "uniform"), 8.450234213010343e-14, (1.0, 1.0, 1.0, 1.0)),
+    ((6.0, "pbr", "maxmin"), 8.44871592256186e-14, (1.0, 1.0, 0.865, 0.33)),
+    ((6.0, "zfr", "uniform"), 8.512455171625022e-14, (1.0, 1.0, 1.0, 1.0)),
+    ((6.0, "zfr", "maxmin"), 8.406797037764481e-14, (1.0, 1.0, 0.85, 0.265)),
+]
+# The (ci_low, ci_high) of each pinned Pd at 200 trials.
+PINNED_DESK_CI = {
+    0.05: (0.02738234902864498, 0.08957905629784384),
+    0.065: (0.03837598764975974, 0.10802003749917943),
+    0.24: (0.18606526852024677, 0.3037346545572801),
+    0.265: (0.20868060011609973, 0.33017702266551113),
+    0.29: (0.23153926891257817, 0.3563760535731166),
+    0.33: (0.26857320614303304, 0.3978344358691961),
+    0.545: (0.47578485036961143, 0.6125190090977397),
+    0.585: (0.5157378707263818, 0.6510583082675035),
+    0.85: (0.7939430617334483, 0.892864734123727),
+    0.865: (0.8107074954488286, 0.9055349202307972),
+    1.0: (0.9811539940816791, 1.0),
+}
+
+
 class TestDetectionExperiment:
+    def test_fixed_seed_desk_rows_are_pinned(self):
+        """Any change to the detection streams or their use moves these rows.
+
+        Pd and its interval are exact; BLAS rounding moves a threshold by about 1e-16.
+        """
+        cfg = desk_preset().replace(n_detection_trials=200)
+        rows = run_detection_experiment(cfg).rows
+        expected = [
+            (cell, threshold, r, pd)
+            for cell, threshold, pds in PINNED_DESK_CELLS
+            for r, pd in zip(cfg.detection_ranges_m, pds)
+        ]
+        assert len(rows) == len(expected)
+        for row, ((rcr_db, beam, allocator), threshold, r, pd) in zip(rows, expected):
+            assert (row["rcr_db"], row["beam"], row["allocator"], row["range_m"]) == (
+                rcr_db, beam, allocator, r
+            )
+            assert (row["pd"], row["n_trials"]) == (pd, 200)
+            assert (row["ci_low"], row["ci_high"]) == PINNED_DESK_CI[pd]
+            assert row["threshold"] == pytest.approx(threshold, rel=1e-12, abs=0)
+
     def test_fixed_seed_bit_identical(self):
         a = run_detection_experiment(small_detect_cfg())
         b = run_detection_experiment(small_detect_cfg())
@@ -716,6 +765,21 @@ class TestSweepPeaks:
             real, cfg, grid, direction, cells, targets, self.N_TRIALS, stream
         )
         np.testing.assert_array_equal(again, peaks)
+
+    def test_peaks_do_not_depend_on_the_block_split(self, sweep, hypothesis):
+        """A drawn batch computed in blocks of 1 or 7 trials or as one block gives the
+        peaks of the sweep, whose blocks split it in two."""
+        cfg, real, grid, direction, cells, _ = sweep
+        targets, stream, peaks = hypothesis
+        sweep_pass = experiments._SweepPass(
+            real, cfg, grid, direction, cells, targets, self.BATCH, stream
+        )
+        batch = sweep_pass.draw(*sweep_pass.batches[0])
+        for size in (1, 7, self.BATCH):
+            sweep_pass.peaks[:] = np.nan
+            for lo in range(0, self.BATCH, size):
+                sweep_pass.compute(batch, lo, min(lo + size, self.BATCH))
+            np.testing.assert_array_equal(sweep_pass.peaks, peaks[:, :, : self.BATCH])
 
     @pytest.mark.parametrize("hypothesis_name", ["h0", "h1"])
     def test_many_users_peaks_do_not_depend_on_the_worker_count(self, monkeypatch,

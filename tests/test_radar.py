@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,16 @@ from oracles import (
 GEOM = ArrayGeometry.half_wavelength(2, 2, 0.1)
 DIR = Direction(azimuth=0.4, elevation=1.3)
 FRAME = OfdmFrameConfig(n_symbols=4, n_subcarriers=64, subcarrier_spacing=30e3)
+
+
+def raw_word_indices(shape, seed):
+    """Index j = bits 2j and 2j+1 of the raw words, and a generator past those words."""
+    rng = np.random.default_rng(seed)
+    size = math.prod(shape)
+    words = rng.bit_generator.random_raw(-(-size // 32))
+    j = np.arange(size)
+    fields = (words[j // 32] >> (2 * (j % 32)).astype(np.uint64)) & np.uint64(3)
+    return fields.astype(np.int8).reshape(shape), rng
 
 
 def make_beams(rng, n_users):
@@ -75,33 +87,61 @@ class TestSymbolsAndGrid:
 
     def test_qpsk_grid_is_points_at_the_drawn_indices(self):
         indices = qpsk_indices((3, 5), np.random.default_rng(4))
-        assert indices.dtype == np.int32 and set(np.unique(indices)) <= {0, 1, 2, 3}
+        assert indices.dtype == np.int8 and set(np.unique(indices)) <= {0, 1, 2, 3}
         np.testing.assert_array_equal(
             qpsk_grid((3, 5), np.random.default_rng(4)), QPSK_POINTS[indices]
         )
 
     @pytest.mark.parametrize("shape", [(1,), (3, 5), (7, 11, 896), (7, 11, 7168)])
     def test_qpsk_int32_draw_equals_the_int64_draw(self, shape):
-        """The int32 indices, and the generator state after them, equal numpy's int64 draw."""
-        for seed in range(6):
-            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            indices = qpsk_indices(shape, ours)
-            assert indices.dtype == np.int32
-            np.testing.assert_array_equal(indices, reference.integers(0, 4, size=shape))
-            np.testing.assert_array_equal(ours.standard_normal(5), reference.standard_normal(5))
+        """The allocating draw is the two-bit fields of the raw 64-bit words, in int8.
 
-    @pytest.mark.parametrize("shape", [(1,), (3, 5), (40, 5, 896), (3, 11, 7168)])
-    def test_qpsk_chunked_int8_draw_equals_the_int64_draw(self, shape):
-        """Drawn into int8 slice by slice, the indices and the generator state equal the int64 draw.
-
-        (40, 5, 896) is a desk batch: slices of 14, 14 and 12 trials; a table1 trial is one slice.
+        The name is that of the 32-bit bounded draw this layout replaced.
         """
         for seed in range(6):
-            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = np.full(shape, 99, dtype=np.int8)
-            assert qpsk_indices(shape, ours, out=out) is out
-            np.testing.assert_array_equal(out, reference.integers(0, 4, size=shape))
+            ours = np.random.default_rng(seed)
+            expected, reference = raw_word_indices(shape, seed)
+            indices = qpsk_indices(shape, ours)
+            assert indices.dtype == np.int8 and indices.shape == shape
+            np.testing.assert_array_equal(indices, expected)
             np.testing.assert_array_equal(ours.standard_normal(5), reference.standard_normal(5))
+            out = np.full(shape, 99, dtype=np.int8)
+            assert qpsk_indices(shape, np.random.default_rng(seed), out=out) is out
+            np.testing.assert_array_equal(out, indices)
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 5), (40, 5, 896), (3, 11, 7168), (2, 16385)])
+    def test_qpsk_chunked_int8_draw_equals_the_int64_draw(self, shape):
+        """Drawn into the front of a larger int8 buffer, slice by slice of 1,024 raw words,
+        the indices are the two-bit fields of the words and nothing past them is written.
+
+        (40, 5, 896) is a desk batch of 5.5 slices; (2, 16385) ends in a slice of two
+        indices.  The name is that of the draw this layout replaced.
+        """
+        size = math.prod(shape)
+        for seed in range(6):
+            ours = np.random.default_rng(seed)
+            expected, reference = raw_word_indices(shape, seed)
+            buffer = np.full(size + 7, 99, dtype=np.int8)
+            out = buffer[:size].reshape(shape)
+            assert qpsk_indices(shape, ours, out=out) is out
+            np.testing.assert_array_equal(out, expected)
+            assert np.all(buffer[size:] == 99)
+            np.testing.assert_array_equal(ours.standard_normal(5), reference.standard_normal(5))
+            np.testing.assert_array_equal(qpsk_indices(shape, np.random.default_rng(seed)), out)
+
+    def test_qpsk_indices_are_uniform_over_a_desk_batch(self):
+        """Chi-square of the four index counts over a desk H0 batch, 3 degrees of freedom."""
+        indices = qpsk_indices((134, 5, 896), np.random.default_rng(20200))
+        counts = np.bincount(indices.reshape(-1), minlength=4)
+        expected = indices.size / 4
+        assert np.sum((counts - expected) ** 2 / expected) < 16.27  # the 0.1% point
+
+    @pytest.mark.parametrize(
+        "out", [np.zeros((4, 8), np.int32), np.zeros((4, 16), np.int8)[:, ::2]]
+    )
+    def test_qpsk_draw_rejects_an_out_it_cannot_fill_in_place(self, out):
+        with pytest.raises(ValueError, match="C-contiguous int8"):
+            qpsk_indices((4, 8), np.random.default_rng(0), out=out)
 
     @pytest.mark.parametrize("n_symbols", [2, 11])
     def test_pair_table_quadratic_forms_match_dense(self, n_symbols):
@@ -113,7 +153,7 @@ class TestSymbolsAndGrid:
         m = m + m.conj().swapaxes(-1, -2)
         table = _qpsk_pair_table(indices)
         assert table.shape == (3, n_symbols * (n_symbols - 1), 40)
-        np.testing.assert_array_equal(_qpsk_pair_table(indices.astype(np.int8)), table)
+        np.testing.assert_array_equal(_qpsk_pair_table(indices.astype(np.int64)), table)
         pairs = np.triu_indices(n_symbols, 1)
         z = x.conj()[:, pairs[0]] * x[:, pairs[1]]
         np.testing.assert_allclose(table, np.concatenate([z.real, z.imag], axis=1), atol=1e-15)

@@ -38,6 +38,7 @@ from .rate import (
     NumericalConsistencyError,
     RateCoefficients,
     build_rate_coefficients,
+    rate_coefficients,
     sinr,
 )
 from .validation import compare_terms, monte_carlo_rate_terms
@@ -78,6 +79,7 @@ __all__ = [
     "NumericalConsistencyError",
     "RateCoefficients",
     "build_rate_coefficients",
+    "rate_coefficients",
     "sinr",
     "compare_terms",
     "monte_carlo_rate_terms",

@@ -117,9 +117,10 @@ class TrainingStatistics:
 
     Every stack shares the basis U = [a_1 ... a_K].  ``diffuse`` and
     ``specular`` are the weights d_k, e_k of Hbar_k = d_k I + e_k a_k a_k^H.
+    ``book`` holds the pilots and powers the statistics were built from.
     """
 
-    estimator: Estimator
+    book: PilotBook
     diffuse: np.ndarray  # (K,)
     specular: np.ndarray  # (K,)
     hbar: IdentityPlusLowRank  # Hbar_k = E[h_k h_k^H]
@@ -163,7 +164,7 @@ def training_statistics(
         filters = IdentityPlusLowRank(1.0 / amplitude, zero, hbar.basis, hbar.gram)
     else:
         filters = _lmmse_filters(hbar, ry, amplitude)
-    return TrainingStatistics(estimator, diffuse, specular, hbar, ry, filters)
+    return TrainingStatistics(book, diffuse, specular, hbar, ry, filters)
 
 
 def _lmmse_filters(

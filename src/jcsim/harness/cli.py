@@ -29,7 +29,7 @@ from ..poweralloc import (
     uniform_allocate,
 )
 from ..rate import NumericalConsistencyError, RateCoefficients, rate, sinr
-from .config import PRESETS, ConfigError, ScenarioConfig, load_config
+from .config import PRESETS, ConfigError, ScenarioConfig, _check_type, load_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,29 +43,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Joint communication and sensing link-level simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
+    p_rates, p_detect, p_alloc, p_val = (
+        sub.add_parser(name, help=summary)
+        for name, summary in (
+            ("rates", "simulate per-user downlink rates"),
+            ("detect", "estimate detection probability vs range"),
+            ("allocate", "solve one allocation from coefficients"),
+            ("validate", "cross-check rate coefficients by simulation"),
+        )
+    )
+    for p in (p_rates, p_detect, p_alloc, p_val):
+        p.add_argument("--config", type=Path, help="JSON config (allocate: problem) file")
         p.add_argument("--out", type=Path, help="output file")
+    for p in (p_rates, p_detect, p_val):  # the subcommands that run a scenario
+        p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--preset", choices=sorted(PRESETS), default="desk")
         p.add_argument("--estimator", choices=[e.value for e in Estimator])
         p.add_argument("--beam", choices=[b.value for b in RadarBeamKind])
+    for p in (p_rates, p_detect, p_alloc):
         p.add_argument("--allocator", choices=("uniform", "maxmin"))
-
-    p_rates = sub.add_parser("rates", help="simulate per-user downlink rates")
-    common(p_rates)
     p_rates.add_argument("--scenarios", type=int, help="number of random deployments")
-
-    p_detect = sub.add_parser("detect", help="estimate detection probability vs range")
-    common(p_detect)
     p_detect.add_argument("--trials", type=int, help="Monte-Carlo trials per cell")
-
-    p_alloc = sub.add_parser("allocate", help="solve one allocation from coefficients")
-    common(p_alloc)
-
-    p_val = sub.add_parser("validate", help="cross-check rate coefficients by simulation")
-    common(p_val)
     p_val.add_argument("--draws", type=int, default=200_000, help="Monte-Carlo draws")
     p_val.add_argument("--rtol", type=float, default=0.03, help="relative tolerance")
     return parser
@@ -112,16 +110,29 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# The JSON type of each key of an allocation problem but ``interference``, a list
+# of number lists, checked as a config field of that annotation is.
+_PROBLEM_TYPES = {
+    "signal_gain": tuple, "radar_leakage": tuple, "noise_var": float, "bandwidth": float,
+    "tau_c": int, "tau_p": int, "budget": float, "rho_star": float, "radar_gain": float,
+    "user_gains": tuple,
+}
+
+
 def _load_allocation_problem(path: Path):
     data = json.loads(path.read_text())
-    required = {
-        "signal_gain", "interference", "radar_leakage", "noise_var",
-        "bandwidth", "tau_c", "tau_p", "budget", "rho_star",
-        "radar_gain", "user_gains",
-    }
-    missing = required - set(data)
+    if not isinstance(data, dict):
+        raise ConfigError("allocation problem must be a JSON object")
+    missing = {"interference", *_PROBLEM_TYPES} - set(data)
     if missing:
         raise ConfigError(f"allocation problem is missing keys: {sorted(missing)}")
+    for key, annotation in _PROBLEM_TYPES.items():
+        _check_type(key, data[key], annotation)
+    rows = data["interference"]
+    if not isinstance(rows, list):
+        raise ConfigError(f"interference must be a list of rows, got {rows!r}")
+    for i, row in enumerate(rows):
+        _check_type(f"interference row {i}", row, tuple)
     try:
         coeffs = RateCoefficients(
             signal_gain=np.asarray(data["signal_gain"], dtype=float),
@@ -171,7 +182,7 @@ def _cmd_allocate(args) -> int:
 
 def _cmd_validate(args) -> int:
     from ..beamform import radar_beam
-    from ..rate import build_rate_coefficients
+    from ..rate import rate_coefficients
     from ..validation import compare_terms, monte_carlo_rate_terms
     from .scenario import draw_estimates, draw_scan_direction, realize_scenario
 
@@ -186,10 +197,8 @@ def _cmd_validate(args) -> int:
     estimates = draw_estimates(real, rng) if beam_kind is RadarBeamKind.ZFR else None
     w_radar = radar_beam(beam_kind, real.geom, direction, estimates)
 
-    coeffs = build_rate_coefficients(
-        list(real.stats), real.geom, real.book, real.estimator, w_radar,
-        real.noise_var_ul, real.noise_var_dl,
-        bandwidth=real.frame.bandwidth, tau_c=cfg.tau_c, statistics=real.statistics,
+    coeffs = rate_coefficients(
+        real.statistics, w_radar, real.noise_var_dl, real.frame.bandwidth, cfg.tau_c
     )
     mc = monte_carlo_rate_terms(
         list(real.stats), real.geom, real.book, real.estimator, w_radar,

@@ -70,7 +70,7 @@ from ..radar import (
     delay_doppler_ramp,
     qpsk_indices,
 )
-from ..rate import build_rate_coefficients, rate
+from ..rate import rate, rate_coefficients
 from .config import ConfigError, ScenarioConfig, hash_config
 from .scenario import ScenarioRealization, draw_estimates, draw_scan_direction, realize_scenario
 
@@ -519,17 +519,8 @@ def _cells(cfg, real, direction, estimates, beam_kinds, rcrs_db):
     for kind in beam_kinds:
         beams = beam_set(kind, real.geom, direction, estimates)
         w_radar = beams[-1]
-        coeffs = build_rate_coefficients(
-            list(real.stats),
-            real.geom,
-            real.book,
-            real.estimator,
-            w_radar,
-            real.noise_var_ul,
-            real.noise_var_dl,
-            bandwidth=real.frame.bandwidth,
-            tau_c=cfg.tau_c,
-            statistics=real.statistics,
+        coeffs = rate_coefficients(
+            real.statistics, w_radar, real.noise_var_dl, real.frame.bandwidth, cfg.tau_c
         )
         sir = RadarSirCoefficients(
             radar_gain=float(n_a * abs(a.conj() @ w_radar) ** 2),

@@ -50,6 +50,7 @@ __all__ = [
     "mean_gain_and_energy",
     "interference_matrix",
     "radar_leakage",
+    "rate_coefficients",
     "build_rate_coefficients",
     "sinr",
     "rate",
@@ -138,9 +139,7 @@ def fourth_moment_excess(
     return d**2 * np.abs(trace) ** 2 + 2.0 * d * e * (quad * np.conj(trace)).real
 
 
-def mean_gain_and_energy(
-    statistics: TrainingStatistics, powers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def mean_gain_and_energy(statistics: TrainingStatistics) -> tuple[np.ndarray, np.ndarray]:
     """Per-user mean gain E[h^H h_hat] and mean energy E||h_hat||^2.
 
     Beams are h_hat normalized to unit average power, so the useful-signal
@@ -150,13 +149,13 @@ def mean_gain_and_energy(
     energy > gain.
     """
     trace_ah = (statistics.filters.H @ statistics.hbar).trace()  # tr(A^H Hbar)
-    gains = np.sqrt(powers) * _real_checked(trace_ah, "tr(A^H Hbar)")
+    gains = np.sqrt(statistics.book.powers) * _real_checked(trace_ah, "tr(A^H Hbar)")
     energy = _real_checked(statistics.covariances.trace(), "tr(C)")
     return gains, energy
 
 
 def interference_matrix(
-    book: PilotBook, statistics: TrainingStatistics, useful: np.ndarray, energy: np.ndarray
+    statistics: TrainingStatistics, useful: np.ndarray, energy: np.ndarray
 ) -> np.ndarray:
     """K x K interference coefficients xi_kj.
 
@@ -167,13 +166,13 @@ def interference_matrix(
     negative values from that cancellation are clamped at zero; larger
     ones raise.
     """
-    cross = np.abs(book.gram()) ** 2
+    cross = np.abs(statistics.book.gram()) ** 2
     covs = statistics.covariances
     quad = np.diagonal(covs.in_basis(), axis1=-2, axis2=-1).T  # (k, j): a_k^H C_j a_k
     d, e = statistics.diffuse[:, None], statistics.specular[:, None]
     base = _real_checked(d * covs.trace() + e * quad, "tr(C Hbar)")
     excess = fourth_moment_excess(statistics.diffuse, statistics.specular, statistics.filters)
-    xi = (base + book.powers[:, None] * cross * excess) / energy[None, :]
+    xi = (base + statistics.book.powers[:, None] * cross * excess) / energy[None, :]
     xi[np.diag_indices_from(xi)] -= useful
 
     scale = np.abs(useful)[:, None]
@@ -212,49 +211,41 @@ def _check_filters(e_matrices, filters: IdentityPlusLowRank) -> None:
         )
 
 
-def build_rate_coefficients(
-    all_stats: list[ChannelStats],
-    geom: ArrayGeometry,
-    book: PilotBook,
-    estimator: Estimator,
-    radar_beam: np.ndarray,
-    noise_var_ul: float,
-    noise_var_dl: float,
-    bandwidth: float,
-    tau_c: int,
-    e_matrices: np.ndarray | tuple | None = None,
-    statistics: TrainingStatistics | None = None,
+def rate_coefficients(
+    statistics: TrainingStatistics, radar_beam: np.ndarray, noise_var_dl: float,
+    bandwidth: float, tau_c: int,
 ) -> RateCoefficients:
-    """Assemble every coefficient of the rate bound for one scenario.
+    """Every coefficient of the rate bound of one deployment's training ``statistics``.
 
-    ``statistics`` are the structured correlations and filters of the
-    estimate, as a deployment holds them
-    (:attr:`jcsim.harness.scenario.ScenarioRealization.statistics`); when
-    omitted they are built for ``estimator`` from the channel statistics.
+    A deployment holds its statistics as
+    :attr:`jcsim.harness.scenario.ScenarioRealization.statistics`; their
+    pilot book gives the pilot powers, cross-correlations and tau_p.
+    """
+    gains, energy = mean_gain_and_energy(statistics)
+    useful = gains**2 / energy
+    return RateCoefficients(
+        signal_gain=useful, interference=interference_matrix(statistics, useful, energy),
+        radar_leakage=radar_leakage(statistics.hbar, radar_beam), noise_var=noise_var_dl,
+        bandwidth=bandwidth, tau_c=tau_c, tau_p=statistics.book.tau_p,
+    )
+
+
+def build_rate_coefficients(
+    all_stats: list[ChannelStats], geom: ArrayGeometry, book: PilotBook, estimator: Estimator,
+    radar_beam: np.ndarray, noise_var_ul: float, noise_var_dl: float, bandwidth: float,
+    tau_c: int, e_matrices: np.ndarray | tuple | None = None,
+) -> RateCoefficients:
+    """:func:`rate_coefficients` of the training statistics of ``estimator``.
+
     ``e_matrices``, dense per-user filters A_k as
     :func:`jcsim.estimation.lmmse_matrices` returns them, are only checked:
     they must match the structured filters to a relative 1e-9 per user,
     else ValueError.  The coefficients always come from the structured form.
     """
-    if statistics is None:
-        statistics = training_statistics(book, all_stats, geom, noise_var_ul, estimator)
-    elif statistics.estimator is not estimator:
-        raise ValueError(
-            f"statistics are for {statistics.estimator.value}, not {estimator.value}"
-        )
+    statistics = training_statistics(book, all_stats, geom, noise_var_ul, estimator)
     if e_matrices is not None:
         _check_filters(e_matrices, statistics.filters)
-    gains, energy = mean_gain_and_energy(statistics, book.powers)
-    useful = gains**2 / energy
-    return RateCoefficients(
-        signal_gain=useful,
-        interference=interference_matrix(book, statistics, useful, energy),
-        radar_leakage=radar_leakage(statistics.hbar, radar_beam),
-        noise_var=noise_var_dl,
-        bandwidth=bandwidth,
-        tau_c=tau_c,
-        tau_p=book.tau_p,
-    )
+    return rate_coefficients(statistics, radar_beam, noise_var_dl, bandwidth, tau_c)
 
 
 def _unpack_powers(powers) -> tuple[np.ndarray, float]:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -18,6 +19,7 @@ import jcsim
 from jcsim.beamform import DegenerateDirectionError, RadarBeamKind
 from jcsim.channel import SPEED_OF_LIGHT, target_alpha
 from jcsim.harness import experiments, scenario
+from jcsim.harness.cli import _build_parser
 from jcsim.harness.cli import main as cli_main
 from jcsim.harness.config import (
     ConfigError,
@@ -29,6 +31,7 @@ from jcsim.harness.config import (
     table1_preset,
 )
 from jcsim.harness.experiments import (
+    ExperimentResult,
     _cells,
     _TargetParams,
     binomial_ci,
@@ -44,7 +47,7 @@ from jcsim.harness.scenario import (
     noise_variance,
     realize_scenario,
 )
-from jcsim.poweralloc import uniform_allocate
+from jcsim.poweralloc import AllocationInfeasibleError, uniform_allocate
 from jcsim.radar import DelayDopplerGrid
 from oracles import antenna_domain_peaks, cell_peaks_oracle, single_shot_estimates_oracle
 
@@ -323,6 +326,15 @@ class TestRateExperiment:
         assert manifest["n_rows"] == len(result.rows)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_experiment_result_rejects_a_non_finite_value(value):
+    with pytest.raises(ArithmeticError, match="rate_bps"):
+        ExperimentResult(
+            kind="rates", rows=[{"trial": 0, "rate_bps": value}], fields=["trial", "rate_bps"],
+            config={}, seed=0, config_hash="",
+        )
+
+
 @pytest.mark.parametrize(
     "driver, cfg, builds",
     [
@@ -418,6 +430,29 @@ class TestDetectionExperiment:
         result = run_detection_experiment(cfg)
         assert all(row["pd"] == 1.0 for row in result.rows)
 
+    def test_targets_on_the_grid_take_the_nearest_grid_delay_and_doppler(self, monkeypatch):
+        passes = []
+        original = experiments._SweepPass
+
+        def recorded(*args):
+            passes.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "_SweepPass", recorded)
+        cfg = small_detect_cfg(
+            detection_ranges_m=(150.0, 250.0), n_detection_trials=20, pfa_target=0.5
+        )
+        run_detection_experiment(cfg)
+        run_detection_experiment(cfg.replace(target_on_grid=True))
+        # Each call builds an H0 and then an H1 pass: (real, cfg, grid, direction,
+        # cells, targets, n_trials, stream).
+        grid, free, snapped = passes[1][2], passes[1][5], passes[3][5]
+        assert not set(t.delay for t in free) & set(grid.delays)
+        for off, on in zip(free, snapped, strict=True):
+            assert on.delay == grid.delays[np.argmin(np.abs(grid.delays - off.delay))]
+            assert on.doppler == grid.dopplers[np.argmin(np.abs(grid.dopplers - off.doppler))]
+            assert on.alpha_mag == off.alpha_mag
+
     def test_range_beyond_cp_rejected(self):
         cfg = small_detect_cfg(detection_ranges_m=(5000.0,))
         with pytest.raises(ConfigError):
@@ -460,13 +495,13 @@ class TestDetectionExperiment:
     def test_rate_coefficients_once_per_beam(self, monkeypatch):
         """Three RCRs share each beam's coefficients: two builds, not six."""
         calls = []
-        original = experiments.build_rate_coefficients
+        original = experiments.rate_coefficients
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "build_rate_coefficients", counted)
+        monkeypatch.setattr(experiments, "rate_coefficients", counted)
         cfg = small_detect_cfg(
             detection_rcr_db=(0.0, 3.0, 6.0), n_detection_trials=20, pfa_target=0.5
         )
@@ -504,6 +539,12 @@ class TestDetectionExperiment:
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 3), (64, experiments.MAX_WORKERS)])
     def test_one_worker_per_usable_cpu_up_to_the_cap(self, monkeypatch, cpus, workers):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert experiments._workers() == workers
+
+    @pytest.mark.parametrize("cpus, workers", [(None, 1), (3, 3), (64, experiments.MAX_WORKERS)])
+    def test_workers_fall_back_to_the_cpu_count_without_affinity(self, monkeypatch, cpus, workers):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert experiments._workers() == workers
 
@@ -888,6 +929,28 @@ class TestScalarSimulatorMatchesAntennaDomain:
         assert abs(pd_ant - pd_sim) <= 3.0 * sigma, f"Pd {pd_sim} simulated, {pd_ant} antenna-domain"
 
 
+# A feasible one-user allocation problem, as ``jcsim allocate --config`` reads it.
+ALLOCATION_PROBLEM = {
+    "signal_gain": [4.0],
+    "interference": [[0.5]],
+    "radar_leakage": [0.1],
+    "noise_var": 1.0,
+    "bandwidth": 1e6,
+    "tau_c": 200,
+    "tau_p": 1,
+    "budget": 1.0,
+    "rho_star": 0.5,
+    "radar_gain": 4.0,
+    "user_gains": [0.5],
+}
+
+
+def write_problem(tmp_path, **changes):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**ALLOCATION_PROBLEM, **changes}))
+    return path
+
+
 class TestCli:
     def test_rates_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"
@@ -1016,21 +1079,7 @@ class TestCli:
         assert report["achieved_min_sinr"] > 0
 
     def test_allocate_infeasible_exit_code(self, tmp_path):
-        problem = {
-            "signal_gain": [4.0],
-            "interference": [[0.5]],
-            "radar_leakage": [0.1],
-            "noise_var": 1.0,
-            "bandwidth": 1e6,
-            "tau_c": 200,
-            "tau_p": 1,
-            "budget": 1.0,
-            "rho_star": 1.0,
-            "radar_gain": 0.0,
-            "user_gains": [1.0],
-        }
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps(problem))
+        path = write_problem(tmp_path, rho_star=1.0, radar_gain=0.0, user_gains=[1.0])
         assert cli_main(["allocate", "--config", str(path)]) == 3
 
     @pytest.mark.parametrize(
@@ -1042,26 +1091,39 @@ class TestCli:
             ("user_gains", [0.5, 0.5, 0.5]),
             ("interference", [[0.5, 0.2, 0.1]]),
             ("radar_leakage", [0.1, 0.4]),
+            # JSON types as in a config: numbers, not strings or booleans, integers
+            # for tau_c and tau_p, and lists of numbers for the arrays.
+            ("tau_c", 200.9),
+            ("tau_p", True),
+            ("budget", "2"),
+            ("noise_var", None),
+            ("signal_gain", ["4"]),
+            ("user_gains", 0.5),
+            ("interference", [[True]]),
+            ("interference", [0.5]),
         ],
     )
-    def test_allocate_bad_input_is_config_error(self, tmp_path, key, value):
-        problem = {
-            "signal_gain": [4.0],
-            "interference": [[0.5]],
-            "radar_leakage": [0.1],
-            "noise_var": 1.0,
-            "bandwidth": 1e6,
-            "tau_c": 200,
-            "tau_p": 1,
-            "budget": 1.0,
-            "rho_star": 0.5,
-            "radar_gain": 4.0,
-            "user_gains": [0.5],
-            key: value,
-        }
+    def test_allocate_bad_input_is_config_error(self, tmp_path, capsys, key, value):
+        assert cli_main(["allocate", "--config", str(write_problem(tmp_path, **{key: value}))]) == 2
+        assert "config error: " in capsys.readouterr().err
+
+    def test_allocate_missing_key_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps(problem))
+        path.write_text(json.dumps({k: v for k, v in ALLOCATION_PROBLEM.items() if k != "budget"}))
         assert cli_main(["allocate", "--config", str(path)]) == 2
+        assert "missing keys: ['budget']" in capsys.readouterr().err
+
+    def test_allocate_problem_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text("[[1.0]]")
+        assert cli_main(["allocate", "--config", str(path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_allocate_out_writes_the_report_it_prints(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cli_main(["allocate", "--config", str(write_problem(tmp_path)), "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert json.loads(out.read_text())["allocator"] == "maxmin"
 
     def test_allocate_uniform_split(self, tmp_path, capsys):
         problem = {
@@ -1166,3 +1228,73 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_validate_outside_rtol_is_numerical_failure(self, capsys):
+        assert cli_main(["validate", "--preset", "desk", "--draws", "2000", "--rtol", "1e-9"]) == 4
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "outside rtol=1e-09" in out
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        scenario = {"--config", "--seed", "--out", "--preset", "--estimator", "--beam"}
+        assert flags == {
+            "rates": scenario | {"--allocator", "--scenarios"},
+            "detect": scenario | {"--allocator", "--trials"},
+            "allocate": {"--config", "--out", "--allocator"},
+            "validate": scenario | {"--draws", "--rtol"},
+        }
+        assert sum(map(len, flags.values())) == 27
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("allocate", "--seed", "1"),
+            ("allocate", "--preset", "desk"),
+            ("allocate", "--estimator", "pm"),
+            ("allocate", "--beam", "pbr"),
+            ("validate", "--allocator", "maxmin"),
+        ],
+    )
+    def test_a_flag_the_subcommand_does_not_read_exits_2(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        runs = {
+            "allocate": ["--config", str(write_problem(tmp_path))],
+            "validate": ["--draws", "2000", "--rtol", "10"],
+        }
+        with pytest.raises(SystemExit) as exited:
+            cli_main([command, *runs[command], flag, value])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_rates_skips_an_infeasible_max_min_cell_and_writes_the_rest(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        original = experiments.max_min_allocate
+
+        def second_infeasible(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise AllocationInfeasibleError("injected")
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "max_min_allocate", second_infeasible)
+        out = tmp_path / "rates.csv"
+        assert cli_main(["rates", "--preset", "desk", "--scenarios", "3", "--out", str(out)]) == 0
+        assert "(1 infeasible deployments skipped)" in capsys.readouterr().out
+        with open(out, newline="") as fh:
+            cells = [(int(row["trial"]), row["allocator"]) for row in csv.DictReader(fh)]
+        n_users = desk_preset().n_users
+        assert cells == [
+            (trial, allocator)
+            for trial in range(3)
+            for allocator in (("uniform",) if trial == 1 else ("uniform", "maxmin"))
+            for _ in range(n_users)
+        ]
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["failures"] == [{"trial": 1, "error": "injected"}]

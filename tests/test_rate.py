@@ -16,6 +16,7 @@ from jcsim.rate import (
     fourth_moment_excess,
     radar_leakage,
     rate,
+    rate_coefficients,
     sinr,
 )
 from jcsim.validation import compare_terms, monte_carlo_rate_terms
@@ -381,10 +382,20 @@ class TestDenseFilterArgument:
         with pytest.raises(ValueError, match="shape"):
             coefficients(self.stats, self.book, Estimator.LMMSE, self.NOISE, np.stack(e_list)[:2])
 
-    def test_statistics_of_another_estimator_rejected(self):
-        pm = training_statistics(self.book, self.stats, GEOM, self.NOISE, Estimator.PM)
-        with pytest.raises(ValueError, match="statistics"):
-            build_rate_coefficients(
-                self.stats, GEOM, self.book, Estimator.LMMSE, pbr_beam(GEOM, DIR2),
-                self.NOISE, 0.1, bandwidth=1e6, tau_c=200, statistics=pm,
-            )
+
+@pytest.mark.parametrize("estimator", ["pm", "lmmse"])
+def test_deployment_statistics_give_the_coefficients_of_their_own_book(estimator):
+    """A realization's statistics carry its pilot book, so ``rate_coefficients`` of
+    them equals ``build_rate_coefficients`` of its channel statistics bit for bit."""
+    cfg = desk_preset().replace(channel_model="rice", estimator=estimator)
+    real = realize_scenario(cfg, np.random.default_rng([cfg.seed, 0x0AC]))
+    assert real.statistics.book is real.book
+    beam = pbr_beam(real.geom, DIR2)
+    got = rate_coefficients(real.statistics, beam, real.noise_var_dl, 1e6, cfg.tau_c)
+    want = build_rate_coefficients(
+        list(real.stats), real.geom, real.book, real.estimator, beam,
+        real.noise_var_ul, real.noise_var_dl, 1e6, cfg.tau_c,
+    )
+    for field in ("signal_gain", "interference", "radar_leakage"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    assert (got.noise_var, got.tau_c, got.tau_p) == (real.noise_var_dl, cfg.tau_c, 2)

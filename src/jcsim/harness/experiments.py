@@ -23,18 +23,17 @@ computes a block of a drawn batch's trials, writing only those trials'
 peaks.  Tasks take their work buffers from a module-level free list and
 give them back, so a sweep allocates no large array in steady state; up
 to ``KEEP_BYTES`` of buffers outlive the call, no thread does.  Every
-batch reads only its own stream and its split into blocks depends on its
-size alone, so each peak comes out of the same operations on the same
-numbers whichever thread runs them, in whatever order, and no option sets
-the worker count.  Threads gain only in long native calls: on two vCPUs
-with BLAS on one thread, two threads run a 240k-element normals fill or a
-400 x 400 matmul about 2x as fast as one, a 45-trial desk block 1.2-2x,
-and a 40k-element ``np.multiply`` 0.5x, as short ufuncs contend for the
-interpreter lock (two processes keep about 0.9x each).  Workers run only
-the simulator's draws and trial blocks; scenario realization, the cell
-allocation, the threshold calibration and the whole rate driver run on
-the calling thread, so a wrapper around any of those functions sees all
-its calls there.
+batch reads only its own stream, and a trial's peaks take the same bits
+whichever block and step of trials it falls in, so they do not depend on
+which thread runs a block, or when, and no option sets the worker count.
+Threads gain only in long native calls: on two vCPUs with BLAS on one
+thread, two threads run a 240k-element normals fill or a 400 x 400 matmul
+about 2x as fast as one, a 45-trial desk block 1.2-2x, and a 40k-element
+``np.multiply`` 0.5x, as short ufuncs contend for the interpreter lock
+(two processes keep about 0.9x each).  Workers run only the simulator's
+draws and trial blocks; scenario realization, the cell allocation, the
+threshold calibration and the whole rate driver run on the calling
+thread, so a wrapper around any of those functions sees all its calls there.
 """
 
 import csv
@@ -62,12 +61,12 @@ from ..poweralloc import (
 )
 from ..radar import (
     DelayDopplerGrid,
+    _map_amplitude,
     _matched_phases,
     _pair_form,
+    _phase_axes,
     _qpsk_pair_table,
-    _statistic_map,
     calibrate_threshold,
-    delay_doppler_ramp,
     qpsk_indices,
 )
 from ..rate import rate, rate_coefficients
@@ -214,19 +213,25 @@ class _TargetParams:
 # Trials per batch, the unit of the random streams [seed, stream, batch].
 BATCH = 256
 # A batch splits into even trial blocks of at most this many trials: each
-# block is one task of the sweep's thread pool.
-BLOCK_TRIALS = 64
-# Within a block, the QPSK pair table is built for so many trials at a time
+# block is one task of the sweep's thread pool.  Steps bound a block's memory,
+# so blocks only balance the pool: a 134-trial batch is two blocks of 67.
+BLOCK_TRIALS = BATCH // 2
+# Within a block, the forms, the noise and the maps run for so many trials at
+# a time that the step's form and noise buffers stay within this many bytes:
+# with 8 cells, 14 H0 or 8 H1 trials at the table1 geometry (7,168 resource
+# elements) and 117 or 65 at desk (896).
+STEP_BYTES = 8 << 20
+# Within a step, the QPSK pair table is built for so many trials at a time
 # that it stays near this many bytes; at the table1 geometry (55 pairs, 7,168
 # resource elements) that is one trial.
 PAIR_TABLE_BYTES = 2 << 20
 # Most threads in a sweep's pool.  Each worker holds one block's work buffers
 # and each batch drawn ahead its draws, so peak memory grows with the pool: a
-# table1 detection sweep (8 cells, 10 H0 batches) peaks at about 218, 317-369
-# and 527-646 MiB on 1, 2 and 4 workers.
+# table1 detection sweep (8 cells, 10 H0 batches) peaks at about 209, 293-297
+# and 464-489 MiB on 1, 2 and 4 workers, mostly batch draws (47 MiB each).
 MAX_WORKERS = 4
 # Most bytes of work buffers kept between tasks and calls: a desk sweep keeps
-# 14-31 MiB on two workers; a table1 block's or batch's alone is over it.
+# 14-31 MiB on two workers; a table1 block's 14 MiB fit, its batch's 47 do not.
 KEEP_BYTES = 32 << 20
 
 
@@ -292,17 +297,23 @@ class _SweepPass:
         # Read here, on the calling thread, so no worker builds the statistics.
         self.direction, self.filters = target_direction, real.statistics.filters
         self.a = steering_vector(real.geom, target_direction)
-        self.ramps = [
-            None if t is None else t.alpha_mag * delay_doppler_ramp(frame, t.delay, t.doppler)
-            for t in targets
-        ]
-        self.with_echo = any(r is not None for r in self.ramps)
         self.phases = _matched_phases(frame, grid)
+        self.with_echo = any(t is not None for t in targets)
+        if self.with_echo:  # the folded phase pairs (D diag(d_t), alpha_t diag(e_t) L)
+            echoes = [t or _TargetParams(0.0, 0.0, 0.0) for t in targets]  # None: alpha_t = 0
+            d, e = _phase_axes(frame, [t.delay for t in echoes], [t.doppler for t in echoes])
+            self.echo_doppler = self.phases[0] * d[:, None, :]  # (T, n_dopplers, N)
+            alpha_e = e * [t.alpha_mag for t in echoes]  # (M, T)
+            # (M, 2 T n_delays) real, Re and Im interleaved: f_c times it views as complex.
+            echo_delay = alpha_e[:, :, None] * self.phases[1][:, None, :]
+            self.echo_delay = echo_delay.view(float).reshape(frame.n_subcarriers, -1)
         self.grid_shape = (frame.n_symbols, frame.n_subcarriers)
         self.n_grid = frame.n_symbols * frame.n_subcarriers
         self.n_beams = real.book.n_users + 1
         pair_rows = self.n_beams * (self.n_beams - 1)
         self.table_trials = max(1, PAIR_TABLE_BYTES // (pair_rows * self.n_grid * 8))
+        form_rows = len(cells) * (2 if self.with_echo else 1)
+        self.step_trials = max(1, STEP_BYTES // (self.n_grid * (8 * form_rows + 16)))
         self.batches = [
             (index, start, min(BATCH, n_trials - start))
             for index, start in enumerate(range(0, n_trials, BATCH))
@@ -338,8 +349,8 @@ class _SweepPass:
         return list(zip(edges[:-1], edges[1:]))
 
     def compute(self, batch: _Batch, lo: int, hi: int) -> None:
-        """Peaks of every cell and target on trials lo:hi of ``batch``."""
-        n, h_hat = hi - lo, batch.h_hat[lo:hi]
+        """Peaks of every cell and target on trials lo:hi of ``batch``, in steps of trials."""
+        h_hat = batch.h_hat[lo:hi]
         beam_terms = {}
         for kind in self.kinds:
             beams = beam_set(kind, self.real.geom, self.direction, h_hat)  # unit-norm w_p
@@ -350,40 +361,42 @@ class _SweepPass:
         if self.with_echo:
             echo_weights = [beam_terms[kind][0] * amp for kind, amp in self.cell_amps]
             forms_of += [c.conj()[:, :, None] * c[:, None, :] for c in echo_weights]
-        coef, trace = _pair_form(np.stack(forms_of, axis=1))
-        # Work buffers of the block, reused by every pair-table step, cell and target.
-        ws = _take("block")
-        table = ws.buffer("table", (min(self.table_trials, n), coef.shape[-1], self.n_grid))
-        form = ws.buffer("form", (n, coef.shape[1], self.n_grid))
-        for sub in range(0, n, self.table_trials):
-            end = min(sub + self.table_trials, n)
-            pairs = table[: end - sub]
-            np.copyto(pairs, _qpsk_pair_table(batch.symbols[lo + sub : lo + end]))
-            np.matmul(coef[sub:end], pairs, out=form[sub:end])
-        form += trace[:, :, None]  # ||u||^2 rows, then |a^H u|^2 rows
-        # In place: ||u||^2 becomes the noise scale sqrt(sigma^2 ||u||^2 / 2).
-        n_cells = len(self.cell_amps)
-        scale = form[:, :n_cells]
-        np.clip(scale, 0.0, None, out=scale)
-        scale *= self.real.noise_var_dl / 2.0
-        np.sqrt(scale, out=scale)
-        shape = (n, *self.grid_shape)
-        noise = ws.buffer("noise", shape, complex)
-        received = ws.buffer("received", shape, complex) if self.with_echo else None
-
-        trials = slice(batch.start + lo, batch.start + hi)
-        for ci in range(n_cells):
-            for normals, part in zip(batch.normals[:, lo:hi], (noise.real, noise.imag)):
-                np.multiply(normals, scale[:, ci].reshape(shape), out=part)
-            for ti, ramp in enumerate(self.ramps):
-                if ramp is None:
-                    stat = _statistic_map(noise, self.phases)
-                else:  # alpha / |alpha| times the ramp, scaled by the cell's |a^H u|^2
-                    np.multiply(batch.alpha_phase[lo:hi], ramp, out=received)
-                    received *= form[:, n_cells + ci].reshape(shape)
-                    received += noise
-                    stat = _statistic_map(received, self.phases)
-                self.peaks[ci, ti, trials] = stat.max(axis=(-2, -1))
+        forms = np.stack(forms_of, axis=1)
+        n_cells, (n_symbols, n_subcarriers) = len(self.cell_amps), self.grid_shape
+        ws = _take("block")  # work buffers of one step, reused by every step and cell
+        for first in range(lo, hi, self.step_trials):
+            last = min(first + self.step_trials, hi)
+            n = last - first
+            coef, trace = _pair_form(forms[first - lo : last - lo])
+            table = ws.buffer("table", (min(self.table_trials, n), coef.shape[-1], self.n_grid))
+            form = ws.buffer("form", (n, coef.shape[1], self.n_grid))
+            for sub in range(0, n, self.table_trials):
+                end = min(sub + self.table_trials, n)
+                pairs = table[: end - sub]
+                np.copyto(pairs, _qpsk_pair_table(batch.symbols[first + sub : first + end]))
+                np.matmul(coef[sub:end], pairs, out=form[sub:end])
+            form += trace[:, :, None]  # ||u||^2 rows, then |a^H u|^2 rows
+            # In place: ||u||^2 becomes the noise scale sqrt(sigma^2 ||u||^2 / 2).
+            scale = form[:, :n_cells]
+            np.clip(scale, 0.0, None, out=scale)
+            scale *= self.real.noise_var_dl / 2.0
+            np.sqrt(scale, out=scale)
+            noise = ws.buffer("noise", (n, n_symbols, n_subcarriers), complex)
+            phi = batch.alpha_phase[first:last, :, :, None]
+            trials = slice(batch.start + first, batch.start + last)
+            for ci in range(n_cells):
+                for normals, part in zip(batch.normals[:, first:last], (noise.real, noise.imag)):
+                    np.multiply(normals, scale[:, ci].reshape(noise.shape), out=part)
+                amplitude = _map_amplitude(noise, self.phases)[:, None]  # serves every target
+                if self.with_echo:
+                    # f_c by every target's delay phases, one trial a matmul: a real matmul's
+                    # bits may depend on its number of rows, a trial's must not on its step.
+                    echo = ws.buffer("echo", (n, n_symbols, self.echo_delay.shape[1]))
+                    f_c = form[:, n_cells + ci].reshape(n, n_symbols, n_subcarriers)
+                    np.matmul(f_c, self.echo_delay, out=echo)
+                    by_delay = echo.view(complex).reshape(n, n_symbols, len(self.echo_doppler), -1)
+                    amplitude = phi * (self.echo_doppler @ by_delay.swapaxes(1, 2)) + amplitude
+                self.peaks[ci, :, trials] = (np.abs(amplitude) ** 2).max(axis=(-2, -1)).T
         _give_back("block", ws)
 
 
@@ -455,7 +468,7 @@ def simulate_sweep_peaks(
     same for every cell (:func:`jcsim.radar._pair_form`).
 
     Every cell runs on the same draws, so the sweep pairs its cells through
-    common random numbers.  Each batch of trials works on three levels:
+    common random numbers.  Each batch of trials works on four levels:
 
     - per batch, in stream order: channels and estimates
       (:func:`jcsim.channel.draw_channels`, :func:`jcsim.estimation.estimate`),
@@ -463,16 +476,21 @@ def simulate_sweep_peaks(
       the complex noise normals and the target phases;
     - per trial block of at most ``BLOCK_TRIALS`` trials: once per distinct
       beam kind, the beams (:func:`jcsim.beamform.beam_set` on the stack of
-      estimates), a^H w_p and G; then, in steps whose pair table stays near
-      ``PAIR_TABLE_BYTES``, the real pair table of the symbols
-      (:func:`jcsim.radar._qpsk_pair_table`) and one batched matmul by the
-      coefficient rows of every cell;
-    - per cell: its coefficient rows, the energy row always and the echo row
-      in H1 passes, whose results give the noise scale, the echo and the
-      maps.
+      estimates), a^H w_p and G, then every cell's M of ||u||^2 and, in H1
+      passes, of |a^H u|^2;
+    - per step of trials whose form and noise buffers stay within
+      ``STEP_BYTES``: the coefficient rows of those M, then, in sub-steps
+      whose pair table stays near ``PAIR_TABLE_BYTES``, the real pair table
+      of the symbols (:func:`jcsim.radar._qpsk_pair_table`) and one batched
+      matmul by every cell's rows; then the noise scales;
+    - per cell: the noise and its map, which serves every target: the map is
+      linear, so in H1 passes target t adds phi (D diag(d_t)) f_c (alpha_t
+      diag(e_t) L) for the matched phase pair (D, L), t's Doppler and delay
+      phases d_t and e_t, and f_c = |a^H u|^2; one real matmul of f_c by every
+      target's folded delay phases side by side, then one Doppler matmul.
 
-    Draws and blocks run on the pool of :func:`_run`.  The N_A-antenna grid
-    and the complex symbols are never formed.
+    Draws and blocks run on the pool of :func:`_run`.  The N_A-antenna grid,
+    the complex symbols and the received grid are never formed.
     """
     sweep = _SweepPass(real, cfg, grid, target_direction, cells, targets, n_trials, stream_key)
     _run([sweep])

@@ -200,14 +200,6 @@ def _phase_axes(config: OfdmFrameConfig, delays, dopplers) -> tuple[np.ndarray, 
     return doppler_phase, delay_phase
 
 
-def delay_doppler_ramp(
-    config: OfdmFrameConfig, delay: float, doppler: float
-) -> np.ndarray:
-    """Phase ramp exp(j 2 pi nu n T0) exp(-j 2 pi m df tau) on the grid."""
-    doppler_phase, delay_phase = _phase_axes(config, [delay], [doppler])
-    return np.outer(doppler_phase[0], delay_phase[:, 0])
-
-
 def _matched_phases(
     config: OfdmFrameConfig, grid: DelayDopplerGrid
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -216,13 +208,12 @@ def _matched_phases(
     return doppler_phase.conj(), delay_phase.conj()
 
 
-def _statistic_map(corr: np.ndarray, phases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """GLRT energy map of ``corr`` under the conjugate phase pair of :func:`_matched_phases`."""
+def _map_amplitude(corr: np.ndarray, phases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Matched-filter amplitude of ``corr`` (..., N, M) as (..., n_dopplers, n_delays)."""
     doppler_conj, delay_conj = phases
     # One matmul over every row of the stack, then one per grid.
     by_delay = (corr.reshape(-1, corr.shape[-1]) @ delay_conj).reshape(*corr.shape[:-1], -1)
-    amplitude = doppler_conj @ by_delay  # (..., n_dopplers, n_delays)
-    return (np.abs(amplitude) ** 2).swapaxes(-1, -2)
+    return doppler_conj @ by_delay
 
 
 def statistic_map_from_correlation(
@@ -234,7 +225,8 @@ def statistic_map_from_correlation(
     periodogram |sum_nm exp(-j 2 pi nu n T0) corr[n, m] exp(j 2 pi m df tau)|^2
     as two chained matmuls, which serve any grid.
     """
-    return _statistic_map(corr, _matched_phases(config, grid))
+    amplitude = _map_amplitude(corr, _matched_phases(config, grid))
+    return (np.abs(amplitude) ** 2).swapaxes(-1, -2)
 
 
 def glrt_statistic(

@@ -27,7 +27,7 @@ from jcsim.poweralloc import PowerAllocation
 from jcsim.radar import (
     QPSK_POINTS,
     OfdmFrameConfig,
-    delay_doppler_ramp,
+    _phase_axes,
     glrt_statistic,
     qpsk_indices,
 )
@@ -132,6 +132,12 @@ class TargetChannel:
             doppler=doppler,
             two_way_matrix=alpha * np.outer(a, a.conj()),
         )
+
+
+def delay_doppler_ramp(config: OfdmFrameConfig, delay: float, doppler: float) -> np.ndarray:
+    """Phase ramp exp(j 2 pi nu n T0) exp(-j 2 pi m df tau) on the grid."""
+    doppler_phase, delay_phase = _phase_axes(config, [delay], [doppler])
+    return np.outer(doppler_phase[0], delay_phase[:, 0])
 
 
 def qpsk_grid(shape, rng: np.random.Generator) -> np.ndarray:

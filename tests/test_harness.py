@@ -684,6 +684,34 @@ class TestKeptWorkspaces:
         assert self.kept() == []
         assert threading.active_count() == baseline
 
+    def test_table1_block_workspace_does_not_grow_with_the_block(self, monkeypatch):
+        """At the table1 geometry an H1 block of 16 trials and one of 128 take workspaces of
+        the same size, within KEEP_BYTES: a step of trials, not the block, sizes them."""
+        cfg = table1_preset()
+        rng = np.random.default_rng([cfg.seed, 0xD0])
+        real = realize_scenario(cfg, rng)
+        grid = DelayDopplerGrid.natural(real.frame)
+        direction = draw_scan_direction(cfg, rng)
+        cells, _ = sweep_cells(cfg, real, direction, draw_estimates(real, rng))
+        targets = []
+        for r in cfg.detection_ranges_m:
+            alpha, delay = target_alpha(r, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
+            targets.append(_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=300.0))
+        monkeypatch.setattr(experiments, "BATCH", 128)
+        sweep_pass = experiments._SweepPass(real, cfg, grid, direction, cells, targets, 128, 0x9D)
+        assert sweep_pass.step_trials < 16
+        batch = sweep_pass.draw(*sweep_pass.batches[0])
+        sizes = []
+
+        def recorded(_kind, ws):
+            sizes.append(self.nbytes([ws]))
+
+        monkeypatch.setattr(experiments, "_give_back", recorded)
+        monkeypatch.setattr(experiments, "_kept", {"block": [], "batch": []})
+        for hi in (16, 128):
+            sweep_pass.compute(batch, 0, hi)
+        assert len(sizes) == 2 and sizes[0] == sizes[1] <= experiments.KEEP_BYTES
+
 
 class TestSweepPeaks:
     """simulate_sweep_peaks: every cell of a desk sweep on the same draws.
@@ -809,7 +837,7 @@ class TestSweepPeaks:
 
     def test_peaks_do_not_depend_on_the_block_split(self, sweep, hypothesis):
         """A drawn batch computed in blocks of 1 or 7 trials or as one block gives the
-        peaks of the sweep, whose blocks split it in two."""
+        peaks of the sweep."""
         cfg, real, grid, direction, cells, _ = sweep
         targets, stream, peaks = hypothesis
         sweep_pass = experiments._SweepPass(
@@ -821,6 +849,42 @@ class TestSweepPeaks:
             for lo in range(0, self.BATCH, size):
                 sweep_pass.compute(batch, lo, min(lo + size, self.BATCH))
             np.testing.assert_array_equal(sweep_pass.peaks, peaks[:, :, : self.BATCH])
+
+    @staticmethod
+    def peaks_in_steps(monkeypatch, case, step):
+        """The first batch of a pass computed as one block, with the step byte bound forced
+        down to ``step`` trials of its form and noise buffers."""
+        rows = len(case["cells"]) * (1 if case["targets"] == [None] else 2)
+        n_grid = case["real"].frame.n_symbols * case["real"].frame.n_subcarriers
+        monkeypatch.setattr(experiments, "STEP_BYTES", step * n_grid * (8 * rows + 16))
+        sweep_pass = experiments._SweepPass(**case)
+        assert sweep_pass.step_trials == step
+        batch = sweep_pass.draw(*sweep_pass.batches[0])
+        sweep_pass.compute(batch, 0, len(batch.h_hat))
+        return sweep_pass.peaks[:, :, : len(batch.h_hat)]
+
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_peaks_do_not_depend_on_the_step_split(self, sweep, hypothesis, monkeypatch, step):
+        """A block of a whole batch run in steps of 1 or 3 trials gives the peaks of the sweep."""
+        cfg, real, grid, direction, cells, _ = sweep
+        targets, stream, peaks = hypothesis
+        case = dict(
+            real=real, cfg=cfg, grid=grid, target_direction=direction, cells=cells,
+            targets=targets, n_trials=self.BATCH, stream_key=stream,
+        )
+        stepped = self.peaks_in_steps(monkeypatch, case, step)
+        np.testing.assert_array_equal(stepped, peaks[:, :, : self.BATCH])
+
+    @pytest.mark.parametrize("hypothesis_name", ["h0", "h1"])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_many_users_peaks_do_not_depend_on_the_step_split(self, monkeypatch,
+                                                              hypothesis_name, step):
+        """K = 8: steps of 1 or 3 trials, below the pair-table step of 4."""
+        case = self.many_users_case(hypothesis_name)
+        monkeypatch.setattr(experiments, "BATCH", self.MANY_USERS_BATCH)
+        reference = simulate_sweep_peaks(**case)
+        stepped = self.peaks_in_steps(monkeypatch, case, step)
+        np.testing.assert_array_equal(stepped, reference[:, :, : self.MANY_USERS_BATCH])
 
     @pytest.mark.parametrize("hypothesis_name", ["h0", "h1"])
     def test_many_users_peaks_do_not_depend_on_the_worker_count(self, monkeypatch,

@@ -5,10 +5,14 @@ axis and ``n_z`` along the vertical axis.  The 2-D element grid is flattened
 horizontal-index-major: element ``i`` of a steering vector corresponds to
 ``(a_y, a_z) = (i // n_z, i % n_z)``, i.e. the horizontal index varies
 slowest.  Every module in the package relies on this ordering.
+
+A deployment's users get their steering vectors once, from one call of
+:func:`steering_vector` on their directions: the basis U of its training
+statistics and the line-of-sight parts of its channel draws share them.
 """
 
+import functools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +77,7 @@ class ArrayGeometry:
     def wavenumber(self) -> float:
         return 2.0 * np.pi / self.wavelength
 
-    @cached_property
+    @functools.cached_property
     def element_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Horizontal and vertical index (a_y, a_z) of every element, in vector order.
 
@@ -84,22 +88,36 @@ class ArrayGeometry:
         return a_y, a_z
 
 
-def steering_vector(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
+def steering_vector(geom: ArrayGeometry, direction: Direction | list | tuple) -> np.ndarray:
     """Planar-array response vector for the given direction.
 
     Element ``(a_y, a_z)`` carries the phase
     ``exp(-j * k * d * (a_y sin(az) sin(el) + a_z cos(el)))`` with ``k`` the
     wavenumber.  All entries have unit modulus and the first entry is
-    exactly 1.
+    exactly 1.  A sequence of directions gives a read-only stack, one row
+    per direction equal bit for bit to its own call; the stack of the last
+    (geometry, directions) pair asked for is kept.
 
     Returns
     -------
     np.ndarray
-        Complex vector of length ``geom.n_elements``, horizontal-index-major.
+        Complex vector of length ``geom.n_elements``, horizontal-index-major,
+        or a (len(direction), n_elements) stack of them.
     """
+    if not isinstance(direction, Direction):
+        return _steering_stack(geom, tuple(direction))
+    return _response(geom, direction.azimuth, direction.elevation)
+
+
+@functools.lru_cache(maxsize=1)
+def _steering_stack(geom: ArrayGeometry, directions: tuple) -> np.ndarray:
+    angles = np.array([[d.azimuth for d in directions], [d.elevation for d in directions]])
+    stack = _response(geom, *angles[..., None])
+    stack.flags.writeable = False
+    return stack
+
+
+def _response(geom: ArrayGeometry, az, el) -> np.ndarray:
     a_y, a_z = geom.element_indices
-    phase = geom.wavenumber * geom.spacing_d * (
-        a_y * np.sin(direction.azimuth) * np.sin(direction.elevation)
-        + a_z * np.cos(direction.elevation)
-    )
+    phase = geom.wavenumber * geom.spacing_d * (a_y * np.sin(az) * np.sin(el) + a_z * np.cos(el))
     return np.exp(-1j * phase)

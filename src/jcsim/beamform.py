@@ -78,7 +78,7 @@ def zfr_beam(
     u, s, _ = np.linalg.svd(estimates.swapaxes(-1, -2), full_matrices=False)
     ranks = np.sum(s > RANK_TOL * col_norms.max(axis=-1, keepdims=True), axis=-1)
     projected = np.empty(estimates.shape[:-2] + (n_a,), dtype=complex)
-    for rank in np.unique(ranks):
+    for rank in set(ranks.flat):
         # Singular values come sorted, so each kept basis is a leading block of
         # u.  Copied column-major per instance, a stack rounds exactly as a loop
         # of single calls.
@@ -87,7 +87,7 @@ def zfr_beam(
         coords = basis.conj().swapaxes(-1, -2) @ a
         projected[sel] = a - (basis @ coords[..., None])[..., 0]
     norm = _norms(projected)
-    if np.any(norm < PROJECTION_TOL * np.sqrt(geom.n_elements)):
+    if (norm < PROJECTION_TOL * np.sqrt(geom.n_elements)).any():
         raise DegenerateDirectionError(
             "surveillance direction lies in the span of the estimated channels"
         )
@@ -125,8 +125,10 @@ def beam_set(
     """
     estimates = np.asarray(estimates, dtype=complex)
     norms = _norms(estimates)
-    if np.any(norms == 0):
+    if (norms == 0).any():
         raise ValueError("cannot match a zero channel estimate")
-    radar = radar_beam(kind, geom, direction, estimates)[..., None, :]
-    radar = np.broadcast_to(radar, estimates.shape[:-2] + radar.shape[-2:])
-    return np.concatenate([estimates / norms, radar], axis=-2)
+    *stack, n_users, n_a = estimates.shape
+    beams = np.empty((*stack, n_users + 1, n_a), dtype=complex)
+    np.divide(estimates, norms, out=beams[..., :-1, :])
+    beams[..., -1, :] = radar_beam(kind, geom, direction, estimates)
+    return beams

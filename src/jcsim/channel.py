@@ -133,10 +133,6 @@ def hbar_matrix(stats: ChannelStats, geom: ArrayGeometry) -> np.ndarray:
     return stats.beta / (k + 1.0) * (k * rank1 + np.eye(n, dtype=complex))
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def draw_channels(
     all_stats: list[ChannelStats],
     geom: ArrayGeometry,
@@ -145,22 +141,27 @@ def draw_channels(
 ) -> np.ndarray:
     """n channel realizations per user, shape (K, n, N_A), consistent with each ``stats``.
 
-    Users draw in order; per user, the LoS phases come before the diffuse part.
+    Users draw in order; per user, the LoS phases psi come before the
+    diffuse part g.  Then all channels form at once as sqrt(beta / (k + 1))
+    (g + c e^{j psi} a), with k the Ricean factor (Rayleigh: k = 0) and
+    c = sqrt(k); pure LoS has k = 0, c = 1 and g = 0.
     """
-    n_a = geom.n_elements
-    out = np.empty((len(all_stats), n, n_a), dtype=complex)
+    n_users, n_a = len(all_stats), geom.n_elements
+    psi = np.zeros((n_users, n, 1))
+    normals = np.zeros((2, n_users, n, n_a))
     for k, stats in enumerate(all_stats):
-        if stats.kind is ChannelModelKind.RAYLEIGH:
-            out[k] = np.sqrt(stats.beta) * _complex_normal(rng, (n, n_a))
-            continue
-        psi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        los = np.exp(1j * psi)[:, None] * steering_vector(geom, stats.angles)
-        if stats.kind is ChannelModelKind.LOS:
-            out[k] = np.sqrt(stats.beta) * los
-            continue
-        kf = stats.k_factor
-        g = _complex_normal(rng, (n, n_a))
-        out[k] = np.sqrt(stats.beta / (kf + 1.0)) * (np.sqrt(kf) * los + g)
+        if stats.kind is not ChannelModelKind.RAYLEIGH:
+            psi[k, :, 0] = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        if stats.kind is not ChannelModelKind.LOS:
+            rng.standard_normal(out=normals[0, k])
+            rng.standard_normal(out=normals[1, k])
+    out = (normals[0] + 1j * normals[1]) / np.sqrt(2.0)
+    ks = [s.k_factor if s.kind is ChannelModelKind.RICE else 0.0 for s in all_stats]
+    if any(stats.kind is not ChannelModelKind.RAYLEIGH for stats in all_stats):
+        vectors = steering_vector(geom, [stats.angles for stats in all_stats])
+        c = np.sqrt([1.0 if s.kind is ChannelModelKind.LOS else k for s, k in zip(all_stats, ks)])
+        out += c[:, None, None] * (np.exp(1j * psi) * vectors[:, None, :])
+    out *= np.sqrt([s.beta / (k + 1.0) for s, k in zip(all_stats, ks)])[:, None, None]
     return out
 
 

@@ -13,7 +13,9 @@ A_k = I / sqrt(p_k) and LMMSE is A_k = sqrt(p_k) R_{y,k}^{-1} Hbar_k.
 of one.
 
 Every matrix of that chain is a scaled identity plus a low-rank term over
-one basis, U = [a_1 ... a_K], the users' steering vectors:
+one basis, U = [a_1 ... a_K], the users' steering vectors.  They are built
+once per deployment, by one :func:`jcsim.array.steering_vector` call on the
+users' directions that the channel draws share:
 
     Hbar_k  = d_k I + e_k a_k a_k^H          (Rayleigh e = 0, LoS d = 0)
     R_{y,k} = s_k I + U D_k U^H,  s_k = sigma^2 + sum_i w_ki d_i,
@@ -32,8 +34,8 @@ unless a caller asks for one (:func:`lmmse_matrices`).
 """
 
 import enum
+import functools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -81,9 +83,9 @@ class PilotBook:
         if powers.shape != (pilots.shape[1],):
             raise ValueError("one pilot power per user required")
         # Unit norm within an absolute 1e-9 plus a relative 1e-5; NaN fails.
-        if not np.all(np.abs(np.linalg.norm(pilots, axis=0) - 1.0) <= 1e-9 + 1e-5):
+        if not (abs(np.linalg.norm(pilots, axis=0) - 1.0) <= 1e-9 + 1e-5).all():
             raise ValueError("pilot sequences must have unit norm")
-        if np.any(powers <= 0):
+        if (powers <= 0).any():
             raise ValueError("pilot powers must be positive")
         object.__setattr__(self, "pilots", pilots.astype(complex))
         object.__setattr__(self, "powers", powers)
@@ -94,9 +96,7 @@ class PilotBook:
 
         Cyclic reuse deliberately creates pilot contamination.
         """
-        dft = np.fft.fft(np.eye(tau_p)) / np.sqrt(tau_p)
-        cols = [dft[:, k % tau_p] for k in range(n_users)]
-        return cls(pilots=np.stack(cols, axis=1), powers=np.full(n_users, power))
+        return cls(pilots=_dft_pilots(n_users, tau_p), powers=np.full(n_users, power))
 
     @property
     def tau_p(self) -> int:
@@ -109,6 +109,15 @@ class PilotBook:
     def gram(self) -> np.ndarray:
         """Matrix of pilot cross-correlations phi_i^H phi_k."""
         return self.pilots.conj().T @ self.pilots
+
+
+@functools.cache
+def _dft_pilots(n_users: int, tau_p: int) -> np.ndarray:
+    """(tau_p, K) unit-norm DFT pilots, column k the (k mod tau_p)-th; built once, read-only."""
+    dft = np.fft.fft(np.eye(tau_p)) / np.sqrt(tau_p)
+    pilots = dft[:, np.arange(n_users) % tau_p]
+    pilots.flags.writeable = False
+    return pilots
 
 
 @dataclass(frozen=True)
@@ -127,7 +136,7 @@ class TrainingStatistics:
     ry: IdentityPlusLowRank  # R_{y,k} = E[y_{p,k} y_{p,k}^H]
     filters: IdentityPlusLowRank  # A_k, with h_hat_k = A_k^H y_{p,k}
 
-    @cached_property
+    @functools.cached_property
     def covariances(self) -> IdentityPlusLowRank:
         """C_k = A_k^H R_{y,k} A_k = E[h_hat_k h_hat_k^H]."""
         return self.filters.H @ self.ry @ self.filters
@@ -149,7 +158,8 @@ def training_statistics(
         raise ValueError("noise variance must be positive")
     n_users = len(all_stats)
     users = np.arange(n_users)
-    basis = np.stack([steering_vector(geom, s.angles) for s in all_stats], axis=1)
+    # One call for all users; C order, as the Gram matmul's bits depend on it.
+    basis = np.ascontiguousarray(steering_vector(geom, [s.angles for s in all_stats]).T)
     diffuse, specular = np.array([hbar_weights(s) for s in all_stats], dtype=float).T
     hbar_core = np.zeros((n_users, n_users, n_users), dtype=complex)
     hbar_core[users, users, users] = specular
@@ -179,7 +189,7 @@ def _lmmse_filters(
     residual = (ry @ filters - hbar * amplitude).frobenius_norm()
     scale = hbar.frobenius_norm() * amplitude
     bad = (scale > 0) & (residual > SOLVE_RESIDUAL_TOL * np.maximum(scale, 1.0))
-    if np.any(bad):
+    if bad.any():
         k = int(np.argmax(bad))
         raise EstimationError(f"LMMSE solve residual {residual[k]:.3e} for user {k}")
     return filters

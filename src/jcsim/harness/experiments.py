@@ -128,7 +128,7 @@ class ExperimentResult:
     def __post_init__(self):
         for row in self.rows:
             for key, value in row.items():
-                if isinstance(value, float) and not np.isfinite(value):
+                if isinstance(value, float) and not math.isfinite(value):
                     raise ArithmeticError(f"non-finite value in result row: {key}={value}")
 
     @classmethod

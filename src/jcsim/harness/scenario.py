@@ -59,20 +59,6 @@ def noise_variance(bandwidth: float, noise_figure_db: float, psd_dbm_hz: float =
     return 10.0 ** ((psd_dbm_hz + noise_figure_db) / 10.0) * 1e-3 * bandwidth
 
 
-def _user_direction(cfg: ScenarioConfig, x: float, y: float) -> tuple[Direction, float, float]:
-    """Direction plus 2-D / 3-D distances of a ground user seen from the BS.
-
-    Elevation is the polar angle from the array's vertical axis, so ground
-    users sit below pi/2 + depression angle.
-    """
-    d_2d = float(np.hypot(x, y))
-    dz = cfg.bs_height_m - cfg.user_height_m
-    d_3d = float(np.hypot(d_2d, dz))
-    azimuth = float(np.arctan2(y, x))
-    elevation = float(np.pi / 2.0 + np.arctan2(dz, d_2d))
-    return Direction(azimuth=azimuth, elevation=elevation), d_2d, d_3d
-
-
 def realize_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioRealization:
     """Place users and draw their large-scale coefficients."""
     wavelength = SPEED_OF_LIGHT / cfg.carrier_hz
@@ -88,31 +74,29 @@ def realize_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioR
     if cfg.shadowing_db is not None:
         pathloss = replace(pathloss, shadowing_db=cfg.shadowing_db)
 
+    # Elevation is the polar angle from the array's vertical axis, so ground
+    # users sit below pi/2 + depression angle.
+    dz = cfg.bs_height_m - cfg.user_height_m
     stats = []
-    for k in range(cfg.n_users):
+    for _ in range(cfg.n_users):
         x = rng.uniform(*cfg.user_x_range_m)
         y_mag = rng.uniform(*cfg.user_y_range_m)
         y = y_mag if rng.uniform() < 0.5 else -y_mag
-        direction, d_2d, d_3d = _user_direction(cfg, x, y)
-        beta = pathloss.sample_beta(d_3d, rng)
+        d_2d = float(np.hypot(x, y))
+        direction = Direction(
+            azimuth=float(np.arctan2(y, x)), elevation=float(np.pi / 2.0 + np.arctan2(dz, d_2d))
+        )
+        beta = pathloss.sample_beta(float(np.hypot(d_2d, dz)), rng)
         k_factor = 0.0
         if kind is ChannelModelKind.RICE:
-            p_los = min(los_probability(d_2d), cfg.p_los_cap)
-            k_factor = k_factor_from_los_probability(p_los)
+            k_factor = k_factor_from_los_probability(min(los_probability(d_2d), cfg.p_los_cap))
         stats.append(ChannelStats(beta=beta, kind=kind, angles=direction, k_factor=k_factor))
 
-    sigma2 = noise_variance(
-        cfg.subcarrier_spacing_hz, cfg.noise_figure_db, cfg.noise_psd_dbm_hz
-    )
-    book = PilotBook.dft(cfg.n_users, cfg.effective_tau_p, power=cfg.pilot_power_w)
+    sigma2 = noise_variance(cfg.subcarrier_spacing_hz, cfg.noise_figure_db, cfg.noise_psd_dbm_hz)
     return ScenarioRealization(
-        geom=geom,
-        frame=frame,
-        stats=tuple(stats),
-        book=book,
-        noise_var_ul=sigma2,
-        noise_var_dl=sigma2,
-        estimator=Estimator(cfg.estimator),
+        geom=geom, frame=frame, stats=tuple(stats),
+        book=PilotBook.dft(cfg.n_users, cfg.effective_tau_p, power=cfg.pilot_power_w),
+        noise_var_ul=sigma2, noise_var_dl=sigma2, estimator=Estimator(cfg.estimator),
     )
 
 

@@ -7,7 +7,7 @@ algebra plus O(N r) per vector, and the N x N matrix is formed only on
 request by :meth:`IdentityPlusLowRank.dense`.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class IdentityPlusLowRank:
         return cls(np.asarray(scale), np.asarray(core), basis, basis.conj().T @ basis)
 
     def _with(self, scale, core) -> "IdentityPlusLowRank":
-        return replace(self, scale=scale, core=core)
+        return IdentityPlusLowRank(scale, core, self.basis, self.gram)
 
     @property
     def n(self) -> int:
@@ -91,8 +91,11 @@ class IdentityPlusLowRank:
         return self.scale * np.vdot(w, w) + np.einsum("a,...ab,b->...", c.conj(), self.core, c)
 
     def frobenius_norm(self) -> np.ndarray:
-        """||M||_F, from tr(M^H M) = N |x|^2 + 2 Re(x* tr(B G)) + tr(B^H G B G)."""
-        return np.sqrt(np.maximum((self.H @ self).trace().real, 0.0))
+        """||M||_F, from tr(M^H M) = N |x|^2 + 2 Re(x* tr(B G)) + sum(conj(G B) * (B G))."""
+        right = self.core @ self.gram
+        cross = (np.conj(self.scale) * np.trace(right, axis1=-2, axis2=-1)).real
+        quartic = np.sum(np.conj(self.gram @ self.core) * right, axis=(-2, -1)).real
+        return np.sqrt(np.maximum(self.n * abs(self.scale) ** 2 + 2.0 * cross + quartic, 0.0))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """M v for each row v of ``v``, shape S + (m, N): x v + U B (U^H v)."""

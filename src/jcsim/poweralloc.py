@@ -49,7 +49,7 @@ class PowerAllocation:
     def __post_init__(self):
         eta = np.asarray(self.eta_users, dtype=float)
         object.__setattr__(self, "eta_users", eta)
-        if np.any(eta < 0) or self.eta_radar < 0:
+        if (eta < 0).any() or self.eta_radar < 0:
             raise ValueError("powers must be nonnegative")
         total = eta.sum() + self.eta_radar
         if total > self.budget * (1.0 + BUDGET_SLACK):
@@ -75,7 +75,7 @@ class RadarSirCoefficients:
     def __post_init__(self):
         gains = np.asarray(self.user_gains, dtype=float)
         object.__setattr__(self, "user_gains", gains)
-        if self.radar_gain < 0 or np.any(gains < 0):
+        if self.radar_gain < 0 or (gains < 0).any():
             raise ValueError("SIR gains must be nonnegative")
 
 
@@ -90,11 +90,9 @@ def check_problem(
         raise ValueError(f"budget must be positive, got {budget}")
     if rho_star < 0:
         raise ValueError(f"rho_star must be nonnegative, got {rho_star}")
-    if sir_coeffs.user_gains.shape != (coeffs.n_users,):
-        raise ValueError(
-            f"need one SIR user gain per user ({coeffs.n_users}), "
-            f"got shape {sir_coeffs.user_gains.shape}"
-        )
+    shape = sir_coeffs.user_gains.shape
+    if shape != (coeffs.n_users,):
+        raise ValueError(f"need one SIR user gain per user ({coeffs.n_users}), got shape {shape}")
 
 
 def max_min_allocate(
@@ -132,7 +130,7 @@ def max_min_allocate(
     check_problem(coeffs, sir_coeffs, budget, rho_star)
     g = np.asarray(coeffs.signal_gain, dtype=float)
     weighted_leakage = rho_star * sir_coeffs.user_gains
-    if not np.any(weighted_leakage):
+    if not weighted_leakage.any():
         ratio = np.zeros_like(g)
     elif sir_coeffs.radar_gain == 0:
         raise AllocationInfeasibleError(
@@ -149,14 +147,14 @@ def max_min_allocate(
     eigvals, eigvecs = np.linalg.eig(matrix)
     q = np.abs(eigvecs[:, np.argmax(eigvals.real)])
     for _ in range(PERRON_POLISH_STEPS):
-        q = matrix @ q
+        q = matrix.dot(q)
         q /= q.sum()
     eta_users = q / g
     eta_users *= budget / (c @ eta_users)
-    if not (np.all(np.isfinite(eta_users)) and np.all(eta_users > 0)):
+    if not (np.isfinite(eta_users).all() and (eta_users > 0).all()):
         raise SolverError(f"Perron vector is not strictly positive: {eta_users}")
     eta_radar = float(ratio @ eta_users)
-    achieved = float(np.min(sinr(coeffs, (eta_users, eta_radar))))
+    achieved = float(sinr(coeffs, (eta_users, eta_radar)).min())
     return PowerAllocation(
         eta_users=eta_users, eta_radar=eta_radar, budget=budget, achieved_t=achieved
     )

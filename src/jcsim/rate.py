@@ -78,20 +78,17 @@ class RateCoefficients:
     tau_p: int
 
     def __post_init__(self):
-        if np.ndim(self.signal_gain) != 1:
+        gains, leakage = np.asarray(self.signal_gain), np.asarray(self.radar_leakage)
+        if gains.ndim != 1:
             raise ValueError("signal gains must be a vector")
-        n_users = len(self.signal_gain)
-        if np.shape(self.interference) != (n_users, n_users):
-            raise ValueError(
-                f"interference must be {n_users} x {n_users}, got {np.shape(self.interference)}"
-            )
-        if np.shape(self.radar_leakage) != (n_users,):
-            raise ValueError(
-                f"radar leakage must have shape ({n_users},), got {np.shape(self.radar_leakage)}"
-            )
-        if np.any(np.asarray(self.signal_gain) <= 0):
+        n_users, shape = len(gains), np.shape(self.interference)
+        if shape != (n_users, n_users):
+            raise ValueError(f"interference must be {n_users} x {n_users}, got {shape}")
+        if leakage.shape != (n_users,):
+            raise ValueError(f"radar leakage must have shape ({n_users},), got {leakage.shape}")
+        if (gains <= 0).any():
             raise ValueError("signal gains must be positive")
-        if np.any(np.asarray(self.radar_leakage) < 0):
+        if (leakage < 0).any():
             raise ValueError("radar leakage must be nonnegative")
         if not 0 < self.tau_p <= self.tau_c:
             raise ValueError("need 0 < tau_p <= tau_c")
@@ -113,8 +110,8 @@ def _real_checked(value, what: str, scale=None) -> np.ndarray:
     Residues are relative to ``scale`` (elementwise), or to |value| itself.
     """
     value = np.asarray(value)
-    scale = np.maximum(np.abs(value) if scale is None else scale, 1e-300)
-    residue = np.max(np.abs(value.imag) / scale)
+    scale = np.maximum(abs(value) if scale is None else scale, 1e-300)
+    residue = (abs(value.imag) / scale).max()
     if residue > REAL_TOL:
         raise NumericalConsistencyError(f"{what} has relative imaginary residue {residue:.3e}")
     return value.real
@@ -173,11 +170,10 @@ def interference_matrix(
     base = _real_checked(d * covs.trace() + e * quad, "tr(C Hbar)")
     excess = fourth_moment_excess(statistics.diffuse, statistics.specular, statistics.filters)
     xi = (base + statistics.book.powers[:, None] * cross * excess) / energy[None, :]
-    xi[np.diag_indices_from(xi)] -= useful
+    xi.flat[:: len(xi) + 1] -= useful
 
-    scale = np.abs(useful)[:, None]
-    bad = xi < -DIAG_CLAMP_TOL * scale
-    if np.any(bad):
+    bad = xi < -DIAG_CLAMP_TOL * abs(useful)[:, None]
+    if bad.any():
         raise NumericalConsistencyError(
             f"interference coefficients negative beyond tolerance: min {xi.min():.3e}"
         )
@@ -186,13 +182,13 @@ def interference_matrix(
 
 def radar_leakage(hbar: IdentityPlusLowRank, radar_beam: np.ndarray) -> np.ndarray:
     """Quadratic forms w_R^H Hbar_k w_R: radar power leaking onto each user."""
-    if not np.isclose(np.linalg.norm(radar_beam), 1.0, atol=1e-6):
+    if not abs(float(np.linalg.norm(radar_beam)) - 1.0) <= 1e-6:
         raise ValueError("radar beam must be unit norm")
     # The quadratic form can be arbitrarily close to zero (nulled beam), so
     # residues are judged against the matrix scale, not the value itself.
     scale = hbar.trace().real
     value = _real_checked(hbar.quadratic_form(radar_beam), "radar leakage", scale)
-    if np.any(value < -REAL_TOL * scale):
+    if (value < -REAL_TOL * scale).any():
         raise NumericalConsistencyError(f"radar leakage negative: {np.min(value):.3e}")
     return np.maximum(value, 0.0)
 
@@ -204,11 +200,9 @@ def _check_filters(e_matrices, filters: IdentityPlusLowRank) -> None:
     if given.shape != expected.shape:
         raise ValueError(f"e_matrices must have shape {expected.shape}, got {given.shape}")
     error = np.linalg.norm(given - expected, axis=(-2, -1))
-    if np.any(error > FILTER_RTOL * np.linalg.norm(expected, axis=(-2, -1))):
-        raise ValueError(
-            "e_matrices differ from the estimator's filters for these statistics "
-            f"(largest difference {error.max():.3e})"
-        )
+    if (error > FILTER_RTOL * np.linalg.norm(expected, axis=(-2, -1))).any():
+        what = "e_matrices differ from the estimator's filters for these statistics"
+        raise ValueError(f"{what} (largest difference {error.max():.3e})")
 
 
 def rate_coefficients(
@@ -258,14 +252,14 @@ def _unpack_powers(powers) -> tuple[np.ndarray, float]:
 def sinr(coeffs: RateCoefficients, powers) -> np.ndarray:
     """Per-user SINR of the bound at the given power allocation."""
     eta_users, eta_radar = _unpack_powers(powers)
-    if np.any(eta_users < 0) or eta_radar < 0:
+    if (eta_users < 0).any() or eta_radar < 0:
         raise ValueError("powers must be nonnegative")
     denom = (
         coeffs.interference @ eta_users
         + eta_radar * coeffs.radar_leakage
         + coeffs.noise_var
     )
-    if np.any(denom <= 0):
+    if (denom <= 0).any():
         raise NumericalConsistencyError("nonpositive SINR denominator")
     return eta_users * coeffs.signal_gain / denom
 

@@ -57,6 +57,31 @@ class TestSteeringVector:
         np.testing.assert_allclose(a_neg, a_pos.conj(), atol=1e-14)
 
 
+class TestSteeringStack:
+    @pytest.mark.parametrize("n_y, n_z, n_dirs", [(10, 10, 10), (4, 4, 4), (3, 5, 7), (1, 6, 1)])
+    def test_equals_per_direction_calls_bit_for_bit(self, n_y, n_z, n_dirs):
+        rng = np.random.default_rng(n_y * 100 + n_dirs)
+        geom = ArrayGeometry(n_y=n_y, n_z=n_z, spacing_d=0.043, wavelength=0.1)
+        for _ in range(20):
+            dirs = [
+                Direction(azimuth=rng.uniform(-np.pi, np.pi), elevation=rng.uniform(0.0, np.pi))
+                for _ in range(n_dirs)
+            ]
+            stack = steering_vector(geom, dirs)
+            assert stack.shape == (n_dirs, n_y * n_z)
+            assert np.array_equal(stack, np.stack([steering_vector(geom, d) for d in dirs]))
+
+    def test_is_read_only_and_kept(self):
+        geom = half_wave(4, 3)
+        dirs = [Direction(azimuth=0.3, elevation=1.2), Direction(azimuth=-1.1, elevation=1.9)]
+        stack = steering_vector(geom, dirs)
+        assert not stack.flags.writeable
+        assert steering_vector(geom, tuple(dirs)) is stack
+
+    def test_no_directions_give_an_empty_stack(self):
+        assert steering_vector(half_wave(2, 3), []).shape == (0, 6)
+
+
 class TestTypes:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):

@@ -3,12 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from jcsim.array import ArrayGeometry, Direction
+from jcsim.array import ArrayGeometry, Direction, steering_vector
 from jcsim.channel import ChannelModelKind, ChannelStats, draw_channels, hbar_matrix
 from jcsim.estimation import (
     EstimationError,
     Estimator,
     PilotBook,
+    _dft_pilots,
     estimate,
     lmmse_matrices,
     training_statistics,
@@ -35,6 +36,20 @@ class TestPilotBook:
         book = PilotBook.dft(4, 4, power=0.1)
         np.testing.assert_allclose(np.linalg.norm(book.pilots, axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.abs(book.gram()), np.eye(4), atol=1e-12)
+
+    def test_dft_matrix_is_built_once_and_read_only(self, monkeypatch):
+        calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *args, **kw: calls.append(args) or fft(*args, **kw))
+        _dft_pilots.cache_clear()
+        first = PilotBook.dft(7, 3, power=0.2)
+        second = PilotBook.dft(7, 3, power=0.5)
+        assert len(calls) == 1
+        assert np.array_equal(second.pilots, first.pilots)
+        shared = _dft_pilots(7, 3)
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0, 0] = 0.0
 
     def test_cyclic_reuse_creates_contamination(self):
         book = PilotBook.dft(4, 2, power=0.1)
@@ -85,6 +100,24 @@ def pilot_noise(seed, n, book, noise_var):
     rng = np.random.default_rng(seed)
     shape = (n, GEOM.n_elements, book.tau_p)
     return np.sqrt(noise_var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+class TestTrainingBasis:
+    def test_basis_is_the_users_stacked_steering_vectors_in_c_order(self):
+        """C order matters: a column-major basis gives the Gram matmul other bits."""
+        rng = np.random.default_rng(8)
+        geom = ArrayGeometry.half_wavelength(10, 10, 0.1)
+        stats = [
+            ChannelStats(
+                beta=1.0, kind=ChannelModelKind.RICE, k_factor=2.0,
+                angles=Direction(rng.uniform(-np.pi, np.pi), rng.uniform(0.0, np.pi)),
+            )
+            for _ in range(10)
+        ]
+        book = PilotBook.dft(10, 5, power=0.1)
+        basis = training_statistics(book, stats, geom, 0.1, Estimator.LMMSE).hbar.basis
+        assert basis.flags.c_contiguous
+        assert np.array_equal(basis, np.stack([steering_vector(geom, s.angles) for s in stats], 1))
 
 
 class TestTrainingObservation:

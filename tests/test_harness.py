@@ -248,7 +248,69 @@ class TestScenarioRealization:
         assert rng.uniform() == twin.uniform()  # both streams consumed alike
 
 
+# run_rate_experiment(preset.replace(n_scenarios=3, channel_model=m, estimator=e,
+# radar_beam=b)) at the preset's seed: per scenario, each user's rate under the uniform
+# split, then the balanced max-min rate that every user gets.
+PINNED_RATES = {
+    ("desk", "rice", "lmmse", "zfr"): [
+        [1240688.2146971198, 2791368.2195077073, 1628265.5728297422, 639152.9384144414,
+         1346740.915845877],
+        [2089893.6132828435, 1127176.3562526577, 1940940.0408487173, 1985902.4580917014,
+         2108918.560151334],
+        [1508704.3913185901, 2041366.451823797, 2892809.572257084, 885330.0291595039,
+         1695022.1930196765],
+    ],
+    ("desk", "rayleigh", "pm", "pbr"): [
+        [759097.2084150728, 1228436.428913513, 1045356.904787342, 93235.5700412752,
+         653735.104457464],
+        [1187275.1874435472, 383795.26425208634, 341465.70310444885, 1178154.3906842899,
+         958833.481957908],
+        [433319.4192403348, 1178297.8031852753, 1166548.7212835436, 383229.8185643166,
+         1076708.1855143006],
+    ],
+    ("table1", "rice", "lmmse", "zfr"): [
+        [28726274.005485762, 40488904.35730499, 34110225.91655508, 31157514.672943536,
+         22656336.419219352, 27262417.564303547, 30716390.083719183, 28709978.11553983,
+         22801184.38159698, 44660703.88535572, 27864361.274366185],
+        [46667430.55678684, 19491761.145141434, 29547529.86038571, 37906609.84199659,
+         18750648.837151743, 31769070.882044178, 21697202.737409327, 27992196.24249962,
+         23694213.244455572, 18464013.595795244, 25051451.32238206],
+        [29382085.478585172, 18526348.784355123, 42843828.325783, 31555390.958290882,
+         40739496.49387357, 30030537.29389272, 45394733.0094562, 19193114.196305346,
+         62240862.270314336, 38381852.9978003, 21714167.97126639],
+    ],
+    ("table1", "rayleigh", "pm", "pbr"): [
+        [30745583.462569974, 30892874.96551307, 30878565.8531502, 26911688.373754565,
+         30765782.30036985, 30211681.29103299, 30864264.495455198, 30807902.51138296,
+         30830231.59515102, 30886180.7675158, 49207394.593492426],
+        [30890926.344231326, 30785569.285064444, 30657486.583278567, 30882802.80511219,
+         30863995.539506212, 30735070.752151053, 28072557.328318123, 30841254.14596077,
+         30299387.682495587, 29146452.766274136, 49388155.50973258],
+        [30834338.08988518, 30846484.737046715, 30852716.46628433, 30616172.11055888,
+         30893254.091548868, 30876844.76954051, 30850645.024414487, 30894621.00776282,
+         30891741.26178498, 30602760.02621225, 49958529.72006268],
+    ],
+}
+
+
 class TestRateExperiment:
+    @pytest.mark.parametrize("preset, model, estimator, beam", list(PINNED_RATES))
+    def test_fixed_seed_rate_rows_are_pinned(self, preset, model, estimator, beam):
+        """Any change to the rate chain's draws, or to its arithmetic beyond rounding, moves these."""
+        cfg = {"desk": desk_preset, "table1": table1_preset}[preset]().replace(
+            n_scenarios=3, channel_model=model, estimator=estimator, radar_beam=beam
+        )
+        result = run_rate_experiment(cfg)
+        assert result.failures == []
+        expected = []
+        for trial, (*uniform, balanced) in enumerate(PINNED_RATES[preset, model, estimator, beam]):
+            expected += [(trial, user, "uniform", rate) for user, rate in enumerate(uniform)]
+            expected += [(trial, user, "maxmin", balanced) for user in range(len(uniform))]
+        keys = [(row["trial"], row["user"], row["allocator"]) for row in result.rows]
+        assert keys == [tuple(key) for *key, _ in expected]
+        for row, (*_, rate) in zip(result.rows, expected):
+            assert row["rate_bps"] == pytest.approx(rate, rel=1e-12, abs=0)
+
     def test_runs_without_scipy(self, tmp_path):
         """``import jcsim`` and a desk scenario with scipy blocked from import."""
         script = (

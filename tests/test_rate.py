@@ -107,6 +107,13 @@ class TestRadarLeakage:
         with pytest.raises(ValueError):
             radar_leakage(hbar_of(stats), np.ones(16, dtype=complex))
 
+    def test_unit_norm_tolerance_is_absolute(self):
+        """| ||w|| - 1 | may be 1e-6 at most, with no tolerance relative to the norm."""
+        hbar = hbar_of(stats_of(ChannelModelKind.RAYLEIGH))
+        with pytest.raises(ValueError, match="unit norm"):
+            radar_leakage(hbar, np.full(16, (1.0 + 5e-6) / 4.0, dtype=complex))
+        assert np.isclose(radar_leakage(hbar, np.full(16, (1.0 + 5e-7) / 4.0, dtype=complex)), 1.0)
+
 
 class TestScalarSpecializations:
     """Single-user Rayleigh with an orthogonal pilot: every coefficient has

@@ -201,7 +201,7 @@ def _cmd_validate(args) -> int:
         real.statistics, w_radar, real.noise_var_dl, real.frame.bandwidth, cfg.tau_c
     )
     mc = monte_carlo_rate_terms(
-        list(real.stats), real.geom, real.book, real.estimator, w_radar,
+        list(real.stats), real.geom, real.book, real.statistics.filters, w_radar,
         real.noise_var_ul, args.draws, rng,
     )
     report = compare_terms(mc, coeffs, rtol=args.rtol)

@@ -612,9 +612,7 @@ def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     for ((rcr_db, kind, allocator), _, _), h0_row, peaks in zip(
         allocated, h0.peaks[:, 0], h1.peaks
     ):
-        threshold = calibrate_threshold(
-            lambda _n, _rng: h0_row, cfg.pfa_target, n_calibration, rng0
-        )
+        threshold = calibrate_threshold(h0_row, cfg.pfa_target)
         for r, peak_row in zip(cfg.detection_ranges_m, peaks):
             pd = float(np.mean(peak_row > threshold))
             ci_low, ci_high = binomial_ci(pd, n_trials)

@@ -251,25 +251,16 @@ def glrt_statistic(
     )
 
 
-def calibrate_threshold(
-    peak_sampler,
-    pfa_target: float,
-    n_trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Empirical (1 - Pfa) quantile of the H0 peak statistic.
-
-    ``peak_sampler(n, rng)`` must return n independent H0 peak values.
-    """
+def calibrate_threshold(peaks: np.ndarray, pfa_target: float) -> float:
+    """Empirical (1 - Pfa) quantile of ``peaks``, at least 100 / Pfa independent H0 peaks."""
     if not 0 < pfa_target <= 1:
         raise ValueError("pfa_target must lie in (0, 1]")
     if pfa_target >= 1.0:
         return 0.0
-    if n_trials < 100.0 / pfa_target:
+    peaks = np.asarray(peaks, dtype=float)
+    if len(peaks) < 100.0 / pfa_target:
         raise ValueError(
-            f"{n_trials} trials cannot resolve a {pfa_target} quantile; "
+            f"{len(peaks)} trials cannot resolve a {pfa_target} quantile; "
             f"need at least {int(np.ceil(100.0 / pfa_target))}"
         )
-    peaks = np.asarray(peak_sampler(n_trials, rng), dtype=float)
     return float(np.quantile(peaks, 1.0 - pfa_target, method="higher"))
-

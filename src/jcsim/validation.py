@@ -5,7 +5,7 @@ estimator matrices.  This module estimates the same quantities by brute
 force: draw channels from the model statistics
 (:func:`jcsim.channel.draw_channels`, not the closed-form weights), run the
 training chain the simulator runs (:func:`jcsim.estimation.estimate` with
-the estimator's filters), form the mean-gain / gain-variance /
+the deployment's filters), form the mean-gain / gain-variance /
 interference-power moments of the effective downlink channel from the
 samples, and compare.  Only the filters are shared; none of the traces,
 covariances or fourth-moment terms of the closed forms is reused, so
@@ -24,8 +24,9 @@ import numpy as np
 
 from .array import ArrayGeometry
 from .channel import ChannelStats, draw_channels
-from .estimation import Estimator, PilotBook, estimate, training_statistics
-from .rate import RateCoefficients
+from .estimation import PilotBook, estimate
+from .lowrank import IdentityPlusLowRank
+from .rate import DIAG_CLAMP_TOL, RateCoefficients
 
 __all__ = ["MonteCarloRateTerms", "monte_carlo_rate_terms", "compare_terms"]
 
@@ -48,13 +49,17 @@ def monte_carlo_rate_terms(
     all_stats: list[ChannelStats],
     geom: ArrayGeometry,
     book: PilotBook,
-    estimator: Estimator,
+    filters: IdentityPlusLowRank,
     radar_beam: np.ndarray,
     noise_var_ul: float,
     n_draws: int,
     rng: np.random.Generator,
 ) -> MonteCarloRateTerms:
     """Estimate the SINR coefficients by simulating the training chain.
+
+    ``filters`` is the deployment's stack of estimator filters A_k, as a
+    :class:`jcsim.harness.scenario.ScenarioRealization` holds it in
+    ``real.statistics.filters``: the one input shared with the closed form.
 
     For each draw the inner products h_k^H h_hat_j and the estimate norms
     are accumulated; with theta_j = E||h_hat_j||^2 (the beam normalizer)
@@ -66,8 +71,6 @@ def monte_carlo_rate_terms(
     * radar leakage       = E|h_k^H w_R|^2
     """
     n_users = len(all_stats)
-    filters = training_statistics(book, all_stats, geom, noise_var_ul, estimator).filters
-
     sum_z = np.zeros((n_users, n_users), dtype=complex)
     sum_z2 = np.zeros((n_users, n_users))
     sum_e = np.zeros(n_users)
@@ -103,13 +106,18 @@ def compare_terms(
 ) -> list[tuple[str, float, bool]]:
     """Relative error of every closed-form term against its MC estimate.
 
+    A diagonal interference term xi_kk is judged against the larger of its
+    MC value and DIAG_CLAMP_TOL * g_k, the scale below which the closed
+    form treats it as zero, so round-off around a zero is no failure.
     Returns (term name, relative error, within tolerance) triples.
     """
-    k = coeffs.n_users
-    pairs = [(f"signal_gain[{i}]", coeffs.signal_gain[i], mc.signal_gain[i]) for i in range(k)]
-    pairs += [(f"interference[{i},{j}]", coeffs.interference[i, j], mc.interference[i, j])
+    k, gains = coeffs.n_users, coeffs.signal_gain
+    pairs = [(f"signal_gain[{i}]", gains[i], mc.signal_gain[i], 0.0) for i in range(k)]
+    pairs += [(f"interference[{i},{j}]", coeffs.interference[i, j], mc.interference[i, j],
+               DIAG_CLAMP_TOL * gains[i] if i == j else 0.0)
               for i in range(k) for j in range(k)]
-    pairs += [(f"radar_leakage[{i}]", coeffs.radar_leakage[i], mc.radar_leakage[i])
+    pairs += [(f"radar_leakage[{i}]", coeffs.radar_leakage[i], mc.radar_leakage[i], 0.0)
               for i in range(k)]
-    errors = [(name, float(abs(value - ref) / abs(ref))) for name, value, ref in pairs]
+    errors = [(name, float(abs(value - ref) / max(abs(ref), floor)))
+              for name, value, ref, floor in pairs]
     return [(name, err, err <= rtol) for name, err in errors]

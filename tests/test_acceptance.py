@@ -65,7 +65,7 @@ def test_criterion_1_closed_form_bound_validation():
             bandwidth=real.frame.bandwidth, tau_c=cfg.tau_c,
         )
         mc = monte_carlo_rate_terms(
-            list(real.stats), real.geom, real.book, real.estimator, radar_beam,
+            list(real.stats), real.geom, real.book, real.statistics.filters, radar_beam,
             real.noise_var_ul, n_draws, rng,
         )
         report = compare_terms(mc, coeffs, rtol=rtol)
@@ -191,15 +191,11 @@ def test_criterion_6_false_alarm_calibration():
     )
     from jcsim.beamform import RadarBeamKind
 
-    threshold = calibrate_threshold(
-        lambda n, _rng: simulate_peak_statistics(
-            real, cfg, grid, target_dir, RadarBeamKind.PBR, powers,
-            [None], n, stream_key=0xCA11B,
-        )[0],
-        cfg.pfa_target,
-        10_000,
-        rng,
-    )
+    calibration = simulate_peak_statistics(
+        real, cfg, grid, target_dir, RadarBeamKind.PBR, powers,
+        [None], 10_000, stream_key=0xCA11B,
+    )[0]
+    threshold = calibrate_threshold(calibration, cfg.pfa_target)
     fresh = simulate_peak_statistics(
         real, cfg, grid, target_dir, RadarBeamKind.PBR, powers,
         [None], 10_000, stream_key=0xF4E54,

@@ -1077,6 +1077,18 @@ def write_problem(tmp_path, **changes):
     return path
 
 
+# jcsim validate --preset desk --draws 2000: the relative error of each term in report
+# order (K = 4 signal gains, the 4 x 4 interference terms row by row, 4 leakages).
+PINNED_DESK_VALIDATE = [
+    0.009285721134075591, 0.0011484857390061424, 0.001959703072549341, 0.009598081946268877,
+    0.02871912995009448, 0.046405931542938476, 0.01606933286063336, 0.046405931542938476,
+    0.013507895140045282, 0.023810089056375296, 0.013507895140045282, 0.003079599771150999,
+    0.0004239528581010831, 0.017771932552748056, 0.0354681649549557, 0.017771932552748056,
+    0.008159204323383682, 0.01358559903969882, 0.008159204323383682, 0.03406890516338481,
+    0.021069486811266323, 0.007126515136124048, 0.024455287911327592, 0.02714871364749957,
+]
+
+
 class TestCli:
     def test_rates_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"
@@ -1359,6 +1371,45 @@ class TestCli:
         assert cli_main(["validate", "--preset", "desk", "--draws", "2000", "--rtol", "1e-9"]) == 4
         out = capsys.readouterr().out
         assert "FAIL" in out and "outside rtol=1e-09" in out
+
+    def test_fixed_seed_validate_report_is_pinned(self, tmp_path, capsys):
+        """Any change to the oracle's draws or to the check moves these."""
+        out = tmp_path / "validate.json"
+        # Four terms lie outside the default rtol at so few draws.
+        assert cli_main(["validate", "--preset", "desk", "--draws", "2000", "--out", str(out)]) == 4
+        report = json.loads(out.read_text())
+        assert [entry["rel_err"] for entry in report] == pytest.approx(
+            PINNED_DESK_VALIDATE, rel=1e-12, abs=0
+        )
+
+    @pytest.mark.parametrize("beam", ["pbr", "zfr"])
+    def test_validate_builds_the_training_statistics_once(self, monkeypatch, capsys, beam):
+        """The closed form and the oracle both read the deployment's ``real.statistics``."""
+        builds = []
+        original = jcsim.estimation.TrainingStatistics
+
+        def counted(*args):
+            builds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(jcsim.estimation, "TrainingStatistics", counted)
+        args = ["validate", "--preset", "desk", "--beam", beam, "--draws", "200", "--rtol", "10"]
+        assert cli_main(args) == 0
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("draws", ["200", "20000"])
+    def test_validate_judges_a_clamped_diagonal_against_the_clamp_scale(
+        self, tmp_path, capsys, draws
+    ):
+        """Noiseless LoS/LMMSE: each closed-form xi_kk is clamped to 0 while the MC
+        value is round-off (or an exact 0), which is no failure."""
+        cfg = desk_preset().replace(
+            channel_model="los", estimator="lmmse", noise_psd_dbm_hz=-300.0
+        )
+        path = tmp_path / "quiet.json"
+        path.write_text(dump_config(cfg))
+        assert cli_main(["validate", "--config", str(path), "--draws", draws]) == 0
+        assert f"all 24 terms within rtol=0.03 over {draws} draws" in capsys.readouterr().out
 
     def test_each_subcommand_takes_only_the_flags_it_reads(self):
         (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

@@ -392,12 +392,11 @@ def _noise_peak_sampler(u, grid, noise_var):
 
 class TestThresholdAndPd:
     def test_degenerate_pfa_gives_zero_threshold(self):
-        assert calibrate_threshold(lambda n, rng: np.ones(n), 1.0, 10, None) == 0.0
+        assert calibrate_threshold(np.ones(10), 1.0) == 0.0
 
     def test_insufficient_trials_rejected(self):
-        rng = np.random.default_rng(17)
         with pytest.raises(ValueError):
-            calibrate_threshold(lambda n, r: np.ones(n), 0.01, 500, rng)
+            calibrate_threshold(np.ones(500), 0.01)
 
     def test_threshold_scales_quadratically_with_noise_amplitude(self):
         rng = np.random.default_rng(18)
@@ -406,10 +405,10 @@ class TestThresholdAndPd:
         # Statistic is quadratic in the noise amplitude: doubling the
         # amplitude (4x the variance) scales the threshold by ~4.
         thr1 = calibrate_threshold(
-            _noise_peak_sampler(u, grid, 0.1), 0.05, 2000, np.random.default_rng(42)
+            _noise_peak_sampler(u, grid, 0.1)(2000, np.random.default_rng(42)), 0.05
         )
         thr2 = calibrate_threshold(
-            _noise_peak_sampler(u, grid, 0.4), 0.05, 2000, np.random.default_rng(42)
+            _noise_peak_sampler(u, grid, 0.4)(2000, np.random.default_rng(42)), 0.05
         )
         assert abs(thr2 / thr1 - 4.0) < 0.4
 
@@ -428,7 +427,7 @@ class TestThresholdAndPd:
             )
 
         thr = calibrate_threshold(
-            _noise_peak_sampler(u, grid, 0.1), 0.05, 2000, np.random.default_rng(43)
+            _noise_peak_sampler(u, grid, 0.1)(2000, np.random.default_rng(43)), 0.05
         )
         assert detection_probability(sampler, thr, 50, rng) == 1.0
 
@@ -437,7 +436,7 @@ class TestThresholdAndPd:
         u, *_ = make_tx(rng)
         grid = DelayDopplerGrid.natural(FRAME)
         thr = calibrate_threshold(
-            _noise_peak_sampler(u, grid, 0.1), 0.05, 4000, np.random.default_rng(44)
+            _noise_peak_sampler(u, grid, 0.1)(4000, np.random.default_rng(44)), 0.05
         )
         pfa = detection_probability(_noise_peak_sampler(u, grid, 0.1), thr, 4000, rng)
         assert abs(pfa - 0.05) < 3.0 * np.sqrt(0.05 * 0.95 / 4000)

@@ -210,8 +210,9 @@ class TestInterferenceMatrix:
             bandwidth=1e6, tau_c=200, e_matrices=tuple(e_list),
         )
         rng = np.random.default_rng(123)
+        filters = training_statistics(book, stats, GEOM, 0.05, Estimator.LMMSE).filters
         mc = monte_carlo_rate_terms(
-            stats, GEOM, book, Estimator.LMMSE, pbr_beam(GEOM, DIR2), 0.05, 40_000, rng
+            stats, GEOM, book, filters, pbr_beam(GEOM, DIR2), 0.05, 40_000, rng
         )
         report = compare_terms(mc, coeffs, rtol=0.05)
         assert all(ok for _, _, ok in report), report

@@ -3,14 +3,14 @@
 Channel-matched beams for the users, and two radar beams: a plain phased
 beam toward the surveillance direction (PBR) and its projection onto the
 orthogonal complement of the estimated user-channel subspace (ZFR).
-:func:`beam_set` builds a deployment's whole set from its estimates.
+:func:`beam_set` builds a deployment's whole set from its estimates.  The
+radar beams take ``a``, the (N_A,) steering vector of the surveillance
+direction, which the caller builds once per deployment.
 """
 
 import enum
 
 import numpy as np
-
-from .array import ArrayGeometry, Direction, steering_vector
 
 __all__ = [
     "RadarBeamKind",
@@ -43,22 +43,18 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
 
 
-def pbr_beam(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
+def pbr_beam(a: np.ndarray) -> np.ndarray:
     """Phased beam a(phi, theta) / sqrt(N_A)."""
-    return steering_vector(geom, direction) / np.sqrt(geom.n_elements)
+    return a / np.sqrt(a.size)
 
 
-def zfr_beam(
-    geom: ArrayGeometry,
-    direction: Direction,
-    estimated_channels: np.ndarray,
-) -> np.ndarray:
+def zfr_beam(a: np.ndarray, estimated_channels: np.ndarray) -> np.ndarray:
     """Radar beam forced orthogonal to the estimated user channels.
 
     Takes (K, N_A) estimates or a stack (..., K, N_A), one beam per instance.
     Builds an orthonormal basis of each estimate span (rank-revealing SVD,
     singular values below RANK_TOL times the largest column norm dropped),
-    projects the steering vector onto its orthogonal complement and
+    projects ``a`` onto its orthogonal complement and
     renormalizes.  Requires N_A > K; raises DegenerateDirectionError when a
     projection is numerically zero.
     """
@@ -66,14 +62,13 @@ def zfr_beam(
     if estimates.ndim < 2:
         raise ValueError("estimated_channels must be (..., K, N_A)")
     n_users, n_a = estimates.shape[-2:]
-    if n_a != geom.n_elements:
-        raise ValueError("estimate length does not match the array")
+    if n_a != a.size:
+        raise ValueError("estimate length does not match the steering vector")
     if n_users == 0:
-        return np.broadcast_to(pbr_beam(geom, direction), estimates.shape[:-2] + (n_a,)).copy()
+        return np.broadcast_to(pbr_beam(a), estimates.shape[:-2] + (n_a,)).copy()
     if n_a <= n_users:
         raise ValueError("zero-forcing needs more antennas than users")
 
-    a = steering_vector(geom, direction)
     col_norms = np.linalg.norm(estimates, axis=-1)
     u, s, _ = np.linalg.svd(estimates.swapaxes(-1, -2), full_matrices=False)
     ranks = np.sum(s > RANK_TOL * col_norms.max(axis=-1, keepdims=True), axis=-1)
@@ -87,7 +82,7 @@ def zfr_beam(
         coords = basis.conj().swapaxes(-1, -2) @ a
         projected[sel] = a - (basis @ coords[..., None])[..., 0]
     norm = _norms(projected)
-    if (norm < PROJECTION_TOL * np.sqrt(geom.n_elements)).any():
+    if (norm < PROJECTION_TOL * np.sqrt(n_a)).any():
         raise DegenerateDirectionError(
             "surveillance direction lies in the span of the estimated channels"
         )
@@ -95,10 +90,7 @@ def zfr_beam(
 
 
 def radar_beam(
-    kind: RadarBeamKind,
-    geom: ArrayGeometry,
-    direction: Direction,
-    estimated_channels: np.ndarray | None,
+    kind: RadarBeamKind, a: np.ndarray, estimated_channels: np.ndarray | None
 ) -> np.ndarray:
     """The radar beam of ``kind``: PBR ignores the estimates, ZFR nulls them.
 
@@ -106,20 +98,15 @@ def radar_beam(
     estimates the PBR beam is the single shared beam.
     """
     if kind is RadarBeamKind.PBR:
-        return pbr_beam(geom, direction)
-    return zfr_beam(geom, direction, estimated_channels)
+        return pbr_beam(a)
+    return zfr_beam(a, estimated_channels)
 
 
-def beam_set(
-    kind: RadarBeamKind,
-    geom: ArrayGeometry,
-    direction: Direction,
-    estimates: np.ndarray,
-) -> np.ndarray:
+def beam_set(kind: RadarBeamKind, a: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     """Every beam of a deployment, (..., K+1, N_A): the users', then the radar beam.
 
     User k's beam is its estimate scaled to unit norm (channel matching);
-    the radar beam is the ``kind`` beam toward ``direction``.  Takes (K, N_A)
+    the radar beam is the ``kind`` beam of steering vector ``a``.  Takes (K, N_A)
     estimates or a stack (..., K, N_A), one set per instance.  Raises
     ValueError on a zero estimate.
     """
@@ -130,5 +117,5 @@ def beam_set(
     *stack, n_users, n_a = estimates.shape
     beams = np.empty((*stack, n_users + 1, n_a), dtype=complex)
     np.divide(estimates, norms, out=beams[..., :-1, :])
-    beams[..., -1, :] = radar_beam(kind, geom, direction, estimates)
+    beams[..., -1, :] = radar_beam(kind, a, estimates)
     return beams

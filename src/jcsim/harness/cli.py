@@ -181,6 +181,7 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from ..array import steering_vector
     from ..beamform import radar_beam
     from ..rate import rate_coefficients
     from ..validation import compare_terms, monte_carlo_rate_terms
@@ -191,18 +192,18 @@ def _cmd_validate(args) -> int:
     cfg = _scenario_config(args)
     rng = np.random.default_rng([cfg.seed, 0x7A])
     real = realize_scenario(cfg, rng)
-    direction = draw_scan_direction(cfg, rng)
+    a = steering_vector(real.geom, draw_scan_direction(cfg, rng))
     beam_kind = RadarBeamKind(cfg.radar_beam)
     # Only the ZFR beam needs estimates; for PBR none are drawn.
     estimates = draw_estimates(real, rng) if beam_kind is RadarBeamKind.ZFR else None
-    w_radar = radar_beam(beam_kind, real.geom, direction, estimates)
+    w_radar = radar_beam(beam_kind, a, estimates)
 
     coeffs = rate_coefficients(
-        real.statistics, w_radar, real.noise_var_dl, real.frame.bandwidth, cfg.tau_c
+        real.statistics, w_radar, real.noise_var, real.frame.bandwidth, cfg.tau_c
     )
     mc = monte_carlo_rate_terms(
         list(real.stats), real.geom, real.book, real.statistics.filters, w_radar,
-        real.noise_var_ul, args.draws, rng,
+        real.noise_var, args.draws, rng,
     )
     report = compare_terms(mc, coeffs, rtol=args.rtol)
     failures = [(name, err) for name, err, ok in report if not ok]

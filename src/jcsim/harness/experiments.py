@@ -54,7 +54,6 @@ from ..channel import SPEED_OF_LIGHT, draw_channels, target_alpha
 from ..estimation import estimate
 from ..poweralloc import (
     AllocationInfeasibleError,
-    PowerAllocation,
     RadarSirCoefficients,
     max_min_allocate,
     uniform_allocate,
@@ -182,9 +181,9 @@ def run_rate_experiment(cfg: ScenarioConfig) -> ExperimentResult:
         rng = np.random.default_rng([cfg.seed, trial])
         real = realize_scenario(cfg, rng)
         estimates = draw_estimates(real, rng)
-        radar_dir = draw_scan_direction(cfg, rng)
+        a = steering_vector(real.geom, draw_scan_direction(cfg, rng))
         cells, cell_failures = _cells(
-            cfg, real, radar_dir, estimates, [RadarBeamKind(cfg.radar_beam)], [cfg.rcr_db]
+            cfg, real, a, estimates, [RadarBeamKind(cfg.radar_beam)], [cfg.rcr_db]
         )
         failures += [{"trial": trial, "error": f["error"]} for f in cell_failures]
         for (_, _, allocator), coeffs, powers in cells:
@@ -287,17 +286,17 @@ class _Batch:
 class _SweepPass:
     """One hypothesis pass of :func:`simulate_sweep_peaks`, as batch draws and trial blocks.
 
+    Takes the arguments of that function, which says where ``a`` and the grid come from.
     :func:`_run` calls :meth:`draw` per batch and :meth:`compute` per block
     of a drawn batch.  Each block writes only its own trials of ``peaks``.
     """
 
-    def __init__(self, real, cfg, grid, target_direction, cells, targets, n_trials, stream_key):
+    def __init__(self, real, seed, a, cells, targets, n_trials, stream_key):
         frame = real.frame
-        self.real, self.seed, self.stream_key = real, cfg.seed, stream_key
+        self.real, self.seed, self.a, self.stream_key = real, seed, a, stream_key
         # Read here, on the calling thread, so no worker builds the statistics.
-        self.direction, self.filters = target_direction, real.statistics.filters
-        self.a = steering_vector(real.geom, target_direction)
-        self.phases = _matched_phases(frame, grid)
+        self.filters = real.statistics.filters
+        self.phases = _matched_phases(frame, DelayDopplerGrid.natural(frame))
         self.with_echo = any(t is not None for t in targets)
         if self.with_echo:  # the folded phase pairs (D diag(d_t), alpha_t diag(e_t) L)
             echoes = [t or _TargetParams(0.0, 0.0, 0.0) for t in targets]  # None: alpha_t = 0
@@ -331,7 +330,7 @@ class _SweepPass:
         real = self.real
         rng = np.random.default_rng([self.seed, self.stream_key, index])
         h = draw_channels(list(real.stats), real.geom, nb, rng)
-        h_hat = estimate(h, real.book, real.noise_var_ul, self.filters, rng).swapaxes(0, 1)
+        h_hat = estimate(h, real.book, real.noise_var, self.filters, rng).swapaxes(0, 1)
         ws = _take("batch")
         shape = (nb, self.n_beams, self.n_grid)
         symbols = qpsk_indices(shape, rng, out=ws.buffer("symbols", shape, np.int8))
@@ -353,7 +352,7 @@ class _SweepPass:
         h_hat = batch.h_hat[lo:hi]
         beam_terms = {}
         for kind in self.kinds:
-            beams = beam_set(kind, self.real.geom, self.direction, h_hat)  # unit-norm w_p
+            beams = beam_set(kind, self.a, h_hat)  # unit-norm w_p
             beam_terms[kind] = (beams @ self.a.conj(), beams.conj() @ beams.swapaxes(-1, -2))
 
         # Each cell's M of ||u||^2 and, in H1 passes, of |a^H u|^2.
@@ -379,7 +378,7 @@ class _SweepPass:
             # In place: ||u||^2 becomes the noise scale sqrt(sigma^2 ||u||^2 / 2).
             scale = form[:, :n_cells]
             np.clip(scale, 0.0, None, out=scale)
-            scale *= self.real.noise_var_dl / 2.0
+            scale *= self.real.noise_var / 2.0
             np.sqrt(scale, out=scale)
             noise = ws.buffer("noise", (n, n_symbols, n_subcarriers), complex)
             phi = batch.alpha_phase[first:last, :, :, None]
@@ -442,9 +441,8 @@ def _run(passes) -> None:
 
 def simulate_sweep_peaks(
     real: ScenarioRealization,
-    cfg: ScenarioConfig,
-    grid: DelayDopplerGrid,
-    target_direction,
+    seed: int,
+    a: np.ndarray,
     cells,
     targets: list,
     n_trials: int,
@@ -453,8 +451,12 @@ def simulate_sweep_peaks(
     """Peak GLRT statistics of every cell, shape (len(cells), len(targets), n_trials).
 
     ``cells`` is a sequence of (RadarBeamKind, PowerAllocation) pairs and
-    entries of ``targets`` are _TargetParams or None (H0).  The estimates
-    go through the deployment's filters (``real.statistics``).  Works on the
+    entries of ``targets`` are _TargetParams or None (H0); one cell's peaks
+    are row 0 of a pass with ``cells = [(kind, powers)]``.  ``a`` is the
+    caller's steering vector of the surveillance direction, built once per
+    deployment for the beams and a^H w_p.  The estimates go through the
+    deployment's filters (``real.statistics``) and the GLRT searches its
+    natural grid (``DelayDopplerGrid.natural(real.frame)``).  Works on the
     scalar correlation u^H y: the echo contributes alpha |a^H u|^2 times the
     delay/Doppler ramp and the noise contributes a complex Gaussian of
     variance sigma^2 ||u||^2 per resource element, which together are
@@ -492,53 +494,32 @@ def simulate_sweep_peaks(
     Draws and blocks run on the pool of :func:`_run`.  The N_A-antenna grid,
     the complex symbols and the received grid are never formed.
     """
-    sweep = _SweepPass(real, cfg, grid, target_direction, cells, targets, n_trials, stream_key)
+    sweep = _SweepPass(real, seed, a, cells, targets, n_trials, stream_key)
     _run([sweep])
     return sweep.peaks
-
-
-def simulate_peak_statistics(
-    real: ScenarioRealization,
-    cfg: ScenarioConfig,
-    grid: DelayDopplerGrid,
-    target_direction,
-    beam_kind: RadarBeamKind,
-    powers: PowerAllocation,
-    targets: list,
-    n_trials: int,
-    stream_key: int,
-) -> np.ndarray:
-    """Peak GLRT statistics of one cell, shape (len(targets), n_trials).
-
-    A one-cell :func:`simulate_sweep_peaks` pass: the cell draws exactly
-    what it draws inside any sweep on the same ``stream_key``.
-    """
-    return simulate_sweep_peaks(
-        real, cfg, grid, target_direction, [(beam_kind, powers)], targets, n_trials, stream_key
-    )[0]
 
 
 def _snap(value: float, axis: np.ndarray) -> float:
     return float(axis[np.argmin(np.abs(axis - value))])
 
 
-def _cells(cfg, real, direction, estimates, beam_kinds, rcrs_db):
+def _cells(cfg, real, a, estimates, beam_kinds, rcrs_db):
     """Every (RCR, beam, allocator) cell of one deployment, allocated in row order.
 
-    Per beam kind, the beams, the closed-form rate coefficients and the
-    radar SIR gains N_A |a^H w|^2 are built once.  Per RCR, each beam gets
-    the uniform split and the max-min powers at rho* = ``cfg.rho_star``,
-    else the cell's linear RCR.  Returns ((rcr_db, RadarBeamKind,
+    Per beam kind, the beams of steering vector ``a``, the closed-form rate
+    coefficients and the radar SIR gains N_A |a^H w|^2 are built once.  Per
+    RCR, each beam gets the uniform split and the max-min powers at rho* =
+    ``cfg.rho_star``, else the cell's linear RCR.  Returns ((rcr_db, RadarBeamKind,
     allocator), RateCoefficients, PowerAllocation) triples, RCRs outermost,
     and one failure record per infeasible max-min cell, which gets no triple.
     """
-    a, n_a = steering_vector(real.geom, direction), real.geom.n_elements
+    n_a = real.geom.n_elements
     per_beam = []
     for kind in beam_kinds:
-        beams = beam_set(kind, real.geom, direction, estimates)
+        beams = beam_set(kind, a, estimates)
         w_radar = beams[-1]
         coeffs = rate_coefficients(
-            real.statistics, w_radar, real.noise_var_dl, real.frame.bandwidth, cfg.tau_c
+            real.statistics, w_radar, real.noise_var, real.frame.bandwidth, cfg.tau_c
         )
         sir = RadarSirCoefficients(
             radar_gain=float(n_a * abs(a.conj() @ w_radar) ** 2),
@@ -579,7 +560,7 @@ def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     rng0 = np.random.default_rng([cfg.seed, 0xD0])
     real = realize_scenario(cfg, rng0)
     grid = DelayDopplerGrid.natural(real.frame)
-    target_dir = draw_scan_direction(cfg, rng0)
+    a = steering_vector(real.geom, draw_scan_direction(cfg, rng0))
     wavelength = SPEED_OF_LIGHT / cfg.carrier_hz
     if real.geom.n_elements <= cfg.n_users:
         raise ConfigError("the sweep's zfr cells need more antennas (n_y * n_z) than users")
@@ -600,13 +581,13 @@ def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     # Reference realization for the per-cell power allocation.
     estimates = draw_estimates(real, rng0)
     allocated, failures = _cells(
-        cfg, real, target_dir, estimates,
+        cfg, real, a, estimates,
         [RadarBeamKind.PBR, RadarBeamKind.ZFR], cfg.detection_rcr_db,
     )
     cells = [(kind, powers) for (_, kind, _), _, powers in allocated]
     n_calibration = max(n_trials, int(np.ceil(100.0 / cfg.pfa_target)))
-    h0 = _SweepPass(real, cfg, grid, target_dir, cells, [None], n_calibration, 0xCA1)
-    h1 = _SweepPass(real, cfg, grid, target_dir, cells, targets, n_trials, 0x9D)
+    h0 = _SweepPass(real, cfg.seed, a, cells, [None], n_calibration, 0xCA1)
+    h1 = _SweepPass(real, cfg.seed, a, cells, targets, n_trials, 0x9D)
     _run([h0, h1])
     rows = []
     for ((rcr_db, kind, allocator), _, _), h0_row, peaks in zip(

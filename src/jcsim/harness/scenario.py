@@ -1,4 +1,4 @@
-"""Turn a config into concrete geometry, user statistics and noise levels,
+"""Turn a config into concrete geometry, user statistics and noise level,
 and draw a deployment's channel estimates."""
 
 from dataclasses import dataclass, replace
@@ -30,14 +30,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScenarioRealization:
-    """One deployment: its users' large-scale statistics, pilots and noise levels."""
+    """One deployment: its users' large-scale statistics, pilots and noise level."""
 
     geom: ArrayGeometry
     frame: OfdmFrameConfig
     stats: tuple
     book: PilotBook
-    noise_var_ul: float
-    noise_var_dl: float
+    noise_var: float  # sigma^2 per subcarrier, at the array and at the users
     estimator: Estimator
 
     @cached_property
@@ -48,7 +47,7 @@ class ScenarioRealization:
         thread before any worker does.
         """
         return training_statistics(
-            self.book, list(self.stats), self.geom, self.noise_var_ul, self.estimator
+            self.book, list(self.stats), self.geom, self.noise_var, self.estimator
         )
 
 
@@ -96,7 +95,7 @@ def realize_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioR
     return ScenarioRealization(
         geom=geom, frame=frame, stats=tuple(stats),
         book=PilotBook.dft(cfg.n_users, cfg.effective_tau_p, power=cfg.pilot_power_w),
-        noise_var_ul=sigma2, noise_var_dl=sigma2, estimator=Estimator(cfg.estimator),
+        noise_var=sigma2, estimator=Estimator(cfg.estimator),
     )
 
 
@@ -108,7 +107,7 @@ def draw_estimates(real: ScenarioRealization, rng: np.random.Generator) -> np.nd
     """
     filters = real.statistics.filters
     channels = draw_channels(list(real.stats), real.geom, 1, rng)
-    return estimate(channels, real.book, real.noise_var_ul, filters, rng)[:, 0]
+    return estimate(channels, real.book, real.noise_var, filters, rng)[:, 0]
 
 
 def draw_scan_direction(cfg: ScenarioConfig, rng: np.random.Generator) -> Direction:

@@ -26,7 +26,7 @@ from .array import ArrayGeometry
 from .channel import ChannelStats, draw_channels
 from .estimation import PilotBook, estimate
 from .lowrank import IdentityPlusLowRank
-from .rate import DIAG_CLAMP_TOL, RateCoefficients
+from .rate import DIAG_CLAMP_TOL, REAL_TOL, RateCoefficients
 
 __all__ = ["MonteCarloRateTerms", "monte_carlo_rate_terms", "compare_terms"]
 
@@ -42,6 +42,7 @@ class MonteCarloRateTerms:
     signal_gain: np.ndarray  # (K,)
     interference: np.ndarray  # (K, K)
     radar_leakage: np.ndarray  # (K,)
+    channel_energy: np.ndarray  # (K,) E||h_k||^2, the sampled tr(Hbar_k)
     n_draws: int
 
 
@@ -75,6 +76,7 @@ def monte_carlo_rate_terms(
     sum_z2 = np.zeros((n_users, n_users))
     sum_e = np.zeros(n_users)
     sum_r2 = np.zeros(n_users)
+    sum_h2 = np.zeros(n_users)
     done = 0
     while done < n_draws:
         n = min(BATCH, n_draws - done)
@@ -85,6 +87,7 @@ def monte_carlo_rate_terms(
         sum_z2 += (np.abs(z) ** 2).sum(axis=-1)
         sum_e += (np.abs(h_hat) ** 2).sum(axis=(-2, -1))
         sum_r2 += (np.abs(h.conj() @ radar_beam) ** 2).sum(axis=-1)
+        sum_h2 += (np.abs(h) ** 2).sum(axis=(-2, -1))
         done += n
 
     mean_z = sum_z / n_draws
@@ -97,6 +100,7 @@ def monte_carlo_rate_terms(
         signal_gain=np.abs(np.diag(mean_z)) ** 2 / theta,
         interference=xi,
         radar_leakage=sum_r2 / n_draws,
+        channel_energy=sum_h2 / n_draws,
         n_draws=n_draws,
     )
 
@@ -107,8 +111,10 @@ def compare_terms(
     """Relative error of every closed-form term against its MC estimate.
 
     A diagonal interference term xi_kk is judged against the larger of its
-    MC value and DIAG_CLAMP_TOL * g_k, the scale below which the closed
-    form treats it as zero, so round-off around a zero is no failure.
+    MC value and DIAG_CLAMP_TOL * g_k, and a radar leakage against the
+    larger of its MC value and REAL_TOL * E||h_k||^2: the scales below which
+    the closed form treats them as zero, so round-off around a zero (a
+    nulled ZFR beam) is no failure.
     Returns (term name, relative error, within tolerance) triples.
     """
     k, gains = coeffs.n_users, coeffs.signal_gain
@@ -116,8 +122,8 @@ def compare_terms(
     pairs += [(f"interference[{i},{j}]", coeffs.interference[i, j], mc.interference[i, j],
                DIAG_CLAMP_TOL * gains[i] if i == j else 0.0)
               for i in range(k) for j in range(k)]
-    pairs += [(f"radar_leakage[{i}]", coeffs.radar_leakage[i], mc.radar_leakage[i], 0.0)
-              for i in range(k)]
+    pairs += [(f"radar_leakage[{i}]", coeffs.radar_leakage[i], mc.radar_leakage[i],
+               REAL_TOL * mc.channel_energy[i]) for i in range(k)]
     errors = [(name, float(abs(value - ref) / max(abs(ref), floor)))
               for name, value, ref, floor in pairs]
     return [(name, err, err <= rtol) for name, err in errors]

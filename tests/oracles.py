@@ -227,7 +227,7 @@ def antenna_domain_peaks(real, grid, direction, beam_kind, powers, target, n, rn
             echo = TargetChannel.from_geometry(
                 real.geom, alpha, direction, target.delay, target.doppler
             )
-        y = target_echo(u, echo, real.frame, real.noise_var_dl, rng)
+        y = target_echo(u, echo, real.frame, real.noise_var, rng)
         peaks[i] = glrt_statistic(u, y, grid, real.frame).peak_value
     return peaks
 
@@ -235,7 +235,7 @@ def antenna_domain_peaks(real, grid, direction, beam_kind, powers, target, n, rn
 def matched_beams_and_radar(geom, direction, beam_kind, estimates):
     """(K+1, N_A): each estimate over its own norm, one by one, then the radar beam."""
     users = [h / np.linalg.norm(h) for h in estimates]
-    return np.stack(users + [radar_beam(beam_kind, geom, direction, estimates)])
+    return np.stack(users + [radar_beam(beam_kind, steering_vector(geom, direction), estimates)])
 
 
 def cell_peaks_oracle(
@@ -258,7 +258,7 @@ def cell_peaks_oracle(
         nb = min(batch, n_trials - start)
         rng = np.random.default_rng([cfg.seed, stream_key, batch_idx])
         h = draw_channels(list(real.stats), geom, nb, rng)
-        h_hat = estimate(h, book, real.noise_var_ul, real.statistics.filters, rng)
+        h_hat = estimate(h, book, real.noise_var, real.statistics.filters, rng)
         h_hat = h_hat.swapaxes(0, 1)
         xs = qpsk_grid((nb, book.n_users + 1, shape[0] * shape[1]), rng)
         normals = rng.standard_normal((nb, *shape)) + 1j * rng.standard_normal((nb, *shape))
@@ -268,7 +268,7 @@ def cell_peaks_oracle(
             u = (amp[:, None] * beams).T @ xs[b]  # (N_A, N M)
             v = (a.conj() @ u).reshape(shape)
             energy = np.sum(np.abs(u) ** 2, axis=0).reshape(shape)
-            noise = np.sqrt(real.noise_var_dl / 2.0 * energy) * normals[b]
+            noise = np.sqrt(real.noise_var / 2.0 * energy) * normals[b]
             for ti, t in enumerate(targets):
                 corr = noise
                 if t is not None:
@@ -326,7 +326,7 @@ def single_shot_estimates_oracle(real, filters, rng):
         g = (rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)) / np.sqrt(2.0)
         k = stats.k_factor
         channels.append(np.sqrt(stats.beta / (k + 1.0)) * (np.sqrt(k) * los + g))
-    noise = np.sqrt(real.noise_var_ul / 2.0) * (
+    noise = np.sqrt(real.noise_var / 2.0) * (
         rng.standard_normal((n_a, real.book.tau_p))
         + 1j * rng.standard_normal((n_a, real.book.tau_p))
     )

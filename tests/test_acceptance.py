@@ -18,7 +18,7 @@ from jcsim.harness.config import desk_preset
 from jcsim.harness.experiments import (
     run_detection_experiment,
     run_rate_experiment,
-    simulate_peak_statistics,
+    simulate_sweep_peaks,
 )
 from jcsim.harness.scenario import draw_scan_direction, realize_scenario
 from jcsim.poweralloc import (
@@ -58,15 +58,15 @@ def test_criterion_1_closed_form_bound_validation():
         cfg = desk_preset().replace(channel_model=model, estimator=estimator)
         rng = np.random.default_rng([cfg.seed, 0xC1, idx])
         real = realize_scenario(cfg, rng)
-        radar_beam = pbr_beam(real.geom, draw_scan_direction(cfg, rng))
+        radar_beam = pbr_beam(steering_vector(real.geom, draw_scan_direction(cfg, rng)))
         coeffs = build_rate_coefficients(
             list(real.stats), real.geom, real.book, real.estimator, radar_beam,
-            real.noise_var_ul, real.noise_var_dl,
+            real.noise_var, real.noise_var,
             bandwidth=real.frame.bandwidth, tau_c=cfg.tau_c,
         )
         mc = monte_carlo_rate_terms(
             list(real.stats), real.geom, real.book, real.statistics.filters, radar_beam,
-            real.noise_var_ul, n_draws, rng,
+            real.noise_var, n_draws, rng,
         )
         report = compare_terms(mc, coeffs, rtol=rtol)
         bad = [(name, err) for name, err, ok in report if not ok]
@@ -162,16 +162,16 @@ def test_criterion_5_zero_forcing_nulls():
     """With perfect CSI the ZFR beam leaks at most 1e-10 onto every user
     channel on 100 random instances, and reduces to PBR with no users."""
     geom = ArrayGeometry.half_wavelength(4, 4, 0.1)
-    direction = Direction(azimuth=0.3, elevation=1.2)
+    a = steering_vector(geom, Direction(azimuth=0.3, elevation=1.2))
     rng = np.random.default_rng(0xA5)
     worst = 0.0
     for _ in range(100):
         channels = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-        w = zfr_beam(geom, direction, channels)
+        w = zfr_beam(a, channels)
         worst = max(worst, float(np.max(np.abs(channels.conj() @ w))))
     assert worst <= 1e-10, f"residual leakage {worst:.2e}"
-    w_empty = zfr_beam(geom, direction, np.zeros((0, 16), dtype=complex))
-    np.testing.assert_array_equal(w_empty, pbr_beam(geom, direction))
+    w_empty = zfr_beam(a, np.zeros((0, 16), dtype=complex))
+    np.testing.assert_array_equal(w_empty, pbr_beam(a))
     print(
         f"\ncriterion 5 PASS: worst |h^H w_R| = {worst:.2e} <= 1e-10 over 100 "
         "instances; ZFR == PBR with no users"
@@ -184,22 +184,21 @@ def test_criterion_6_false_alarm_calibration():
     cfg = desk_preset()
     rng = np.random.default_rng([cfg.seed, 0xA6])
     real = realize_scenario(cfg, rng)
-    grid = DelayDopplerGrid.natural(real.frame)
-    target_dir = draw_scan_direction(cfg, rng)
+    a = steering_vector(real.geom, draw_scan_direction(cfg, rng))
     powers = uniform_allocate(
         cfg.p_dl_w, cfg.rcr_linear, cfg.n_users, cfg.n_subcarriers, cfg.n_symbols
     )
     from jcsim.beamform import RadarBeamKind
 
-    calibration = simulate_peak_statistics(
-        real, cfg, grid, target_dir, RadarBeamKind.PBR, powers,
+    calibration = simulate_sweep_peaks(
+        real, cfg.seed, a, [(RadarBeamKind.PBR, powers)],
         [None], 10_000, stream_key=0xCA11B,
-    )[0]
+    )[0, 0]
     threshold = calibrate_threshold(calibration, cfg.pfa_target)
-    fresh = simulate_peak_statistics(
-        real, cfg, grid, target_dir, RadarBeamKind.PBR, powers,
+    fresh = simulate_sweep_peaks(
+        real, cfg.seed, a, [(RadarBeamKind.PBR, powers)],
         [None], 10_000, stream_key=0xF4E54,
-    )[0]
+    )[0, 0]
     pfa = float(np.mean(fresh > threshold))
     assert 0.008 <= pfa <= 0.012, f"empirical Pfa {pfa:.4f} outside [0.008, 0.012]"
     print(f"\ncriterion 6 PASS: empirical Pfa = {pfa:.4f} in [0.008, 0.012]")
@@ -307,7 +306,7 @@ def test_criterion_8_structural_exactness():
     ]
     noise_ul = 1e-9
     e_list, _ = lmmse_matrices(book, stats, geom, noise_ul)
-    beam = pbr_beam(geom, direction)
+    beam = pbr_beam(a)
     per_estimator = {}
     for estimator, e_mats in ((Estimator.PM, None), (Estimator.LMMSE, tuple(e_list))):
         coeffs = build_rate_coefficients(

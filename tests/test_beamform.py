@@ -11,6 +11,7 @@ from oracles import gram_schmidt_zfr
 
 GEOM = ArrayGeometry.half_wavelength(4, 4, 0.1)
 DIR = Direction(azimuth=0.5, elevation=1.1)
+A = steering_vector(GEOM, DIR)
 
 
 def random_channels(rng, k, n_a=None):
@@ -20,7 +21,7 @@ def random_channels(rng, k, n_a=None):
 
 def matched_beams(estimates):
     """The user rows of ``beam_set``: each estimate matched by a unit-norm beam."""
-    return beam_set(RadarBeamKind.PBR, GEOM, DIR, estimates)[..., :-1, :]
+    return beam_set(RadarBeamKind.PBR, A, estimates)[..., :-1, :]
 
 
 class TestMatchedBeam:
@@ -53,32 +54,32 @@ class TestMatchedBeam:
 class TestPbrBeam:
     def test_full_coherent_gain(self):
         a = steering_vector(GEOM, DIR)
-        w = pbr_beam(GEOM, DIR)
+        w = pbr_beam(A)
         assert np.isclose(abs(a.conj() @ w) ** 2, GEOM.n_elements, rtol=1e-12)
 
     def test_broadside_all_equal(self):
-        w = pbr_beam(GEOM, Direction(azimuth=0.0, elevation=np.pi / 2))
+        w = pbr_beam(steering_vector(GEOM, Direction(azimuth=0.0, elevation=np.pi / 2)))
         np.testing.assert_allclose(w, np.full(16, 0.25), atol=1e-14)
 
     def test_is_scaled_steering_vector(self):
         np.testing.assert_allclose(
-            pbr_beam(GEOM, DIR), steering_vector(GEOM, DIR) / 4.0, atol=1e-14
+            pbr_beam(A), steering_vector(GEOM, DIR) / 4.0, atol=1e-14
         )
 
 
 class TestZfrBeam:
     def test_no_users_reduces_to_pbr(self):
-        w = zfr_beam(GEOM, DIR, np.zeros((0, GEOM.n_elements), dtype=complex))
-        np.testing.assert_allclose(w, pbr_beam(GEOM, DIR), atol=1e-14)
-        w = zfr_beam(GEOM, DIR, np.zeros((3, 0, GEOM.n_elements), dtype=complex))
+        w = zfr_beam(A, np.zeros((0, GEOM.n_elements), dtype=complex))
+        np.testing.assert_allclose(w, pbr_beam(A), atol=1e-14)
+        w = zfr_beam(A, np.zeros((3, 0, GEOM.n_elements), dtype=complex))
         assert w.shape == (3, GEOM.n_elements)
-        np.testing.assert_allclose(w, np.broadcast_to(pbr_beam(GEOM, DIR), w.shape), atol=1e-14)
+        np.testing.assert_allclose(w, np.broadcast_to(pbr_beam(A), w.shape), atol=1e-14)
 
     def test_nulls_every_estimate(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             estimates = random_channels(rng, 4)
-            w = zfr_beam(GEOM, DIR, estimates)
+            w = zfr_beam(A, estimates)
             assert np.isclose(np.linalg.norm(w), 1.0, atol=1e-12)
             assert np.max(np.abs(estimates.conj() @ w)) <= 1e-10
 
@@ -86,16 +87,16 @@ class TestZfrBeam:
         rng = np.random.default_rng(3)
         for _ in range(10):
             estimates = random_channels(rng, 3)
-            w = zfr_beam(GEOM, DIR, estimates)
+            w = zfr_beam(A, estimates)
             ref = gram_schmidt_zfr(steering_vector(GEOM, DIR), estimates)
             np.testing.assert_allclose(w, ref, atol=1e-9)
 
     def test_gain_never_exceeds_pbr(self):
         rng = np.random.default_rng(4)
         a = steering_vector(GEOM, DIR)
-        pbr_gain = abs(a.conj() @ pbr_beam(GEOM, DIR)) ** 2
+        pbr_gain = abs(a.conj() @ pbr_beam(A)) ** 2
         for _ in range(10):
-            w = zfr_beam(GEOM, DIR, random_channels(rng, 5))
+            w = zfr_beam(A, random_channels(rng, 5))
             assert abs(a.conj() @ w) ** 2 <= pbr_gain + 1e-9
 
     def test_invariant_under_span_preserving_recombination(self):
@@ -103,15 +104,15 @@ class TestZfrBeam:
         estimates = random_channels(rng, 3)
         mix = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert abs(np.linalg.det(mix)) > 1e-6
-        w1 = zfr_beam(GEOM, DIR, estimates)
-        w2 = zfr_beam(GEOM, DIR, mix @ estimates)
+        w1 = zfr_beam(A, estimates)
+        w2 = zfr_beam(A, mix @ estimates)
         np.testing.assert_allclose(w1, w2, atol=1e-9)
 
     def test_rank_deficient_estimates_handled(self):
         rng = np.random.default_rng(6)
         base = random_channels(rng, 2)
         estimates = np.vstack([base, base[0] + base[1], 2.0 * base[0]])
-        w = zfr_beam(GEOM, DIR, estimates)
+        w = zfr_beam(A, estimates)
         assert np.max(np.abs(estimates.conj() @ w)) <= 1e-9
 
     @pytest.mark.parametrize(
@@ -133,9 +134,9 @@ class TestZfrBeam:
         cfg = desk_preset().replace(estimator=estimator)
         rng = np.random.default_rng([cfg.seed, 0x2F])
         real = realize_scenario(cfg, rng)
-        direction = draw_scan_direction(cfg, rng)
+        a = steering_vector(real.geom, draw_scan_direction(cfg, rng))
         h = draw_channels(list(real.stats), real.geom, 64, rng)
-        stack = estimate(h, real.book, real.noise_var_ul, real.statistics.filters, rng)
+        stack = estimate(h, real.book, real.noise_var, real.statistics.filters, rng)
         stack = stack.swapaxes(0, 1)
         assert real.book.tau_p < real.book.n_users
         sv = np.linalg.svd(stack, compute_uv=False)
@@ -145,8 +146,8 @@ class TestZfrBeam:
 
         def build(estimates):  # (..., beams, N_A), the radar beam last
             if builder == "zfr_beam":
-                return zfr_beam(real.geom, direction, estimates)[..., None, :]
-            return beam_set(RadarBeamKind.ZFR, real.geom, direction, estimates)
+                return zfr_beam(a, estimates)[..., None, :]
+            return beam_set(RadarBeamKind.ZFR, a, estimates)
 
         w = build(stack)
         n_beams = 1 if builder == "zfr_beam" else real.book.n_users + 1
@@ -160,11 +161,11 @@ class TestZfrBeam:
     def test_needs_more_antennas_than_users(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):
-            zfr_beam(GEOM, DIR, random_channels(rng, 16))
+            zfr_beam(A, random_channels(rng, 16))
 
     def test_degenerate_direction_raises(self):
         a = steering_vector(GEOM, DIR)
         rng = np.random.default_rng(8)
         estimates = np.vstack([a[None, :], random_channels(rng, 2)])
         with pytest.raises(DegenerateDirectionError):
-            zfr_beam(GEOM, DIR, estimates)
+            zfr_beam(A, estimates)

@@ -348,7 +348,7 @@ class TestEstimate:
         real = realize_scenario(cfg, np.random.default_rng([cfg.seed, 0x3E]))
         assert real.book.tau_p < real.book.n_users
         stats = list(real.stats)
-        hbars, ry = correlation_matrices_oracle(real.book, stats, real.geom, real.noise_var_ul)
+        hbars, ry = correlation_matrices_oracle(real.book, stats, real.geom, real.noise_var)
         if estimator == "pm":
             dense = np.broadcast_to(np.eye(real.geom.n_elements), hbars.shape) / np.sqrt(
                 real.book.powers
@@ -356,11 +356,11 @@ class TestEstimate:
         else:
             dense = lmmse_filters_oracle(hbars, ry, real.book.powers)
         filters = training_statistics(
-            real.book, stats, real.geom, real.noise_var_ul, real.estimator
+            real.book, stats, real.geom, real.noise_var, real.estimator
         ).filters
         channels = draw_channels(stats, real.geom, 3, np.random.default_rng(16))
-        got = estimate(channels, real.book, real.noise_var_ul, filters, np.random.default_rng(17))
-        noise = pilot_noise(17, 3, real.book, real.noise_var_ul)
+        got = estimate(channels, real.book, real.noise_var, filters, np.random.default_rng(17))
+        noise = pilot_noise(17, 3, real.book, real.noise_var)
         y = pilot_correlation_oracle(channels, noise, real.book)
         ref = np.einsum("kab,kna->knb", dense.conj(), y)  # rows A_k^H y_{p,k}
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
@@ -378,7 +378,7 @@ def desk_reuse_case():
     cfg = desk_preset().replace(channel_model="rice")
     real = realize_scenario(cfg, np.random.default_rng([cfg.seed, 0x5A]))
     assert real.book.tau_p == 2 < real.book.n_users
-    return real.book, list(real.stats), real.geom, real.noise_var_ul
+    return real.book, list(real.stats), real.geom, real.noise_var
 
 
 LOS, RAY, RICE = ChannelModelKind.LOS, ChannelModelKind.RAYLEIGH, ChannelModelKind.RICE

@@ -16,6 +16,7 @@ import pytest
 
 import jcsim
 
+from jcsim.array import steering_vector
 from jcsim.beamform import DegenerateDirectionError, RadarBeamKind
 from jcsim.channel import SPEED_OF_LIGHT, target_alpha
 from jcsim.harness import experiments, scenario
@@ -38,7 +39,6 @@ from jcsim.harness.experiments import (
     empirical_cdf,
     run_detection_experiment,
     run_rate_experiment,
-    simulate_peak_statistics,
     simulate_sweep_peaks,
 )
 from jcsim.harness.scenario import (
@@ -56,10 +56,10 @@ def small_rate_cfg(**overrides):
     return desk_preset().replace(n_scenarios=3, **overrides)
 
 
-def sweep_cells(cfg, real, direction, estimates):
+def sweep_cells(cfg, real, a, estimates):
     """The detection sweep's (RadarBeamKind, PowerAllocation) cells and failures."""
     allocated, failures = _cells(
-        cfg, real, direction, estimates,
+        cfg, real, a, estimates,
         [RadarBeamKind.PBR, RadarBeamKind.ZFR], cfg.detection_rcr_db,
     )
     return [(kind, powers) for (_, kind, _), _, powers in allocated], failures
@@ -422,6 +422,46 @@ def test_training_statistics_built_once_per_deployment_on_the_calling_thread(
     assert threads == [threading.current_thread()] * builds
 
 
+@pytest.mark.parametrize(
+    "run, cfg, responses",
+    [
+        pytest.param(
+            run_rate_experiment,
+            desk_preset().replace(
+                channel_model="rice", estimator="lmmse", radar_beam=beam, n_scenarios=3
+            ),
+            2 * 3,
+            id=f"rates-{beam}",
+        )
+        for beam in ("pbr", "zfr")
+    ] + [
+        pytest.param(
+            run_detection_experiment,
+            desk_preset().replace(
+                n_detection_trials=32, pfa_target=0.75, detection_rcr_db=(3.0,)
+            ),
+            2,
+            id="detect",
+        ),
+    ],
+)
+def test_two_array_responses_per_deployment(monkeypatch, run, cfg, responses):
+    """A deployment evaluates the array response twice: once for its users' stack of
+    steering vectors and once for the radar direction's, which every beam, the radar
+    SIR gains and the sweep's echo terms share."""
+    calls = []
+    original = jcsim.array._response
+
+    def counted(*args):
+        calls.append(1)  # the sweep's draws run on worker threads: append is atomic
+        return original(*args)
+
+    jcsim.array._steering_stack.cache_clear()
+    monkeypatch.setattr(jcsim.array, "_response", counted)
+    run(cfg)
+    assert len(calls) == responses
+
+
 # run_detection_experiment(desk_preset().replace(n_detection_trials=200)), 200 trials a
 # range: each cell in row order with its threshold and its Pd at 150, 250, 300 and 345 m.
 PINNED_DESK_CELLS = [
@@ -506,9 +546,10 @@ class TestDetectionExperiment:
         )
         run_detection_experiment(cfg)
         run_detection_experiment(cfg.replace(target_on_grid=True))
-        # Each call builds an H0 and then an H1 pass: (real, cfg, grid, direction,
-        # cells, targets, n_trials, stream).
-        grid, free, snapped = passes[1][2], passes[1][5], passes[3][5]
+        # Each call builds an H0 and then an H1 pass: (real, seed, a, cells,
+        # targets, n_trials, stream).
+        grid = DelayDopplerGrid.natural(passes[1][0].frame)
+        free, snapped = passes[1][4], passes[3][4]
         assert not set(t.delay for t in free) & set(grid.delays)
         for off, on in zip(free, snapped, strict=True):
             assert on.delay == grid.delays[np.argmin(np.abs(grid.delays - off.delay))]
@@ -619,7 +660,7 @@ class TestDetectionExperiment:
 
         def failing(*args):
             # Trial blocks take a stack of estimates; the reference allocation takes one set.
-            if where == "draw" or np.ndim(args[3]) == 3:
+            if where == "draw" or np.ndim(args[2]) == 3:
                 raised_on.append(threading.current_thread())
                 raise DegenerateDirectionError("injected")
             return original(*args)
@@ -666,15 +707,14 @@ class TestKeptWorkspaces:
         """
         cfg = small_detect_cfg(n_detection_trials=60, pfa_target=0.5)
         real = realize_scenario(cfg, np.random.default_rng(11))
-        grid = DelayDopplerGrid.natural(real.frame)
-        direction = draw_scan_direction(cfg, np.random.default_rng(12))
+        a = steering_vector(real.geom, draw_scan_direction(cfg, np.random.default_rng(12)))
         estimates = draw_estimates(real, np.random.default_rng(13))
-        cells, _ = sweep_cells(cfg, real, direction, estimates)
+        cells, _ = sweep_cells(cfg, real, a, estimates)
         alpha, delay = target_alpha(250.0, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
         targets = [None, _TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=300.0)]
 
         def run():
-            peaks = simulate_sweep_peaks(real, cfg, grid, direction, cells, targets, 70, 0x9D)
+            peaks = simulate_sweep_peaks(real, cfg.seed, a, cells, targets, 70, 0x9D)
             return peaks, run_detection_experiment(cfg).rows
 
         def slow_compute(self, *args):
@@ -752,15 +792,14 @@ class TestKeptWorkspaces:
         cfg = table1_preset()
         rng = np.random.default_rng([cfg.seed, 0xD0])
         real = realize_scenario(cfg, rng)
-        grid = DelayDopplerGrid.natural(real.frame)
-        direction = draw_scan_direction(cfg, rng)
-        cells, _ = sweep_cells(cfg, real, direction, draw_estimates(real, rng))
+        a = steering_vector(real.geom, draw_scan_direction(cfg, rng))
+        cells, _ = sweep_cells(cfg, real, a, draw_estimates(real, rng))
         targets = []
         for r in cfg.detection_ranges_m:
             alpha, delay = target_alpha(r, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
             targets.append(_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=300.0))
         monkeypatch.setattr(experiments, "BATCH", 128)
-        sweep_pass = experiments._SweepPass(real, cfg, grid, direction, cells, targets, 128, 0x9D)
+        sweep_pass = experiments._SweepPass(real, cfg.seed, a, cells, targets, 128, 0x9D)
         assert sweep_pass.step_trials < 16
         batch = sweep_pass.draw(*sweep_pass.batches[0])
         sizes = []
@@ -802,41 +841,40 @@ class TestSweepPeaks:
         real = realize_scenario(cfg, rng)
         grid = DelayDopplerGrid.natural(real.frame)
         direction = draw_scan_direction(cfg, rng)
-        cells, failures = sweep_cells(cfg, real, direction, draw_estimates(real, rng))
+        a = steering_vector(real.geom, direction)
+        cells, failures = sweep_cells(cfg, real, a, draw_estimates(real, rng))
         assert not failures and len(cells) == 8
         targets = []
         for r in (250.0, 345.0):
             alpha, delay = target_alpha(r, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
             doppler = 2.0 * cfg.target_speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
             targets.append(_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler))
-        return cfg, real, grid, direction, cells, targets
+        return cfg, real, grid, direction, a, cells, targets
 
     @pytest.fixture(scope="class", params=["h0", "h1"])
     def hypothesis(self, request, sweep):
-        cfg, real, grid, direction, cells, targets = sweep
+        cfg, real, _, _, a, cells, targets = sweep
         targets, stream = ([None], 0xCA1) if request.param == "h0" else (targets, 0x9D)
-        peaks = simulate_sweep_peaks(
-            real, cfg, grid, direction, cells, targets, self.N_TRIALS, stream
-        )
+        peaks = simulate_sweep_peaks(real, cfg.seed, a, cells, targets, self.N_TRIALS, stream)
         return targets, stream, peaks
 
     def test_shape_and_positive(self, sweep, hypothesis):
-        cells = sweep[4]
+        cells = sweep[5]
         targets, _, peaks = hypothesis
         assert peaks.shape == (len(cells), len(targets), self.N_TRIALS)
         assert np.all(np.isfinite(peaks)) and np.all(peaks > 0)
 
     def test_rows_match_one_cell_passes(self, sweep, hypothesis):
-        cfg, real, grid, direction, cells, _ = sweep
+        cfg, real, _, _, a, cells, _ = sweep
         targets, stream, peaks = hypothesis
         for row, (kind, powers) in zip(peaks, cells):
-            single = simulate_peak_statistics(
-                real, cfg, grid, direction, kind, powers, targets, self.N_TRIALS, stream
-            )
+            single = simulate_sweep_peaks(
+                real, cfg.seed, a, [(kind, powers)], targets, self.N_TRIALS, stream
+            )[0]
             np.testing.assert_allclose(row, single, rtol=1e-12, atol=0)
 
     def test_rows_match_antenna_domain_replay(self, sweep, hypothesis):
-        cfg, real, grid, direction, cells, _ = sweep
+        cfg, real, grid, direction, _, cells, _ = sweep
         targets, stream, peaks = hypothesis
         for row, (kind, powers) in zip(peaks, cells):
             ref = cell_peaks_oracle(
@@ -849,14 +887,16 @@ class TestSweepPeaks:
     def many_users_case(hypothesis_name):
         """K = 8 sweep keyword arguments: 14 trials, pair-table steps of 4.
 
-        In batches of ``MANY_USERS_BATCH``, which the caller sets.
+        In batches of ``MANY_USERS_BATCH``, which the caller sets.  Returned
+        with the config and the surveillance direction, which the
+        antenna-domain replay takes.
         """
         cfg = desk_preset().replace(n_users=8)
         rng = np.random.default_rng([cfg.seed, 0xD0])
         real = realize_scenario(cfg, rng)
-        grid = DelayDopplerGrid.natural(real.frame)
         direction = draw_scan_direction(cfg, rng)
-        cells, _ = sweep_cells(cfg, real, direction, draw_estimates(real, rng))
+        a = steering_vector(real.geom, direction)
+        cells, _ = sweep_cells(cfg, real, a, draw_estimates(real, rng))
         if hypothesis_name == "h0":
             targets, stream = [None], 0xCA1
         else:
@@ -864,15 +904,16 @@ class TestSweepPeaks:
             doppler = 2.0 * cfg.target_speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
             targets = [_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler)]
             stream = 0x9D
-        return dict(
-            real=real, cfg=cfg, grid=grid, target_direction=direction, cells=cells,
-            targets=targets, n_trials=14, stream_key=stream,
+        case = dict(
+            real=real, seed=cfg.seed, a=a, cells=cells, targets=targets, n_trials=14,
+            stream_key=stream,
         )
+        return case, cfg, direction
 
     @pytest.mark.parametrize("hypothesis_name", ["h0", "h1"])
     def test_many_users_match_antenna_domain_replay(self, monkeypatch, hypothesis_name):
         """K = 8: a batch spans several pair-table blocks and ends in a ragged one."""
-        case = self.many_users_case(hypothesis_name)
+        case, cfg, direction = self.many_users_case(hypothesis_name)
         real, batch = case["real"], self.MANY_USERS_BATCH
         monkeypatch.setattr(experiments, "BATCH", batch)
         block = experiments.PAIR_TABLE_BYTES // (9 * 8 * real.frame.n_symbols
@@ -881,7 +922,7 @@ class TestSweepPeaks:
         peaks = simulate_sweep_peaks(**case)
         for row, (kind, powers) in zip(peaks, case["cells"]):
             ref = cell_peaks_oracle(
-                real, case["cfg"], case["grid"], case["target_direction"], kind, powers,
+                real, cfg, DelayDopplerGrid.natural(real.frame), direction, kind, powers,
                 case["targets"], case["n_trials"], case["stream_key"], batch,
             )
             np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0)
@@ -889,21 +930,19 @@ class TestSweepPeaks:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_peaks_do_not_depend_on_the_worker_count(self, sweep, hypothesis, monkeypatch,
                                                      workers):
-        cfg, real, grid, direction, cells, _ = sweep
+        cfg, real, _, _, a, cells, _ = sweep
         targets, stream, peaks = hypothesis
         monkeypatch.setattr(experiments, "_workers", lambda: workers)
-        again = simulate_sweep_peaks(
-            real, cfg, grid, direction, cells, targets, self.N_TRIALS, stream
-        )
+        again = simulate_sweep_peaks(real, cfg.seed, a, cells, targets, self.N_TRIALS, stream)
         np.testing.assert_array_equal(again, peaks)
 
     def test_peaks_do_not_depend_on_the_block_split(self, sweep, hypothesis):
         """A drawn batch computed in blocks of 1 or 7 trials or as one block gives the
         peaks of the sweep."""
-        cfg, real, grid, direction, cells, _ = sweep
+        cfg, real, _, _, a, cells, _ = sweep
         targets, stream, peaks = hypothesis
         sweep_pass = experiments._SweepPass(
-            real, cfg, grid, direction, cells, targets, self.BATCH, stream
+            real, cfg.seed, a, cells, targets, self.BATCH, stream
         )
         batch = sweep_pass.draw(*sweep_pass.batches[0])
         for size in (1, 7, self.BATCH):
@@ -928,11 +967,11 @@ class TestSweepPeaks:
     @pytest.mark.parametrize("step", [1, 3])
     def test_peaks_do_not_depend_on_the_step_split(self, sweep, hypothesis, monkeypatch, step):
         """A block of a whole batch run in steps of 1 or 3 trials gives the peaks of the sweep."""
-        cfg, real, grid, direction, cells, _ = sweep
+        cfg, real, _, _, a, cells, _ = sweep
         targets, stream, peaks = hypothesis
         case = dict(
-            real=real, cfg=cfg, grid=grid, target_direction=direction, cells=cells,
-            targets=targets, n_trials=self.BATCH, stream_key=stream,
+            real=real, seed=cfg.seed, a=a, cells=cells, targets=targets, n_trials=self.BATCH,
+            stream_key=stream,
         )
         stepped = self.peaks_in_steps(monkeypatch, case, step)
         np.testing.assert_array_equal(stepped, peaks[:, :, : self.BATCH])
@@ -942,7 +981,7 @@ class TestSweepPeaks:
     def test_many_users_peaks_do_not_depend_on_the_step_split(self, monkeypatch,
                                                               hypothesis_name, step):
         """K = 8: steps of 1 or 3 trials, below the pair-table step of 4."""
-        case = self.many_users_case(hypothesis_name)
+        case, _, _ = self.many_users_case(hypothesis_name)
         monkeypatch.setattr(experiments, "BATCH", self.MANY_USERS_BATCH)
         reference = simulate_sweep_peaks(**case)
         stepped = self.peaks_in_steps(monkeypatch, case, step)
@@ -952,7 +991,7 @@ class TestSweepPeaks:
     def test_many_users_peaks_do_not_depend_on_the_worker_count(self, monkeypatch,
                                                                 hypothesis_name):
         """K = 8 with trial blocks of at most 3 trials, across the pair-table steps of 4."""
-        case = self.many_users_case(hypothesis_name)
+        case, _, _ = self.many_users_case(hypothesis_name)
         monkeypatch.setattr(experiments, "BATCH", self.MANY_USERS_BATCH)
         reference = simulate_sweep_peaks(**case)
         monkeypatch.setattr(experiments, "BLOCK_TRIALS", 3)
@@ -966,7 +1005,7 @@ class TestSweepPeaks:
 
     def test_drawn_batches_alive_stay_within_the_bound(self, sweep, monkeypatch):
         """With slow trial blocks the draws run ahead, but at most workers + 1 batches live."""
-        cfg, real, grid, direction, cells, _ = sweep
+        cfg, real, _, _, a, cells, _ = sweep
         lock, alive, most = threading.Lock(), [0], [0]
 
         def released():
@@ -990,22 +1029,23 @@ class TestSweepPeaks:
         monkeypatch.setattr(experiments._SweepPass, "compute", slow_compute)
         monkeypatch.setattr(experiments, "_workers", lambda: 2)
         monkeypatch.setattr(experiments, "BATCH", 8)
-        peaks = simulate_sweep_peaks(real, cfg, grid, direction, cells, [None], 120, 0xCA1)
+        peaks = simulate_sweep_peaks(real, cfg.seed, a, cells, [None], 120, 0xCA1)
         assert np.all(peaks > 0)
         assert 2 <= most[0] <= 3
         assert alive[0] == 0
 
     def test_cell_order_does_not_matter(self, sweep, hypothesis):
-        cfg, real, grid, direction, cells, _ = sweep
+        cfg, real, _, _, a, cells, _ = sweep
         targets, stream, peaks = hypothesis
         reverse = simulate_sweep_peaks(
-            real, cfg, grid, direction, cells[::-1], targets, self.N_TRIALS, stream
+            real, cfg.seed, a, cells[::-1], targets, self.N_TRIALS, stream
         )
         np.testing.assert_allclose(reverse[::-1], peaks, rtol=1e-12, atol=0)
 
 
 class TestScalarSimulatorMatchesAntennaDomain:
-    """simulate_peak_statistics against synthesize_tx_grid -> target_echo -> glrt_statistic.
+    """A one-cell simulate_sweep_peaks pass against synthesize_tx_grid -> target_echo ->
+    glrt_statistic.
 
     Desk deployment under pilot reuse (rank-deficient estimates), a target
     weak enough that Pd sits mid-range.  The threshold is the scalar
@@ -1030,10 +1070,10 @@ class TestScalarSimulatorMatchesAntennaDomain:
         doppler = 2.0 * cfg.target_speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
         target = _TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler)
 
-        sim_h0, sim_h1 = simulate_peak_statistics(
-            real, cfg, grid, direction, beam_kind, powers, [None, target], self.N_SIM,
-            stream_key=0xE9,
-        )
+        sim_h0, sim_h1 = simulate_sweep_peaks(
+            real, cfg.seed, steering_vector(real.geom, direction), [(beam_kind, powers)],
+            [None, target], self.N_SIM, stream_key=0xE9,
+        )[0]
         pfa = 0.1
         threshold = np.quantile(sim_h0, 1.0 - pfa, method="higher")
         ant_h0 = antenna_domain_peaks(
@@ -1397,14 +1437,23 @@ class TestCli:
         assert cli_main(args) == 0
         assert len(builds) == 1
 
-    @pytest.mark.parametrize("draws", ["200", "20000"])
+    @pytest.mark.parametrize(
+        "beam, draws",
+        [
+            pytest.param("pbr", "200", id="200"),
+            pytest.param("pbr", "20000", id="20000"),
+            pytest.param("zfr", "20000", id="zfr-20000"),
+        ],
+    )
     def test_validate_judges_a_clamped_diagonal_against_the_clamp_scale(
-        self, tmp_path, capsys, draws
+        self, tmp_path, capsys, beam, draws
     ):
         """Noiseless LoS/LMMSE: each closed-form xi_kk is clamped to 0 while the MC
-        value is round-off (or an exact 0), which is no failure."""
+        value is round-off (or an exact 0), which is no failure.  Under ZFR the beam
+        nulls every user, so both leakages are round-off too, far below REAL_TOL *
+        E||h_k||^2."""
         cfg = desk_preset().replace(
-            channel_model="los", estimator="lmmse", noise_psd_dbm_hz=-300.0
+            channel_model="los", estimator="lmmse", radar_beam=beam, noise_psd_dbm_hz=-300.0
         )
         path = tmp_path / "quiet.json"
         path.write_text(dump_config(cfg))

@@ -47,7 +47,7 @@ def make_beams(rng, n_users):
     """(K+1, 4): random unit-norm user beams, then the PBR beam."""
     users = rng.standard_normal((n_users, 4)) + 1j * rng.standard_normal((n_users, 4))
     users /= np.linalg.norm(users, axis=-1, keepdims=True)
-    return np.vstack([users, pbr_beam(GEOM, DIR)])
+    return np.vstack([users, pbr_beam(steering_vector(GEOM, DIR))])
 
 
 def make_tx(rng, n_users=2, eta_users=None, eta_radar=0.5):

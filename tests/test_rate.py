@@ -49,7 +49,7 @@ def hbar_of(stats):
 
 def coefficients(stats, book, estimator, noise_var, e_matrices=None):
     return build_rate_coefficients(
-        stats, GEOM, book, estimator, pbr_beam(GEOM, DIR2), noise_var, 0.1,
+        stats, GEOM, book, estimator, pbr_beam(steering_vector(GEOM, DIR2)), noise_var, 0.1,
         bandwidth=1e6, tau_c=200, e_matrices=e_matrices,
     )
 
@@ -206,13 +206,13 @@ class TestInterferenceMatrix:
         ]
         e_list, _ = lmmse_matrices(book, stats, GEOM, 0.05)
         coeffs = build_rate_coefficients(
-            stats, GEOM, book, Estimator.LMMSE, pbr_beam(GEOM, DIR2), 0.05, 0.05,
+            stats, GEOM, book, Estimator.LMMSE, pbr_beam(steering_vector(GEOM, DIR2)), 0.05, 0.05,
             bandwidth=1e6, tau_c=200, e_matrices=tuple(e_list),
         )
         rng = np.random.default_rng(123)
         filters = training_statistics(book, stats, GEOM, 0.05, Estimator.LMMSE).filters
         mc = monte_carlo_rate_terms(
-            stats, GEOM, book, filters, pbr_beam(GEOM, DIR2), 0.05, 40_000, rng
+            stats, GEOM, book, filters, pbr_beam(steering_vector(GEOM, DIR2)), 0.05, 40_000, rng
         )
         report = compare_terms(mc, coeffs, rtol=0.05)
         assert all(ok for _, _, ok in report), report
@@ -238,18 +238,18 @@ class TestDenseOracle:
             real = realize_scenario(cfg, rng)
             stats = list(real.stats)
             estimates = draw_estimates(real, rng)
-            direction = draw_scan_direction(cfg, rng)
+            a = steering_vector(real.geom, draw_scan_direction(cfg, rng))
             if beam == "pbr":
-                radar_beam = pbr_beam(real.geom, direction)
+                radar_beam = pbr_beam(a)
             else:
-                radar_beam = zfr_beam(real.geom, direction, estimates)
+                radar_beam = zfr_beam(a, estimates)
             got = build_rate_coefficients(
                 stats, real.geom, real.book, real.estimator, radar_beam,
-                real.noise_var_ul, real.noise_var_dl, bandwidth=1e6, tau_c=cfg.tau_c,
+                real.noise_var, real.noise_var, bandwidth=1e6, tau_c=cfg.tau_c,
                 e_matrices=real.statistics.filters.dense(),
             )
             useful, xi, leakage = dense_rate_coefficients(
-                stats, real.geom, real.book, real.estimator, real.noise_var_ul, radar_beam
+                stats, real.geom, real.book, real.estimator, real.noise_var, radar_beam
             )
             np.testing.assert_allclose(got.signal_gain, useful, rtol=1e-9)
             # Entries that cancel to zero are judged on the scale of the
@@ -398,12 +398,12 @@ def test_deployment_statistics_give_the_coefficients_of_their_own_book(estimator
     cfg = desk_preset().replace(channel_model="rice", estimator=estimator)
     real = realize_scenario(cfg, np.random.default_rng([cfg.seed, 0x0AC]))
     assert real.statistics.book is real.book
-    beam = pbr_beam(real.geom, DIR2)
-    got = rate_coefficients(real.statistics, beam, real.noise_var_dl, 1e6, cfg.tau_c)
+    beam = pbr_beam(steering_vector(real.geom, DIR2))
+    got = rate_coefficients(real.statistics, beam, real.noise_var, 1e6, cfg.tau_c)
     want = build_rate_coefficients(
         list(real.stats), real.geom, real.book, real.estimator, beam,
-        real.noise_var_ul, real.noise_var_dl, 1e6, cfg.tau_c,
+        real.noise_var, real.noise_var, 1e6, cfg.tau_c,
     )
     for field in ("signal_gain", "interference", "radar_leakage"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-    assert (got.noise_var, got.tau_c, got.tau_p) == (real.noise_var_dl, cfg.tau_c, 2)
+    assert (got.noise_var, got.tau_c, got.tau_p) == (real.noise_var, cfg.tau_c, 2)

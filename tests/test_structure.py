@@ -11,6 +11,7 @@ import jcsim
 
 # The jcsim modules a module may import, for the modules held to a list.
 ALLOWED_IMPORTS = {
+    "jcsim.beamform": set(),
     "jcsim.radar": set(),
     "jcsim.poweralloc": {"jcsim.rate"},
 }

@@ -165,26 +165,19 @@ def draw_channels(
     return out
 
 
-def target_alpha(
-    range_m: float,
-    geom: ArrayGeometry,
-    rcs: float = 0.1253,
-    carrier: float = 3e9,
-) -> tuple[complex, float]:
-    """Reflection-plus-path-loss coefficient and round-trip delay.
+def target_alpha(range_m: float, geom: ArrayGeometry, rcs: float) -> tuple[float, float]:
+    """Reflection-plus-path-loss magnitude and round-trip delay of a target of RCS ``rcs``.
 
     The two-way free-space loss follows the radar range equation,
-    L = (4 pi)^3 / lambda^2 * range^4, and the array contributes its linear
-    broadside gain N_A.  The phase is zero; a Swerling-0 target with random
-    phase multiplies it by a uniform unit phase.  The default RCS is that
-    of a small UAV.
+    L = (4 pi)^3 / lambda^2 * range^4, at the geometry's wavelength lambda,
+    and the array contributes its linear broadside gain N_A.  The phase is
+    zero; a Swerling-0 target with random phase multiplies the magnitude by
+    a uniform unit phase.
     """
     if range_m <= 0:
         raise ValueError("range must be positive")
     if rcs <= 0:
         raise ValueError("rcs must be positive")
-    wavelength = SPEED_OF_LIGHT / carrier
     tau = 2.0 * range_m / SPEED_OF_LIGHT
-    loss = (4.0 * np.pi) ** 3 / wavelength**2 * range_m**4
-    magnitude = geom.n_elements * np.sqrt(rcs / loss)
-    return complex(magnitude), float(tau)
+    loss = (4.0 * np.pi) ** 3 / geom.wavelength**2 * range_m**4
+    return float(geom.n_elements * np.sqrt(rcs / loss)), float(tau)

@@ -8,7 +8,8 @@ allocate   solve one power allocation from a coefficients JSON file
 validate   Monte-Carlo cross-check of the closed-form rate coefficients
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible allocation,
-4 numerical-consistency failure.
+4 numerical-consistency failure (a failed check or solve, a degenerate
+radar direction or a singular linear system).
 """
 
 import argparse
@@ -18,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..beamform import RadarBeamKind
-from ..estimation import Estimator
+from ..beamform import DegenerateDirectionError, RadarBeamKind
+from ..estimation import EstimationError, Estimator
 from ..poweralloc import (
     AllocationInfeasibleError,
     RadarSirCoefficients,
@@ -237,7 +238,8 @@ def main(argv=None) -> int:
     except AllocationInfeasibleError as exc:
         print(f"infeasible allocation: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (NumericalConsistencyError, SolverError, ArithmeticError) as exc:
+    except (NumericalConsistencyError, SolverError, ArithmeticError, EstimationError,
+            DegenerateDirectionError, np.linalg.LinAlgError) as exc:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

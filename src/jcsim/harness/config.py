@@ -192,9 +192,6 @@ class ScenarioConfig:
     def replace(self, **changes) -> "ScenarioConfig":
         return dataclasses.replace(self, **changes)
 
-    def config_hash(self) -> str:
-        return hash_config(self.to_dict())
-
 
 def hash_config(data: dict) -> str:
     """Short SHA-256 of a config dict (``ScenarioConfig.to_dict``) in canonical JSON."""

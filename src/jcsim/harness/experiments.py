@@ -50,7 +50,7 @@ import numpy as np
 
 from ..array import steering_vector
 from ..beamform import RadarBeamKind, beam_set
-from ..channel import SPEED_OF_LIGHT, draw_channels, target_alpha
+from ..channel import draw_channels, target_alpha
 from ..estimation import estimate
 from ..poweralloc import (
     AllocationInfeasibleError,
@@ -113,14 +113,16 @@ def binomial_ci(p_hat: float, n: int) -> tuple[float, float]:
 
 @dataclass
 class ExperimentResult:
-    """Rows of one experiment plus everything needed to reproduce them."""
+    """Rows of one experiment plus everything needed to reproduce them.
+
+    ``config`` is the run's ``ScenarioConfig.to_dict()``; the manifest's seed
+    and config hash are read from it.
+    """
 
     kind: str
     rows: list
     fields: list
     config: dict
-    seed: int
-    config_hash: str
     failures: list = field(default_factory=list)
     row_filter: dict = field(default_factory=dict)  # column -> value every kept row has
 
@@ -129,15 +131,6 @@ class ExperimentResult:
             for key, value in row.items():
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ArithmeticError(f"non-finite value in result row: {key}={value}")
-
-    @classmethod
-    def of_run(cls, kind: str, cfg: ScenarioConfig, rows, fields, failures) -> "ExperimentResult":
-        """A driver's result, with the config dict and hash of ``cfg``."""
-        config = cfg.to_dict()
-        return cls(
-            kind=kind, rows=rows, fields=fields, config=config, seed=cfg.seed,
-            config_hash=hash_config(config), failures=failures,
-        )
 
     def keep_rows(self, **wanted) -> None:
         """Keep only the rows whose columns equal ``wanted``; the manifest records the filter."""
@@ -153,8 +146,8 @@ class ExperimentResult:
     def write_manifest(self, path) -> None:
         manifest = {
             "kind": self.kind,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
+            "seed": self.config["seed"],
+            "config_hash": hash_config(self.config),
             "config": self.config,
             "n_rows": len(self.rows),
             "failures": self.failures,
@@ -199,7 +192,7 @@ def run_rate_experiment(cfg: ScenarioConfig) -> ExperimentResult:
                         "seed": f"{cfg.seed}:{trial}",
                     }
                 )
-    return ExperimentResult.of_run("rates", cfg, rows, RATE_FIELDS, failures)
+    return ExperimentResult("rates", rows, RATE_FIELDS, cfg.to_dict(), failures)
 
 
 @dataclass(frozen=True)
@@ -561,22 +554,21 @@ def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     real = realize_scenario(cfg, rng0)
     grid = DelayDopplerGrid.natural(real.frame)
     a = steering_vector(real.geom, draw_scan_direction(cfg, rng0))
-    wavelength = SPEED_OF_LIGHT / cfg.carrier_hz
     if real.geom.n_elements <= cfg.n_users:
         raise ConfigError("the sweep's zfr cells need more antennas (n_y * n_z) than users")
 
     targets = []
     for r in cfg.detection_ranges_m:
-        alpha, delay = target_alpha(r, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
+        alpha_mag, delay = target_alpha(r, real.geom, cfg.target_rcs_m2)
         if delay > real.frame.cp_duration:
             raise ConfigError(
                 f"target range {r} m puts the echo delay beyond the cyclic prefix"
             )
-        doppler = 2.0 * cfg.target_speed_mps / wavelength
+        doppler = 2.0 * cfg.target_speed_mps / real.geom.wavelength
         if cfg.target_on_grid:
             delay = _snap(delay, grid.delays)
             doppler = _snap(doppler, grid.dopplers)
-        targets.append(_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler))
+        targets.append(_TargetParams(alpha_mag, delay, doppler))
 
     # Reference realization for the per-cell power allocation.
     estimates = draw_estimates(real, rng0)
@@ -611,4 +603,4 @@ def run_detection_experiment(cfg: ScenarioConfig) -> ExperimentResult:
                     "seed": f"{cfg.seed}",
                 }
             )
-    return ExperimentResult.of_run("detect", cfg, rows, PD_FIELDS, failures)
+    return ExperimentResult("detect", rows, PD_FIELDS, cfg.to_dict(), failures)

@@ -8,6 +8,7 @@ request by :meth:`IdentityPlusLowRank.dense`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +41,9 @@ class IdentityPlusLowRank:
     def n(self) -> int:
         return self.basis.shape[0]
 
-    @property
+    @cached_property
     def H(self) -> "IdentityPlusLowRank":
-        """Conjugate transpose of every matrix of the stack."""
+        """Conjugate transpose of every matrix of the stack, formed on first read and kept."""
         return self._with(np.conj(self.scale), np.conj(np.swapaxes(self.core, -1, -2)))
 
     def __matmul__(self, other: "IdentityPlusLowRank") -> "IdentityPlusLowRank":

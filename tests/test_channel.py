@@ -133,8 +133,8 @@ class TestDraws:
 
 class TestTarget:
     def test_delay_and_fourth_power_law(self):
-        alpha1, tau1 = target_alpha(100.0, GEOM, rcs=0.1253, carrier=3e9)
-        alpha2, tau2 = target_alpha(200.0, GEOM, rcs=0.1253, carrier=3e9)
+        alpha1, tau1 = target_alpha(100.0, GEOM, rcs=0.1253)
+        alpha2, tau2 = target_alpha(200.0, GEOM, rcs=0.1253)
         assert np.isclose(tau1, 2.0 * 100.0 / SPEED_OF_LIGHT, rtol=1e-12)
         assert np.isclose(tau2, 2.0 * tau1, rtol=1e-12)
         assert np.isclose(abs(alpha2), abs(alpha1) / 4.0, rtol=1e-12)
@@ -142,14 +142,13 @@ class TestTarget:
     def test_magnitude_matches_scalar_oracle(self):
         wavelength = 0.1
         geom = ArrayGeometry.half_wavelength(10, 10, wavelength)
-        carrier = SPEED_OF_LIGHT / wavelength
-        alpha, _ = target_alpha(100.0, geom, rcs=0.1253, carrier=carrier)
+        alpha, _ = target_alpha(100.0, geom, rcs=0.1253)
         loss = (4.0 * np.pi) ** 3 / wavelength**2 * 100.0**4
         assert np.isclose(abs(alpha), 100 * np.sqrt(0.1253 / loss), rtol=1e-12)
 
     def test_two_way_matrix_is_rank_one(self):
         rng = np.random.default_rng(17)
-        alpha, tau = target_alpha(150.0, GEOM)
+        alpha, tau = target_alpha(150.0, GEOM, rcs=0.1253)
         alpha *= np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         tc = TargetChannel.from_geometry(GEOM, alpha, DIR, tau, doppler=600.0)
         s = np.linalg.svd(tc.two_way_matrix, compute_uv=False)
@@ -161,7 +160,7 @@ class TestTarget:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            target_alpha(0.0, GEOM)
+            target_alpha(0.0, GEOM, rcs=0.1253)
         with pytest.raises(ValueError):
             target_alpha(100.0, GEOM, rcs=-1.0)
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ import jcsim
 from jcsim.array import steering_vector
 from jcsim.beamform import DegenerateDirectionError, RadarBeamKind
 from jcsim.channel import SPEED_OF_LIGHT, target_alpha
+from jcsim.estimation import EstimationError
 from jcsim.harness import experiments, scenario
 from jcsim.harness.cli import _build_parser
 from jcsim.harness.cli import main as cli_main
@@ -47,6 +49,7 @@ from jcsim.harness.scenario import (
     noise_variance,
     realize_scenario,
 )
+from jcsim.lowrank import IdentityPlusLowRank
 from jcsim.poweralloc import AllocationInfeasibleError, uniform_allocate
 from jcsim.radar import DelayDopplerGrid
 from oracles import antenna_domain_peaks, cell_peaks_oracle, single_shot_estimates_oracle
@@ -150,7 +153,7 @@ class TestConfig:
     def test_round_trip(self):
         cfg = desk_preset()
         assert load_config(dump_config(cfg)) == cfg
-        assert load_config(dump_config(cfg)).config_hash() == cfg.config_hash()
+        assert hash_config(load_config(dump_config(cfg)).to_dict()) == hash_config(cfg.to_dict())
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -202,13 +205,13 @@ class TestConfig:
             for key, value in dataclasses.asdict(cfg).items()
         }
         assert json.dumps(cfg.to_dict()) == json.dumps(reference)
-        assert cfg.config_hash() == hash_config(cfg.to_dict()) == digest
+        assert hash_config(cfg.to_dict()) == digest
 
     def test_presets_differ(self):
         desk, table = desk_preset(), table1_preset()
         assert desk.n_users == 4 and table.n_users == 10
         assert table.n_subcarriers == 512
-        assert desk.config_hash() != table.config_hash()
+        assert hash_config(desk.to_dict()) != hash_config(table.to_dict())
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ConfigError):
@@ -340,7 +343,7 @@ class TestRateExperiment:
         a = run_rate_experiment(small_rate_cfg())
         b = run_rate_experiment(small_rate_cfg())
         assert a.rows == b.rows
-        assert a.config_hash == b.config_hash
+        assert hash_config(a.config) == hash_config(b.config)
 
     def test_row_contents(self):
         cfg = small_rate_cfg()
@@ -384,7 +387,7 @@ class TestRateExperiment:
         assert lines[0].split(",") == result.fields
         assert len(lines) == len(result.rows) + 1
         manifest = json.loads((tmp_path / "rates.manifest.json").read_text())
-        assert manifest["config_hash"] == result.config_hash
+        assert manifest["config_hash"] == hash_config(result.config)
         assert manifest["n_rows"] == len(result.rows)
 
 
@@ -393,7 +396,7 @@ def test_experiment_result_rejects_a_non_finite_value(value):
     with pytest.raises(ArithmeticError, match="rate_bps"):
         ExperimentResult(
             kind="rates", rows=[{"trial": 0, "rate_bps": value}], fields=["trial", "rate_bps"],
-            config={}, seed=0, config_hash="",
+            config={},
         )
 
 
@@ -460,6 +463,42 @@ def test_two_array_responses_per_deployment(monkeypatch, run, cfg, responses):
     monkeypatch.setattr(jcsim.array, "_response", counted)
     run(cfg)
     assert len(calls) == responses
+
+
+@pytest.mark.parametrize(
+    "run, cfg",
+    [
+        pytest.param(
+            run_rate_experiment,
+            table1_preset().replace(
+                channel_model="rice", estimator="lmmse", radar_beam="zfr", n_scenarios=1
+            ),
+            id="rates-table1",
+        ),
+        pytest.param(
+            run_detection_experiment,
+            desk_preset().replace(
+                n_detection_trials=32, pfa_target=0.75, detection_rcr_db=(3.0,)
+            ),
+            id="detect-desk",
+        ),
+    ],
+)
+def test_filters_form_their_adjoint_once_per_deployment(monkeypatch, run, cfg):
+    """The scenario's estimates, the covariances C_k, each beam's mean gains and every
+    sweep batch's estimates read one adjoint stack A^H of the deployment's filters."""
+    calls = []
+    form = vars(IdentityPlusLowRank)["H"].func
+
+    def counted(self):
+        calls.append(1)  # the sweep's draws run on worker threads: append is atomic
+        return form(self)
+
+    adjoint = functools.cached_property(counted)
+    adjoint.__set_name__(IdentityPlusLowRank, "H")
+    monkeypatch.setattr(IdentityPlusLowRank, "H", adjoint)
+    run(cfg)
+    assert len(calls) == 1
 
 
 # run_detection_experiment(desk_preset().replace(n_detection_trials=200)), 200 trials a
@@ -710,8 +749,8 @@ class TestKeptWorkspaces:
         a = steering_vector(real.geom, draw_scan_direction(cfg, np.random.default_rng(12)))
         estimates = draw_estimates(real, np.random.default_rng(13))
         cells, _ = sweep_cells(cfg, real, a, estimates)
-        alpha, delay = target_alpha(250.0, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
-        targets = [None, _TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=300.0)]
+        alpha, delay = target_alpha(250.0, real.geom, cfg.target_rcs_m2)
+        targets = [None, _TargetParams(alpha_mag=alpha, delay=delay, doppler=300.0)]
 
         def run():
             peaks = simulate_sweep_peaks(real, cfg.seed, a, cells, targets, 70, 0x9D)
@@ -796,8 +835,8 @@ class TestKeptWorkspaces:
         cells, _ = sweep_cells(cfg, real, a, draw_estimates(real, rng))
         targets = []
         for r in cfg.detection_ranges_m:
-            alpha, delay = target_alpha(r, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
-            targets.append(_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=300.0))
+            alpha, delay = target_alpha(r, real.geom, cfg.target_rcs_m2)
+            targets.append(_TargetParams(alpha_mag=alpha, delay=delay, doppler=300.0))
         monkeypatch.setattr(experiments, "BATCH", 128)
         sweep_pass = experiments._SweepPass(real, cfg.seed, a, cells, targets, 128, 0x9D)
         assert sweep_pass.step_trials < 16
@@ -846,9 +885,9 @@ class TestSweepPeaks:
         assert not failures and len(cells) == 8
         targets = []
         for r in (250.0, 345.0):
-            alpha, delay = target_alpha(r, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
+            alpha, delay = target_alpha(r, real.geom, cfg.target_rcs_m2)
             doppler = 2.0 * cfg.target_speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
-            targets.append(_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler))
+            targets.append(_TargetParams(alpha_mag=alpha, delay=delay, doppler=doppler))
         return cfg, real, grid, direction, a, cells, targets
 
     @pytest.fixture(scope="class", params=["h0", "h1"])
@@ -900,9 +939,9 @@ class TestSweepPeaks:
         if hypothesis_name == "h0":
             targets, stream = [None], 0xCA1
         else:
-            alpha, delay = target_alpha(300.0, real.geom, cfg.target_rcs_m2, cfg.carrier_hz)
+            alpha, delay = target_alpha(300.0, real.geom, cfg.target_rcs_m2)
             doppler = 2.0 * cfg.target_speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
-            targets = [_TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler)]
+            targets = [_TargetParams(alpha_mag=alpha, delay=delay, doppler=doppler)]
             stream = 0x9D
         case = dict(
             real=real, seed=cfg.seed, a=a, cells=cells, targets=targets, n_trials=14,
@@ -1066,9 +1105,9 @@ class TestScalarSimulatorMatchesAntennaDomain:
         powers = uniform_allocate(
             cfg.p_dl_w, cfg.rcr_linear, cfg.n_users, cfg.n_subcarriers, cfg.n_symbols
         )
-        alpha, delay = target_alpha(345.0, real.geom, 2.5e-4, cfg.carrier_hz)
+        alpha, delay = target_alpha(345.0, real.geom, 2.5e-4)
         doppler = 2.0 * cfg.target_speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
-        target = _TargetParams(alpha_mag=abs(alpha), delay=delay, doppler=doppler)
+        target = _TargetParams(alpha_mag=alpha, delay=delay, doppler=doppler)
 
         sim_h0, sim_h1 = simulate_sweep_peaks(
             real, cfg.seed, steering_vector(real.geom, direction), [(beam_kind, powers)],
@@ -1366,6 +1405,38 @@ class TestCli:
         assert cli_main(["detect", "--config", str(path), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "error", [DegenerateDirectionError, np.linalg.LinAlgError, EstimationError]
+    )
+    @pytest.mark.parametrize("command", ["rates", "detect", "validate"])
+    def test_numerical_failure_exits_4(self, monkeypatch, tmp_path, capsys, command, error):
+        """An error of the numerics exits 4 and writes nothing: rates meets it in a scenario's
+        rate coefficients, detect in a trial block on a worker thread, validate in the
+        coefficients it checks."""
+        caller, raised_on = threading.current_thread(), []
+        module, name = {
+            "rates": (experiments, "rate_coefficients"),
+            "detect": (experiments, "beam_set"),
+            "validate": (jcsim.rate, "rate_coefficients"),
+        }[command]
+        original = getattr(module, name)
+
+        def failing(*args):
+            # Trial blocks take a stack of estimates; the reference allocation takes one set.
+            if command != "detect" or np.ndim(args[2]) == 3:
+                raised_on.append(threading.current_thread())
+                raise error("injected")
+            return original(*args)
+
+        monkeypatch.setattr(module, name, failing)
+        out = tmp_path / "out.csv"
+        sizes = {"rates": ["--scenarios", "2"], "detect": ["--trials", "8"],
+                 "validate": ["--draws", "2000"]}[command]
+        assert cli_main([command, "--preset", "desk", *sizes, "--out", str(out)]) == 4
+        assert "numerical consistency failure: injected" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no CSV, manifest or report
+        assert raised_on and (caller not in raised_on) == (command == "detect")
 
     @pytest.mark.parametrize(
         "changes", [pytest.param({"cp_fraction": 0}, id="cp_fraction-0"), *DEGENERATE_DEPLOYMENTS]

@@ -7,6 +7,7 @@ experiment bit for bit.
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import types
 from dataclasses import dataclass
@@ -32,17 +33,18 @@ class ConfigError(ValueError):
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) < math.inf
 
 
-# What each field annotation accepts: a JSON number for float, a whole one
-# for int, and a list of numbers for tuple.
+# What each field annotation accepts: a finite JSON number for float (JSON parses
+# NaN and Infinity), a whole one for int, and a list of finite numbers for tuple.
 _TYPE_CHECKS = {
     int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
-    float: ("a number", _is_real),
+    float: ("a finite number", _is_real),
     str: ("a string", lambda v: isinstance(v, str)),
     bool: ("true or false", lambda v: isinstance(v, bool)),
-    tuple: ("a list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v))),
+    tuple: ("a list of finite numbers",
+            lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v))),
 }
 
 
@@ -141,8 +143,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must lie within [{low:g}, {high:g}]")
         if not 1 <= self.effective_tau_p <= self.tau_c:
             raise ConfigError("tau_p (default: n_users) must lie in [1, tau_c]")
-        if self.n_scenarios < 0 or self.n_detection_trials < 1:
-            raise ConfigError("n_scenarios must be >= 0 and n_detection_trials >= 1")
+        if self.seed < 0 or self.n_scenarios < 0 or self.n_detection_trials < 1:
+            raise ConfigError("seed and n_scenarios must be >= 0 and n_detection_trials >= 1")
         if not self.detection_ranges_m or not self.detection_rcr_db:
             raise ConfigError("detection_ranges_m and detection_rcr_db must not be empty")
         if min(self.detection_ranges_m) <= 0:

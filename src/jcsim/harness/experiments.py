@@ -19,13 +19,14 @@ Threading model.  A detection call allocates its cells on the calling
 thread, then runs its passes with :func:`_run`, which opens one pool of
 :func:`_workers` threads and joins it before it returns.  A task either
 draws a batch, consuming that batch's own stream in a fixed order, or
-computes a block of a drawn batch's trials, writing only those trials'
-peaks.  Tasks take their work buffers from a module-level free list and
-give them back, so a sweep allocates no large array in steady state; up
-to ``KEEP_BYTES`` of buffers outlive the call, no thread does.  Every
-batch reads only its own stream, and a trial's peaks take the same bits
-whichever block and step of trials it falls in, so they do not depend on
-which thread runs a block, or when, and no option sets the worker count.
+computes a block of a drawn batch's trials, few enough that the block's
+work buffers stay within ``BLOCK_BYTES``, writing only those trials' peaks.
+Tasks take their work buffers from a module-level free list and give them
+back, so a sweep allocates no large array in steady state; up to
+``KEEP_BYTES`` of buffers outlive the call, no thread does.  Every batch
+reads only its own stream, and a trial's peaks take the same bits whichever
+block of trials it falls in, so they do not depend on which thread runs a
+block, or when, and no option sets the worker count.
 Threads gain only in long native calls: on two vCPUs with BLAS on one
 thread, two threads run a 240k-element normals fill or a 400 x 400 matmul
 about 2x as fast as one, a 45-trial desk block 1.2-2x, and a 40k-element
@@ -204,23 +205,22 @@ class _TargetParams:
 
 # Trials per batch, the unit of the random streams [seed, stream, batch].
 BATCH = 256
-# A batch splits into even trial blocks of at most this many trials: each
-# block is one task of the sweep's thread pool.  Steps bound a block's memory,
-# so blocks only balance the pool: a 134-trial batch is two blocks of 67.
+# A batch splits into even trial blocks, each one task of the sweep's thread
+# pool and one step of its work: a block has at most this many trials, so a
+# 134-trial batch is two blocks of 67, ...
 BLOCK_TRIALS = BATCH // 2
-# Within a block, the forms, the noise and the maps run for so many trials at
-# a time that the step's form and noise buffers stay within this many bytes:
-# with 8 cells, 14 H0 or 8 H1 trials at the table1 geometry (7,168 resource
-# elements) and 117 or 65 at desk (896).
-STEP_BYTES = 8 << 20
-# Within a step, the QPSK pair table is built for so many trials at a time
+# ... and at most so many that its form and noise buffers stay within this
+# many bytes: with 8 cells, 14 H0 or 8 H1 trials at the table1 geometry
+# (7,168 resource elements) and 117 or 65 at desk (896).
+BLOCK_BYTES = 8 << 20
+# Within a block, the QPSK pair table is built for so many trials at a time
 # that it stays near this many bytes; at the table1 geometry (55 pairs, 7,168
 # resource elements) that is one trial.
 PAIR_TABLE_BYTES = 2 << 20
 # Most threads in a sweep's pool.  Each worker holds one block's work buffers
 # and each batch drawn ahead its draws, so peak memory grows with the pool: a
-# table1 detection sweep (8 cells, 10 H0 batches) peaks at about 209, 293-297
-# and 464-489 MiB on 1, 2 and 4 workers, mostly batch draws (47 MiB each).
+# table1 detection sweep (8 cells, 10 H0 batches) peaks at about 223, 260-288
+# and 408-424 MiB on 1, 2 and 4 workers, mostly batch draws (47 MiB each).
 MAX_WORKERS = 4
 # Most bytes of work buffers kept between tasks and calls: a desk sweep keeps
 # 14-31 MiB on two workers; a table1 block's 14 MiB fit, its batch's 47 do not.
@@ -305,7 +305,7 @@ class _SweepPass:
         pair_rows = self.n_beams * (self.n_beams - 1)
         self.table_trials = max(1, PAIR_TABLE_BYTES // (pair_rows * self.n_grid * 8))
         form_rows = len(cells) * (2 if self.with_echo else 1)
-        self.step_trials = max(1, STEP_BYTES // (self.n_grid * (8 * form_rows + 16)))
+        self.block_trials = max(1, BLOCK_BYTES // (self.n_grid * (8 * form_rows + 16)))
         self.batches = [
             (index, start, min(BATCH, n_trials - start))
             for index, start in enumerate(range(0, n_trials, BATCH))
@@ -334,15 +334,16 @@ class _SweepPass:
         return _Batch(start, h_hat, symbols, normals, alpha_phase, ws)
 
     def blocks(self, batch: _Batch) -> list[tuple[int, int]]:
-        """The trial blocks lo:hi of a batch: as even as can be, none above ``BLOCK_TRIALS``."""
+        """The trial blocks lo:hi of a batch: as even as can be, none above ``BLOCK_TRIALS``
+        or the ``block_trials`` whose buffers fit in ``BLOCK_BYTES``."""
         nb = len(batch.h_hat)
-        n_blocks = -(-nb // BLOCK_TRIALS)
+        n_blocks = -(-nb // min(BLOCK_TRIALS, self.block_trials))
         edges = [nb * i // n_blocks for i in range(n_blocks + 1)]
         return list(zip(edges[:-1], edges[1:]))
 
     def compute(self, batch: _Batch, lo: int, hi: int) -> None:
-        """Peaks of every cell and target on trials lo:hi of ``batch``, in steps of trials."""
-        h_hat = batch.h_hat[lo:hi]
+        """Peaks of every cell and target on trials lo:hi of ``batch``, as one step."""
+        h_hat, n = batch.h_hat[lo:hi], hi - lo
         beam_terms = {}
         for kind in self.kinds:
             beams = beam_set(kind, self.a, h_hat)  # unit-norm w_p
@@ -353,42 +354,38 @@ class _SweepPass:
         if self.with_echo:
             echo_weights = [beam_terms[kind][0] * amp for kind, amp in self.cell_amps]
             forms_of += [c.conj()[:, :, None] * c[:, None, :] for c in echo_weights]
-        forms = np.stack(forms_of, axis=1)
+        coef, trace = _pair_form(np.stack(forms_of, axis=1))
         n_cells, (n_symbols, n_subcarriers) = len(self.cell_amps), self.grid_shape
-        ws = _take("block")  # work buffers of one step, reused by every step and cell
-        for first in range(lo, hi, self.step_trials):
-            last = min(first + self.step_trials, hi)
-            n = last - first
-            coef, trace = _pair_form(forms[first - lo : last - lo])
-            table = ws.buffer("table", (min(self.table_trials, n), coef.shape[-1], self.n_grid))
-            form = ws.buffer("form", (n, coef.shape[1], self.n_grid))
-            for sub in range(0, n, self.table_trials):
-                end = min(sub + self.table_trials, n)
-                pairs = table[: end - sub]
-                np.copyto(pairs, _qpsk_pair_table(batch.symbols[first + sub : first + end]))
-                np.matmul(coef[sub:end], pairs, out=form[sub:end])
-            form += trace[:, :, None]  # ||u||^2 rows, then |a^H u|^2 rows
-            # In place: ||u||^2 becomes the noise scale sqrt(sigma^2 ||u||^2 / 2).
-            scale = form[:, :n_cells]
-            np.clip(scale, 0.0, None, out=scale)
-            scale *= self.real.noise_var / 2.0
-            np.sqrt(scale, out=scale)
-            noise = ws.buffer("noise", (n, n_symbols, n_subcarriers), complex)
-            phi = batch.alpha_phase[first:last, :, :, None]
-            trials = slice(batch.start + first, batch.start + last)
-            for ci in range(n_cells):
-                for normals, part in zip(batch.normals[:, first:last], (noise.real, noise.imag)):
-                    np.multiply(normals, scale[:, ci].reshape(noise.shape), out=part)
-                amplitude = _map_amplitude(noise, self.phases)[:, None]  # serves every target
-                if self.with_echo:
-                    # f_c by every target's delay phases, one trial a matmul: a real matmul's
-                    # bits may depend on its number of rows, a trial's must not on its step.
-                    echo = ws.buffer("echo", (n, n_symbols, self.echo_delay.shape[1]))
-                    f_c = form[:, n_cells + ci].reshape(n, n_symbols, n_subcarriers)
-                    np.matmul(f_c, self.echo_delay, out=echo)
-                    by_delay = echo.view(complex).reshape(n, n_symbols, len(self.echo_doppler), -1)
-                    amplitude = phi * (self.echo_doppler @ by_delay.swapaxes(1, 2)) + amplitude
-                self.peaks[ci, :, trials] = (np.abs(amplitude) ** 2).max(axis=(-2, -1)).T
+        ws = _take("block")  # work buffers of the block, reused by every cell
+        table = ws.buffer("table", (min(self.table_trials, n), coef.shape[-1], self.n_grid))
+        form = ws.buffer("form", (n, coef.shape[1], self.n_grid))
+        for sub in range(0, n, self.table_trials):
+            end = min(sub + self.table_trials, n)
+            pairs = table[: end - sub]
+            np.copyto(pairs, _qpsk_pair_table(batch.symbols[lo + sub : lo + end]))
+            np.matmul(coef[sub:end], pairs, out=form[sub:end])
+        form += trace[:, :, None]  # ||u||^2 rows, then |a^H u|^2 rows
+        # In place: ||u||^2 becomes the noise scale sqrt(sigma^2 ||u||^2 / 2).
+        scale = form[:, :n_cells]
+        np.clip(scale, 0.0, None, out=scale)
+        scale *= self.real.noise_var / 2.0
+        np.sqrt(scale, out=scale)
+        noise = ws.buffer("noise", (n, n_symbols, n_subcarriers), complex)
+        phi = batch.alpha_phase[lo:hi, :, :, None]
+        trials = slice(batch.start + lo, batch.start + hi)
+        for ci in range(n_cells):
+            for normals, part in zip(batch.normals[:, lo:hi], (noise.real, noise.imag)):
+                np.multiply(normals, scale[:, ci].reshape(noise.shape), out=part)
+            amplitude = _map_amplitude(noise, self.phases)[:, None]  # serves every target
+            if self.with_echo:
+                # f_c by every target's delay phases, one trial a matmul: a real matmul's
+                # bits may depend on its number of rows, a trial's must not on its block.
+                echo = ws.buffer("echo", (n, n_symbols, self.echo_delay.shape[1]))
+                f_c = form[:, n_cells + ci].reshape(n, n_symbols, n_subcarriers)
+                np.matmul(f_c, self.echo_delay, out=echo)
+                by_delay = echo.view(complex).reshape(n, n_symbols, len(self.echo_doppler), -1)
+                amplitude = phi * (self.echo_doppler @ by_delay.swapaxes(1, 2)) + amplitude
+            self.peaks[ci, :, trials] = (np.abs(amplitude) ** 2).max(axis=(-2, -1)).T
         _give_back("block", ws)
 
 
@@ -463,21 +460,20 @@ def simulate_sweep_peaks(
     same for every cell (:func:`jcsim.radar._pair_form`).
 
     Every cell runs on the same draws, so the sweep pairs its cells through
-    common random numbers.  Each batch of trials works on four levels:
+    common random numbers.  Each batch of trials works on three levels:
 
     - per batch, in stream order: channels and estimates
       (:func:`jcsim.channel.draw_channels`, :func:`jcsim.estimation.estimate`),
       the QPSK indices of x_p, two raw bits each (:func:`jcsim.radar.qpsk_indices`),
       the complex noise normals and the target phases;
-    - per trial block of at most ``BLOCK_TRIALS`` trials: once per distinct
-      beam kind, the beams (:func:`jcsim.beamform.beam_set` on the stack of
-      estimates), a^H w_p and G, then every cell's M of ||u||^2 and, in H1
-      passes, of |a^H u|^2;
-    - per step of trials whose form and noise buffers stay within
-      ``STEP_BYTES``: the coefficient rows of those M, then, in sub-steps
-      whose pair table stays near ``PAIR_TABLE_BYTES``, the real pair table
-      of the symbols (:func:`jcsim.radar._qpsk_pair_table`) and one batched
-      matmul by every cell's rows; then the noise scales;
+    - per trial block of at most ``BLOCK_TRIALS`` trials, and of no more than
+      keep its form and noise buffers within ``BLOCK_BYTES``: once per
+      distinct beam kind, the beams (:func:`jcsim.beamform.beam_set` on the
+      stack of estimates), a^H w_p and G, then every cell's M of ||u||^2 and,
+      in H1 passes, of |a^H u|^2, and the coefficient rows of those M; then,
+      in sub-steps whose pair table stays near ``PAIR_TABLE_BYTES``, the real
+      pair table of the symbols (:func:`jcsim.radar._qpsk_pair_table`) and one
+      batched matmul by every cell's rows; then the noise scales;
     - per cell: the noise and its map, which serves every target: the map is
       linear, so in H1 passes target t adds phi (D diag(d_t)) f_c (alpha_t
       diag(e_t) L) for the matched phase pair (D, L), t's Doppler and delay

@@ -825,22 +825,15 @@ class TestKeptWorkspaces:
         assert self.kept() == []
         assert threading.active_count() == baseline
 
-    def test_table1_block_workspace_does_not_grow_with_the_block(self, monkeypatch):
-        """At the table1 geometry an H1 block of 16 trials and one of 128 take workspaces of
-        the same size, within KEEP_BYTES: a step of trials, not the block, sizes them."""
-        cfg = table1_preset()
-        rng = np.random.default_rng([cfg.seed, 0xD0])
-        real = realize_scenario(cfg, rng)
-        a = steering_vector(real.geom, draw_scan_direction(cfg, rng))
-        cells, _ = sweep_cells(cfg, real, a, draw_estimates(real, rng))
-        targets = []
-        for r in cfg.detection_ranges_m:
-            alpha, delay = target_alpha(r, real.geom, cfg.target_rcs_m2)
-            targets.append(_TargetParams(alpha_mag=alpha, delay=delay, doppler=300.0))
+    def test_table1_block_workspace_does_not_grow_with_the_block(self, monkeypatch,
+                                                                 table1_sweep):
+        """At the table1 geometry the blocks of a 128-trial H1 batch take workspaces of
+        the same size, within KEEP_BYTES: the block's buffers, not the batch, size them."""
+        cfg, real, a, cells, targets = table1_sweep
         monkeypatch.setattr(experiments, "BATCH", 128)
         sweep_pass = experiments._SweepPass(real, cfg.seed, a, cells, targets, 128, 0x9D)
-        assert sweep_pass.step_trials < 16
         batch = sweep_pass.draw(*sweep_pass.batches[0])
+        blocks = sweep_pass.blocks(batch)
         sizes = []
 
         def recorded(_kind, ws):
@@ -848,9 +841,41 @@ class TestKeptWorkspaces:
 
         monkeypatch.setattr(experiments, "_give_back", recorded)
         monkeypatch.setattr(experiments, "_kept", {"block": [], "batch": []})
-        for hi in (16, 128):
-            sweep_pass.compute(batch, 0, hi)
-        assert len(sizes) == 2 and sizes[0] == sizes[1] <= experiments.KEEP_BYTES
+        for lo, hi in blocks:
+            sweep_pass.compute(batch, lo, hi)
+        assert len(blocks) == 128 // 8 and len(sizes) == len(blocks)
+        assert len(set(sizes)) == 1 and sizes[0] <= experiments.KEEP_BYTES
+
+
+@pytest.fixture(scope="module")
+def table1_sweep():
+    """The table1 detection sweep's 8 cells and its targets, at a 300 m/s Doppler."""
+    cfg = table1_preset()
+    rng = np.random.default_rng([cfg.seed, 0xD0])
+    real = realize_scenario(cfg, rng)
+    a = steering_vector(real.geom, draw_scan_direction(cfg, rng))
+    cells, _ = sweep_cells(cfg, real, a, draw_estimates(real, rng))
+    assert len(cells) == 8
+    targets = []
+    for r in cfg.detection_ranges_m:
+        alpha, delay = target_alpha(r, real.geom, cfg.target_rcs_m2)
+        targets.append(_TargetParams(alpha_mag=alpha, delay=delay, doppler=300.0))
+    return cfg, real, a, cells, targets
+
+
+@pytest.mark.parametrize("hypothesis_name, bound", [("h0", 14), ("h1", 8)])
+def test_table1_block_split_stays_within_the_buffers(table1_sweep, hypothesis_name, bound):
+    """With 8 cells at the table1 geometry, every batch size splits into even, contiguous
+    blocks of at most min(BLOCK_TRIALS, block_trials) trials: 14 in H0 passes, 8 in H1."""
+    cfg, real, a, cells, targets = table1_sweep
+    targets = [None] if hypothesis_name == "h0" else targets
+    sweep_pass = experiments._SweepPass(real, cfg.seed, a, cells, targets, 1, 0x9D)
+    assert min(experiments.BLOCK_TRIALS, sweep_pass.block_trials) == bound
+    for nb in range(1, experiments.BATCH + 1):
+        blocks = sweep_pass.blocks(experiments._Batch(0, np.empty((nb, 0)), *[None] * 4))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert [lo for lo, _ in blocks] == [0, *np.cumsum(sizes[:-1])] and sum(sizes) == nb
+        assert len(blocks) == -(-nb // bound) and max(sizes) - min(sizes) <= 1
 
 
 class TestSweepPeaks:
@@ -991,40 +1016,46 @@ class TestSweepPeaks:
             np.testing.assert_array_equal(sweep_pass.peaks, peaks[:, :, : self.BATCH])
 
     @staticmethod
-    def peaks_in_steps(monkeypatch, case, step):
-        """The first batch of a pass computed as one block, with the step byte bound forced
-        down to ``step`` trials of its form and noise buffers."""
+    def peaks_in_blocks_of(monkeypatch, case, size):
+        """The peaks of ``simulate_sweep_peaks(**case)`` with ``BLOCK_BYTES`` forced down to
+        ``size`` trials of a block's form and noise buffers."""
         rows = len(case["cells"]) * (1 if case["targets"] == [None] else 2)
         n_grid = case["real"].frame.n_symbols * case["real"].frame.n_subcarriers
-        monkeypatch.setattr(experiments, "STEP_BYTES", step * n_grid * (8 * rows + 16))
-        sweep_pass = experiments._SweepPass(**case)
-        assert sweep_pass.step_trials == step
-        batch = sweep_pass.draw(*sweep_pass.batches[0])
-        sweep_pass.compute(batch, 0, len(batch.h_hat))
-        return sweep_pass.peaks[:, :, : len(batch.h_hat)]
+        monkeypatch.setattr(experiments, "BLOCK_BYTES", size * n_grid * (8 * rows + 16))
+        sizes, compute = [], experiments._SweepPass.compute
 
-    @pytest.mark.parametrize("step", [1, 3])
-    def test_peaks_do_not_depend_on_the_step_split(self, sweep, hypothesis, monkeypatch, step):
-        """A block of a whole batch run in steps of 1 or 3 trials gives the peaks of the sweep."""
+        def recorded(self, batch, lo, hi):
+            sizes.append(hi - lo)  # blocks run on worker threads: append is atomic
+            compute(self, batch, lo, hi)
+
+        monkeypatch.setattr(experiments._SweepPass, "compute", recorded)
+        peaks = simulate_sweep_peaks(**case)
+        assert max(sizes) == size
+        return peaks
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_peaks_do_not_depend_on_the_step_split(self, sweep, hypothesis, monkeypatch, size):
+        """A block is one step: blocks of 1 or 3 trials, bounded by their buffers, give the
+        peaks of the sweep."""
         cfg, real, _, _, a, cells, _ = sweep
         targets, stream, peaks = hypothesis
         case = dict(
-            real=real, seed=cfg.seed, a=a, cells=cells, targets=targets, n_trials=self.BATCH,
+            real=real, seed=cfg.seed, a=a, cells=cells, targets=targets, n_trials=self.N_TRIALS,
             stream_key=stream,
         )
-        stepped = self.peaks_in_steps(monkeypatch, case, step)
-        np.testing.assert_array_equal(stepped, peaks[:, :, : self.BATCH])
+        np.testing.assert_array_equal(self.peaks_in_blocks_of(monkeypatch, case, size), peaks)
 
     @pytest.mark.parametrize("hypothesis_name", ["h0", "h1"])
-    @pytest.mark.parametrize("step", [1, 3])
+    @pytest.mark.parametrize("size", [1, 3])
     def test_many_users_peaks_do_not_depend_on_the_step_split(self, monkeypatch,
-                                                              hypothesis_name, step):
-        """K = 8: steps of 1 or 3 trials, below the pair-table step of 4."""
+                                                              hypothesis_name, size):
+        """K = 8: blocks of 1 or 3 trials, bounded by their buffers, below the pair-table
+        step of 4."""
         case, _, _ = self.many_users_case(hypothesis_name)
         monkeypatch.setattr(experiments, "BATCH", self.MANY_USERS_BATCH)
         reference = simulate_sweep_peaks(**case)
-        stepped = self.peaks_in_steps(monkeypatch, case, step)
-        np.testing.assert_array_equal(stepped, reference[:, :, : self.MANY_USERS_BATCH])
+        blocked = self.peaks_in_blocks_of(monkeypatch, case, size)
+        np.testing.assert_array_equal(blocked, reference)
 
     @pytest.mark.parametrize("hypothesis_name", ["h0", "h1"])
     def test_many_users_peaks_do_not_depend_on_the_worker_count(self, monkeypatch,
@@ -1238,6 +1269,35 @@ class TestCli:
         assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, changes, flags",
+        [
+            pytest.param("detect", {"target_rcs_m2": math.nan}, [], id="detect-target_rcs_m2-nan"),
+            pytest.param("rates", {"target_rcs_m2": math.nan}, [], id="rates-target_rcs_m2-nan"),
+            pytest.param("rates", {"user_height_m": math.nan}, [], id="rates-user_height_m-nan"),
+            pytest.param("detect", {"user_height_m": math.nan}, [], id="detect-user_height_m-nan"),
+            pytest.param("rates", {"rcr_db": math.nan}, [], id="rates-rcr_db-nan"),
+            pytest.param("detect", {"p_dl_w": math.inf}, [], id="detect-p_dl_w-inf"),
+            pytest.param("rates", {"user_x_range_m": [10.0, math.inf]}, [], id="rates-range-inf"),
+            *(pytest.param(command, {}, ["--seed", "-1"], id=f"{command}-seed-flag")
+              for command in ("rates", "detect", "validate")),
+            *(pytest.param(command, {"seed": -3}, [], id=f"{command}-seed-config")
+              for command in ("rates", "detect", "validate")),
+        ],
+    )
+    def test_non_finite_number_or_negative_seed_is_config_error(self, tmp_path, capsys,
+                                                                command, changes, flags):
+        """JSON parses NaN and Infinity; a config holding one, or a negative seed, exits 2."""
+        data = json.loads(dump_config(desk_preset().replace(n_scenarios=1, n_detection_trials=8)))
+        data.update(changes)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out.csv"
+        sizes = ["--draws", "2000"] if command == "validate" else []
+        assert cli_main([command, "--config", str(path), *sizes, *flags, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_detect_pinned_to_one_cpu_writes_the_same_csv(self, tmp_path):
         """A one-CPU process runs the sweep on one worker and writes the same bytes."""
@@ -1318,6 +1378,7 @@ class TestCli:
             ("user_gains", 0.5),
             ("interference", [[True]]),
             ("interference", [0.5]),
+            ("budget", math.inf),  # JSON's Infinity, which no range check rejects
         ],
     )
     def test_allocate_bad_input_is_config_error(self, tmp_path, capsys, key, value):

@@ -466,8 +466,8 @@ def simulate_sweep_peaks(
       (:func:`jcsim.channel.draw_channels`, :func:`jcsim.estimation.estimate`),
       the QPSK indices of x_p, two raw bits each (:func:`jcsim.radar.qpsk_indices`),
       the complex noise normals and the target phases;
-    - per trial block of at most ``BLOCK_TRIALS`` trials, and of no more than
-      keep its form and noise buffers within ``BLOCK_BYTES``: once per
+    - per trial block of at most ``BLOCK_TRIALS`` trials, and of no more trials
+      than keep its form and noise buffers within ``BLOCK_BYTES``: once per
       distinct beam kind, the beams (:func:`jcsim.beamform.beam_set` on the
       stack of estimates), a^H w_p and G, then every cell's M of ||u||^2 and,
       in H1 passes, of |a^H u|^2, and the coefficient rows of those M; then,
